@@ -458,9 +458,9 @@ void engine_benchmark() {
         .set("complete", t.result.complete)
         // dedupe_bytes is in the units of THIS run's dedupe_mode; never
         // compare it across records with different modes. "symmetry" keys
-        // on the orbit-canonical fingerprint — one canonical relabeled
-        // encoding per admitted state, so the fingerprint-mode
-        // zero-encodings invariant does not apply to it.
+        // on the orbit-canonical fingerprint — the relabeled state-hash
+        // fold, which serializes no World, so the zero-encodings invariant
+        // holds for it exactly as for "fingerprint".
         .set("dedupe_mode", t.result.exact_dedupe
                                 ? "exact"
                                 : (t.result.symmetry_applied ? "symmetry"

@@ -44,7 +44,7 @@ class Writer final : public CloneableProcess<Writer> {
 
   // Quorum state references servers only through the replied_ set (mapped
   // below) and counts; server identity is otherwise irrelevant to ABD.
-  bool symmetry_relabelable() const override { return true; }
+  Symmetry symmetry() const override { return Symmetry::kMapsIds; }
   void encode_state_relabeled(const NodeRelabeling& rank,
                               BufWriter& w) const override;
 
@@ -100,7 +100,7 @@ class Reader final : public CloneableProcess<Reader> {
   }
   bool ignores(NodeId from, const MessagePayload& msg) const override;
 
-  bool symmetry_relabelable() const override { return true; }
+  Symmetry symmetry() const override { return Symmetry::kMapsIds; }
   void encode_state_relabeled(const NodeRelabeling& rank,
                               BufWriter& w) const override;
 

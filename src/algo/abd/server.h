@@ -44,7 +44,7 @@ class Server final : public CloneableProcess<Server> {
 
   // State is one (tag, value) pair — no node ids — and the protocol never
   // distinguishes replicas, so servers are fully interchangeable.
-  bool symmetry_relabelable() const override { return true; }
+  Symmetry symmetry() const override { return Symmetry::kIdFree; }
 
   const Tag& tag() const { return tag_; }
   const Value& value() const { return *value_; }

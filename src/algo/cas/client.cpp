@@ -148,8 +148,8 @@ void Writer::encode_state_relabeled(const NodeRelabeling& rank,
   max_seen_.encode(w);
   w.bytes(*pending_value_);
   // pending_shards_ is positional (shard i -> servers_[i]); with the k=1
-  // codec symmetry_relabelable() requires, every shard is identical, so
-  // position order is already relabel-stable.
+  // codec that symmetry() requires, every shard is identical, so position
+  // order is already relabel-stable.
   w.u64(pending_shards_->size());
   for (const auto& shard : *pending_shards_) w.bytes(shard);
   encode_relabeled_ids(replied_, rank, w);
@@ -282,8 +282,10 @@ void Reader::encode_state_relabeled(const NodeRelabeling& rank,
   target_.encode(w);
   max_seen_.encode(w);
   w.u64(shards_.size());
-  std::vector<std::pair<std::uint32_t, const Bytes*>> mapped;
-  mapped.reserve(shards_.size());
+  // One per-thread buffer, as in encode_relabeled_ids: this runs on every
+  // state-hash flush and every symmetry key.
+  thread_local std::vector<std::pair<std::uint32_t, const Bytes*>> mapped;
+  mapped.clear();
   for (const auto& [node, shard] : shards_)
     mapped.emplace_back(rank(node), &*shard);
   std::sort(mapped.begin(), mapped.end(),

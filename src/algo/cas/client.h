@@ -51,7 +51,9 @@ class Writer final : public CloneableProcess<Writer> {
   // the state are the replied_ set (mapped below). k >= 2 assigns a
   // DISTINCT element per server position: servers stop being
   // interchangeable and symmetry must stay off.
-  bool symmetry_relabelable() const override { return codec_->k() == 1; }
+  Symmetry symmetry() const override {
+    return codec_->k() == 1 ? Symmetry::kMapsIds : Symmetry::kNone;
+  }
   void encode_state_relabeled(const NodeRelabeling& rank,
                               BufWriter& w) const override;
 
@@ -112,7 +114,9 @@ class Reader final : public CloneableProcess<Reader> {
 
   // Same k=1 rationale as the writer; shards_ keys (server ids) and the
   // replied_ set are mapped in encode_state_relabeled.
-  bool symmetry_relabelable() const override { return codec_->k() == 1; }
+  Symmetry symmetry() const override {
+    return codec_->k() == 1 ? Symmetry::kMapsIds : Symmetry::kNone;
+  }
   void encode_state_relabeled(const NodeRelabeling& rank,
                               BufWriter& w) const override;
 

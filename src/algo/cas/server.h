@@ -46,10 +46,10 @@ class Server final : public CloneableProcess<Server> {
   }
 
   // State embeds CLIENT ids only (waiting_ readers), which the symmetry
-  // relabeling maps identically, so the default encode_state_relabeled
-  // stays faithful. Interchangeability of the stored shards themselves is
-  // the clients' k=1 gate (see cas::Writer::symmetry_relabelable).
-  bool symmetry_relabelable() const override { return true; }
+  // relabeling maps identically, so the state is id-free and the default
+  // encode_state_relabeled stays faithful. Interchangeability of the stored
+  // shards themselves is the clients' k=1 gate (see cas::Writer::symmetry).
+  Symmetry symmetry() const override { return Symmetry::kIdFree; }
 
   // Introspection for tests and storage experiments.
   std::size_t stored_versions() const;       // entries holding a shard

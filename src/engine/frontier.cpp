@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -56,6 +57,7 @@ class Search {
     // blocks during exploration never change eligibility (roles and the
     // process set are fixed), so one root check covers the search.
     symmetry_on_ = opt_.reduction.symmetry && symmetry::eligible(initial);
+    if (symmetry_on_) groups_.emplace(initial);
     if (symmetry_on_ && opt_.dedupe && visited_budget(opt_) == 0) {
       // Telemetry twin-detector for symmetry_merged: an auxiliary plain-
       // fingerprint set, deliberately NOT maintained under a --mem budget
@@ -150,17 +152,19 @@ class Search {
   }
 
   // Dedupe keys. Default: the state as-is. Under symmetry reduction the
-  // key is the canonical encoding (or its fingerprint) of the World
-  // relabeled by the orbit-canonical server permutation, so the whole
-  // orbit shares one key and merges into its first-visited member.
+  // key is the World relabeled by the orbit-canonical server permutation,
+  // so the whole orbit shares one key and merges into its first-visited
+  // member: in fingerprint mode the relabeled World's state hash, folded
+  // from the components the World already caches; in exact mode its
+  // canonical encoding.
   std::uint64_t dedupe_fingerprint(const World& world) const {
-    return symmetry_on_ ? symmetry::canonical_fingerprint(world)
+    return symmetry_on_ ? symmetry::canonical_fingerprint(world, *groups_)
                         : world.state_hash();
   }
 
   void dedupe_key(const World& world, Bytes& buf) const {
     if (symmetry_on_) {
-      symmetry::canonical_encoding(world, buf);
+      symmetry::canonical_encoding(world, *groups_, buf);
     } else {
       world.encode_canonical(buf);
     }
@@ -171,10 +175,10 @@ class Search {
   // budget); otherwise the node has been counted as deduped or truncated.
   // Fingerprint mode keys on World::state_hash() — the incremental hash
   // maintained through every mutation — so NO canonical encoding (and no
-  // per-node serialization at all) happens here; symmetry reduction trades
-  // that back for one canonical (relabeled) encoding per admitted state.
-  // Exact mode pays the full encoding, through one recycled thread-local
-  // buffer.
+  // per-node serialization at all) happens here; under symmetry reduction
+  // the key is the relabeled state hash, which re-encodes only the
+  // processes whose state names server ids (the clients). Exact mode pays
+  // the full encoding, through one recycled thread-local buffer.
   bool admit(const World& world) {
     if (states_visited_.load() >= opt_.max_states) {
       // Expansion budget exhausted: classify WITHOUT inserting — this
@@ -567,6 +571,7 @@ class Search {
   bool sleep_on_ = false;
   bool symmetry_on_ = false;
   std::vector<std::uint8_t> server_mask_;  // dpor independence input
+  std::optional<symmetry::Groups> groups_;  // built iff symmetry_on_
   std::unique_ptr<VisitedSet> plain_seen_;  // symmetry_merged telemetry
 
   std::atomic<std::size_t> frontier_bytes_{0};

@@ -109,11 +109,12 @@ struct ExploreOptions {
     // probes; the set of VISITED states is unchanged.
     bool sleep_sets = false;
     // Merge states differing only by a permutation of interchangeable
-    // servers (sim/symmetry.h): the dedupe key becomes the canonical
-    // encoding/fingerprint under the orbit-canonical server relabeling.
-    // Silently ignored unless the root World is eligible (every process
-    // opted in via Process::symmetry_relabelable and some role group has
-    // >= 2 servers) — check ExploreResult::symmetry_applied.
+    // servers (sim/symmetry.h): the dedupe key becomes the World under the
+    // orbit-canonical server relabeling — its canonical encoding in exact
+    // mode, its relabeled state hash in fingerprint mode. Silently ignored
+    // unless the root World is eligible (no process keeps
+    // Process::symmetry() == kNone and some role group has >= 2 servers)
+    // — check ExploreResult::symmetry_applied.
     bool symmetry = false;
   };
   Reduction reduction;

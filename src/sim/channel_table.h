@@ -344,12 +344,29 @@ class ChannelTable {
     for (const std::uint32_t slot : active_) fn(chan_of(slot), slots_[slot]);
   }
 
-  // Order-sensitive fold of `chan`'s queue contents (a fixed constant for
-  // an empty channel). Symmetry canonicalization (sim/symmetry.cpp) builds
-  // per-server signatures from these folds without re-encoding payloads.
-  std::uint64_t queue_fold(ChannelId chan) const {
-    const Queue* q = find(chan);
-    return q == nullptr ? statehash::kQueueFoldSeed : fold_queue(*q);
+  // Order-sensitive folds of every queue, as a node_count()^2 matrix
+  // indexed src * n + dst (a fixed constant for an empty channel), written
+  // into `out`. Symmetry canonicalization (sim/symmetry.cpp) builds its
+  // per-server signatures from these without re-encoding payloads.
+  void queue_folds(std::vector<std::uint64_t>& out) const {
+    out.assign(slots_.size(), statehash::kQueueFoldSeed);
+    for (const std::uint32_t slot : active_) {
+      out[slot] = fold_queue(slots_[slot]);
+    }
+  }
+
+  // content_hash() of this table with every node id mapped through `map`
+  // (id -> id): each non-empty queue's fold re-keyed at its mapped
+  // endpoints. Equal to content_hash() under the identity.
+  template <class Map>
+  std::uint64_t relabeled_content_hash(const Map& map) const {
+    std::uint64_t h = 0;
+    for (const std::uint32_t slot : active_) {
+      const ChannelId chan = chan_of(slot);
+      h ^= mix64(statehash::chan_key(map(chan.src), map(chan.dst)) ^
+                 fold_queue(slots_[slot]));
+    }
+    return h;
   }
 
   ChannelId chan_of(std::uint32_t slot) const {

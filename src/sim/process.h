@@ -93,11 +93,14 @@ class NodeRelabeling {
 // MAPPED order — the relabel-stable framing for id-keyed sets (two sets
 // equal up to the relabeling encode byte-equally). Under the identity
 // relabeling of an already-sorted range this matches the common
-// "u64 size + u32 ids in iteration order" hand-rolled encoding.
+// "u64 size + u32 ids in iteration order" hand-rolled encoding. Sorts in
+// one per-thread buffer: this runs for every client on every state-hash
+// flush and every symmetry key.
 template <class Range>
 inline void encode_relabeled_ids(const Range& ids, const NodeRelabeling& rank,
                                  BufWriter& w) {
-  std::vector<std::uint32_t> mapped;
+  thread_local std::vector<std::uint32_t> mapped;
+  mapped.clear();
   for (const NodeId id : ids) mapped.push_back(rank(id));
   std::sort(mapped.begin(), mapped.end());
   w.u64(mapped.size());
@@ -176,23 +179,26 @@ class Process {
   // {server 2}" after the channels were permuted, merging two states with
   // different futures.
   //
-  // A process opts in by returning true from symmetry_relabelable() and, if
-  // (and only if) its state embeds SERVER ids, overriding
-  // encode_state_relabeled() to map them. The relabeling is the identity on
-  // non-server ids by construction, so a process that embeds only client
-  // ids (e.g. a server tracking waiting readers) keeps the default
-  // encode_state_relabeled(), which forwards to encode_state().
-  //
-  // The default for symmetry_relabelable() is FALSE: an un-audited process
-  // conservatively disables symmetry for any World containing it (the
-  // exploration stays sound, just unreduced). Return true only after
-  // checking that either the state embeds no server ids, or
-  // encode_state_relabeled() maps every one it embeds — and that the
-  // process treats interchangeable servers interchangeably (a CAS client
-  // with a k >= 2 codec assigns a DIFFERENT coded element per server, so it
-  // must return false; with k == 1 every shard is the full value and server
-  // order is behaviorally irrelevant).
-  virtual bool symmetry_relabelable() const { return false; }
+  // A process states what its audit found by overriding symmetry():
+  //   kNone    — not audited (the default). One such process disables the
+  //              reduction for the whole World; exploration stays sound,
+  //              just unreduced.
+  //   kIdFree  — the state embeds no SERVER ids (client ids are fine: the
+  //              relabeling is the identity on them). encode_state() is
+  //              then its own relabeled encoding, so the symmetry key
+  //              reuses the fingerprint World::state_hash() already settled
+  //              for it and never re-encodes it. Such a process must keep
+  //              the default encode_state_relabeled().
+  //   kMapsIds — the state embeds server ids, and encode_state_relabeled()
+  //              maps every one of them. Re-encoded under each candidate
+  //              relabeling.
+  // Either opt-in also certifies that the process treats interchangeable
+  // servers interchangeably: a CAS client with a k >= 2 codec assigns a
+  // DIFFERENT coded element per server, so it must stay kNone; with k == 1
+  // every shard is the full value and server order is behaviorally
+  // irrelevant.
+  enum class Symmetry : std::uint8_t { kNone, kIdFree, kMapsIds };
+  virtual Symmetry symmetry() const { return Symmetry::kNone; }
 
   // Writes the same state encode_state() covers, with every embedded node
   // id mapped through `rank` and id-keyed collections re-sorted by mapped

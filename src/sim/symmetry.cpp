@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -15,67 +14,45 @@ namespace memu::symmetry {
 
 namespace {
 
-// Server ids per role group (Process::name()), ids ascending within each
-// group by construction.
-std::map<std::string, std::vector<std::uint32_t>> role_groups(const World& w) {
-  std::map<std::string, std::vector<std::uint32_t>> groups;
-  for (std::uint32_t i = 0; i < w.process_count(); ++i) {
-    const Process& p = w.process(NodeId{i});
-    if (p.is_server()) groups[p.name()].push_back(i);
-  }
-  return groups;
-}
+// Order-sensitive 64-bit fold step: (a, b) and (b, a) fold differently.
+std::uint64_t fold(std::uint64_t h, std::uint64_t x) { return mix64(h ^ x); }
 
-}  // namespace
-
-bool eligible(const World& w) {
-  if (w.process_count() == 0) return false;
-  std::map<std::string, std::size_t> group_sizes;
-  bool any_pair = false;
-  for (std::uint32_t i = 0; i < w.process_count(); ++i) {
-    const Process& p = w.process(NodeId{i});
-    if (!p.symmetry_relabelable()) return false;
-    if (p.is_server() && ++group_sizes[p.name()] >= 2) any_pair = true;
-  }
-  return any_pair;
-}
-
-std::vector<std::uint32_t> canonical_map(const World& w) {
+// The canonical map, written into `map` (resized; capacity kept). The one
+// implementation behind both dedupe keys.
+void fill_canonical_map(const World& w, const Groups& g,
+                        std::vector<std::uint32_t>& map) {
   const auto n = static_cast<std::uint32_t>(w.process_count());
-  std::vector<std::uint32_t> map(n);
+  map.resize(n);
   std::iota(map.begin(), map.end(), 0u);
-  const auto groups = role_groups(w);
-  // Signatures encode each member's own state under a relabeling that
-  // collapses every group to its minimal id: group peers are
+  thread_local std::vector<std::uint64_t> folds;  // src * n + dst
+  thread_local std::vector<std::pair<std::uint64_t, std::uint32_t>> members;
+  thread_local Bytes scratch;
+  w.channel_queue_folds(folds);
+  // Signatures fingerprint each member's own state under a relabeling
+  // that collapses every group to its minimal id: group peers are
   // indistinguishable placeholders at signing time, so a server whose
   // state happens to reference a symmetric peer still signs identically
-  // across the orbit.
-  std::vector<std::uint32_t> collapse(n);
-  std::iota(collapse.begin(), collapse.end(), 0u);
-  for (const auto& [role, ids] : groups) {
-    for (const std::uint32_t id : ids) collapse[id] = ids.front();
-  }
-  const NodeRelabeling collapsed(&collapse);
-  std::vector<std::uint8_t> in_group(n, 0);
-  for (const auto& [role, ids] : groups) {
-    if (ids.size() < 2) continue;
-    std::fill(in_group.begin(), in_group.end(), 0);
-    for (const std::uint32_t id : ids) in_group[id] = 1;
-    struct Signed {
-      Bytes sig;
-      std::uint32_t id;
-    };
-    std::vector<Signed> members;
-    members.reserve(ids.size());
+  // across the orbit. An id-free server's collapsed encoding is its plain
+  // encoding, whose fingerprint the state hash has already settled.
+  const NodeRelabeling collapsed(&g.collapse);
+  for (const std::vector<std::uint32_t>& ids : g.symmetric) {
+    members.clear();
     for (const std::uint32_t id : ids) {
       const NodeId nid{id};
-      BufWriter sw;
-      sw.boolean(w.is_crashed(nid));
-      sw.boolean(w.is_frozen(nid));
-      sw.boolean(w.is_value_blocked(nid));
-      sw.boolean(w.is_bulk_blocked(nid));
-      sw.boolean(w.in_partition(nid));
-      w.process(nid).encode_state_relabeled(collapsed, sw);
+      std::uint64_t sig = std::uint64_t{w.is_crashed(nid)} |
+                          std::uint64_t{w.is_frozen(nid)} << 1 |
+                          std::uint64_t{w.is_value_blocked(nid)} << 2 |
+                          std::uint64_t{w.is_bulk_blocked(nid)} << 3 |
+                          std::uint64_t{w.in_partition(nid)} << 4;
+      const Process& p = w.process(nid);
+      if (p.symmetry() == Process::Symmetry::kMapsIds) {
+        BufWriter sw(std::move(scratch));
+        p.encode_state_relabeled(collapsed, sw);
+        sig = fold(sig, fingerprint64(sw.data()));
+        scratch = std::move(sw).take();
+      } else {
+        sig = fold(sig, w.process_fingerprint(nid));
+      }
       // Channel-queue folds in both directions: keyed by the counterpart
       // for asymmetric counterparts, XOR-aggregated (direction-sensitive,
       // peer-agnostic) over same-group peers so the signature stays
@@ -83,45 +60,77 @@ std::vector<std::uint32_t> canonical_map(const World& w) {
       std::uint64_t peer_agg = 0;
       for (std::uint32_t other = 0; other < n; ++other) {
         if (other == id) continue;
-        const std::uint64_t out_fold =
-            w.channel_queue_fold(ChannelId{nid, NodeId{other}});
-        const std::uint64_t in_fold =
-            w.channel_queue_fold(ChannelId{NodeId{other}, nid});
-        if (in_group[other]) {
+        const std::uint64_t out_fold = folds[id * n + other];
+        const std::uint64_t in_fold = folds[other * n + id];
+        if (g.collapse[other] == g.collapse[id]) {
           peer_agg ^= mix64(mix64(out_fold ^ 0x9e3779b97f4a7c15ull) ^ in_fold);
         } else {
-          sw.u32(other);
-          sw.u64(out_fold);
-          sw.u64(in_fold);
+          sig = fold(fold(fold(sig, other), out_fold), in_fold);
         }
       }
-      sw.u64(peer_agg);
-      members.push_back({std::move(sw).take(), id});
+      members.emplace_back(fold(sig, peer_agg), id);
     }
     // Tie-break on id: not orbit-invariant, so a signature collision can
     // make two symmetric Worlds pick different representatives. That only
-    // UNDER-merges (two orbit members survive); equal canonical bytes
-    // still certify a genuine relabeling, so soundness is unaffected.
-    std::sort(members.begin(), members.end(),
-              [](const Signed& a, const Signed& b) {
-                return a.sig != b.sig ? a.sig < b.sig : a.id < b.id;
-              });
+    // UNDER-merges (two orbit members survive); equal keys still certify a
+    // genuine relabeling, so soundness is unaffected.
+    std::sort(members.begin(), members.end());
     for (std::size_t pos = 0; pos < ids.size(); ++pos) {
-      map[members[pos].id] = ids[pos];  // ids ascending: rank by sort order
+      map[members[pos].second] = ids[pos];  // ids ascending: rank by order
     }
   }
+}
+
+}  // namespace
+
+Groups::Groups(const World& w) : collapse(w.process_count()) {
+  std::iota(collapse.begin(), collapse.end(), 0u);
+  std::vector<std::pair<std::string, std::vector<std::uint32_t>>> roles;
+  for (std::uint32_t i = 0; i < w.process_count(); ++i) {
+    const Process& p = w.process(NodeId{i});
+    if (!p.is_server()) continue;
+    std::string name = p.name();
+    auto role = std::find_if(roles.begin(), roles.end(),
+                             [&](const auto& r) { return r.first == name; });
+    if (role == roles.end()) role = roles.insert(roles.end(), {name, {}});
+    role->second.push_back(i);
+    collapse[i] = role->second.front();
+  }
+  for (auto& [name, ids] : roles) {
+    if (ids.size() >= 2) symmetric.push_back(std::move(ids));
+  }
+}
+
+bool eligible(const World& w) {
+  if (w.process_count() == 0) return false;
+  for (std::uint32_t i = 0; i < w.process_count(); ++i) {
+    if (w.process(NodeId{i}).symmetry() == Process::Symmetry::kNone) {
+      return false;
+    }
+  }
+  return !Groups(w).symmetric.empty();
+}
+
+std::vector<std::uint32_t> canonical_map(const World& w, const Groups& g) {
+  std::vector<std::uint32_t> map;
+  fill_canonical_map(w, g, map);
   return map;
 }
 
-void canonical_encoding(const World& w, Bytes& out) {
-  const auto map = canonical_map(w);
+void canonical_encoding(const World& w, const Groups& g, Bytes& out) {
+  thread_local std::vector<std::uint32_t> map;
+  fill_canonical_map(w, g, map);
   w.encode_canonical_relabeled(map, out);
 }
 
+std::uint64_t canonical_fingerprint(const World& w, const Groups& g) {
+  thread_local std::vector<std::uint32_t> map;
+  fill_canonical_map(w, g, map);
+  return w.relabeled_state_hash(map);
+}
+
 std::uint64_t canonical_fingerprint(const World& w) {
-  thread_local Bytes buf;
-  canonical_encoding(w, buf);
-  return fingerprint64(buf);
+  return canonical_fingerprint(w, Groups(w));
 }
 
 }  // namespace memu::symmetry

@@ -37,7 +37,7 @@ World::World(const World& other)
       next_op_id_(other.next_op_id_),
       sets_hash_(other.sets_hash_),
       procs_hash_(other.procs_hash_),
-      proc_comp_(other.proc_comp_),
+      proc_fp_(other.proc_fp_),
       proc_dirty_(other.proc_dirty_),
       any_proc_dirty_(other.any_proc_dirty_) {
   cowstats::note_world_copy();
@@ -67,8 +67,10 @@ NodeId World::add_process(std::unique_ptr<Process> p) {
   p->set_id(id);
   processes_.push_back(clone_to_slab(*p));
   channels_.resize_nodes(processes_.size());
-  // The new process's hash component is settled lazily, like any mutation.
-  proc_comp_.push_back(0);
+  // The new process's hash component is settled lazily, like any mutation:
+  // fold in a placeholder for fingerprint 0, which the flush replaces.
+  proc_fp_.push_back(0);
+  procs_hash_ ^= statehash::component(statehash::kProcSeed, id.value, 0);
   proc_dirty_.push_back(0);
   mark_proc_dirty(id);
   return id;
@@ -419,12 +421,26 @@ void World::flush_proc_hashes() const {
   for (std::size_t i = 0; i < proc_dirty_.size(); ++i) {
     if (!proc_dirty_[i]) continue;
     proc_dirty_[i] = 0;
-    procs_hash_ ^= proc_comp_[i];  // XOR out the stale component (0 if new)
-    proc_comp_[i] = statehash::component(
-        statehash::kProcSeed, i, fingerprint64(processes_[i]->encode_state()));
-    procs_hash_ ^= proc_comp_[i];
+    // Swap the stale component for the fresh one.
+    const std::uint64_t fp = fingerprint64(processes_[i]->encode_state());
+    procs_hash_ ^= statehash::component(statehash::kProcSeed, i, proc_fp_[i]) ^
+                   statehash::component(statehash::kProcSeed, i, fp);
+    proc_fp_[i] = fp;
   }
   any_proc_dirty_ = false;
+}
+
+std::uint64_t World::sets_component(const NodeRelabeling& rank) const {
+  std::uint64_t sets = 0;
+  const auto fold_set = [&](const NodeSet& s, std::uint64_t seed) {
+    s.for_each([&](NodeId id) { sets ^= statehash::member(seed, rank(id)); });
+  };
+  fold_set(crashed_, statehash::kCrashedSeed);
+  fold_set(frozen_, statehash::kFrozenSeed);
+  fold_set(value_blocked_, statehash::kValueBlockedSeed);
+  fold_set(bulk_blocked_, statehash::kBulkBlockedSeed);
+  fold_set(partition_, statehash::kPartitionSeed);
+  return sets;
 }
 
 std::uint64_t World::state_hash() const {
@@ -442,18 +458,31 @@ std::uint64_t World::recompute_state_hash() const {
     procs ^= statehash::component(
         statehash::kProcSeed, i, fingerprint64(processes_[i]->encode_state()));
   }
-  std::uint64_t sets = 0;
-  const auto fold_set = [&sets](const NodeSet& s, std::uint64_t seed) {
-    s.for_each(
-        [&](NodeId id) { sets ^= statehash::member(seed, id.value); });
-  };
-  fold_set(crashed_, statehash::kCrashedSeed);
-  fold_set(frozen_, statehash::kFrozenSeed);
-  fold_set(value_blocked_, statehash::kValueBlockedSeed);
-  fold_set(bulk_blocked_, statehash::kBulkBlockedSeed);
-  fold_set(partition_, statehash::kPartitionSeed);
-  return mix64(procs ^ sets ^ channels_.recompute_content_hash() ^
+  return mix64(procs ^ sets_component(NodeRelabeling{}) ^
+               channels_.recompute_content_hash() ^
                oplog_.recompute_content_hash());
+}
+
+std::uint64_t World::relabeled_state_hash(
+    const std::vector<std::uint32_t>& map) const {
+  MEMU_CHECK(map.size() == processes_.size());
+  flush_proc_hashes();
+  const NodeRelabeling rank(&map);
+  thread_local Bytes scratch;  // one buffer for every re-encoded process
+  std::uint64_t procs = 0;
+  for (std::size_t i = 0; i < processes_.size(); ++i) {
+    std::uint64_t fp = proc_fp_[i];
+    if (processes_[i]->symmetry() == Process::Symmetry::kMapsIds) {
+      BufWriter w(std::move(scratch));
+      processes_[i]->encode_state_relabeled(rank, w);
+      fp = fingerprint64(w.data());
+      scratch = std::move(w).take();
+    }
+    procs ^= statehash::component(statehash::kProcSeed, map[i], fp);
+  }
+  return mix64(procs ^ sets_component(rank) ^
+               channels_.relabeled_content_hash(rank) ^
+               oplog_.content_hash());
 }
 
 StateBits World::channel_bits() const {

@@ -268,10 +268,11 @@ class World {
   void encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
                                   Bytes& out) const;
 
-  // Order-sensitive fold of the messages in flight on `chan` (a fixed
-  // constant when empty). Building block for symmetry signatures.
-  std::uint64_t channel_queue_fold(ChannelId chan) const {
-    return channels_.queue_fold(chan);
+  // Order-sensitive folds of every channel queue as a process_count()^2
+  // matrix indexed src * n + dst (a fixed constant for an empty channel),
+  // written into `out`. Building block for symmetry signatures.
+  void channel_queue_folds(std::vector<std::uint64_t>& out) const {
+    channels_.queue_folds(out);
   }
 
   // Incremental 64-bit fingerprint of the complete logical state — the
@@ -294,6 +295,27 @@ class World {
   // O(|state|) from-scratch recomputation of state_hash() — the
   // differential-test oracle (and a debugging aid); NOT the hot path.
   std::uint64_t recompute_state_hash() const;
+
+  // state_hash() of this World with every node id mapped through `map` (a
+  // server permutation that is the identity on clients, as
+  // symmetry::canonical_map returns) — the fingerprint-mode key of the
+  // explorer's symmetry reduction. Folded from the components state_hash()
+  // already maintains, with no World serialization: each process's
+  // fingerprint is keyed at slot map[i] (a Process::Symmetry::kMapsIds
+  // process re-encodes under the map; every other process reuses its
+  // settled fingerprint), each queue's fold at its mapped endpoints, each
+  // failure-set membership at its mapped id; the oplog names clients only
+  // and contributes unchanged. Equals state_hash() under the identity map,
+  // and equal encode_canonical_relabeled() bytes imply equal values.
+  std::uint64_t relabeled_state_hash(
+      const std::vector<std::uint32_t>& map) const;
+
+  // The settled fingerprint of process `id`'s encode_state() — the value
+  // state_hash() folds in for it (flushing first if the process is dirty).
+  std::uint64_t process_fingerprint(NodeId id) const {
+    flush_proc_hashes();
+    return proc_fp_[id.value];
+  }
 
  private:
   friend class Context;
@@ -327,6 +349,10 @@ class World {
   // procs_hash_.
   void flush_proc_hashes() const;
 
+  // XOR of the failure-set membership components with ids mapped through
+  // `rank` (sets_hash_ recomputed from scratch under the identity).
+  std::uint64_t sets_component(const NodeRelabeling& rank) const;
+
   // Serializes the complete canonical state into `w`.
   void encode_canonical_into(BufWriter& w) const;
 
@@ -356,13 +382,15 @@ class World {
   // --- incremental state hash (see state_hash()) ---------------------------
   // Failure-set membership components, updated eagerly (O(1) per toggle).
   std::uint64_t sets_hash_ = 0;
-  // XOR of the settled per-process components; proc_comp_[i] is the
-  // component currently folded in for process i, proc_dirty_[i] flags a
-  // mutated process whose component is stale. Mutable: state_hash() is
-  // logically const but memoizes the flush. A byte vector (not
-  // vector<bool>) so flushing scans flat storage.
+  // XOR of the settled per-process components; proc_fp_[i] is the raw
+  // fingerprint64(encode_state()) whose component (statehash::component at
+  // slot i) is currently folded in for process i — raw, so the symmetry key
+  // can re-key it at a relabeled slot — and proc_dirty_[i] flags a mutated
+  // process whose fingerprint is stale. Mutable: state_hash() is logically
+  // const but memoizes the flush. A byte vector (not vector<bool>) so
+  // flushing scans flat storage.
   mutable std::uint64_t procs_hash_ = 0;
-  mutable std::vector<std::uint64_t> proc_comp_;
+  mutable std::vector<std::uint64_t> proc_fp_;
   mutable std::vector<std::uint8_t> proc_dirty_;
   mutable bool any_proc_dirty_ = false;
 };

@@ -186,6 +186,34 @@ TEST(Reduction, CasFifoVerdictAndTerminalSetMatch) {
   EXPECT_TRUE(r.result.symmetry_applied);
 }
 
+// Sequential sleep-set + symmetry counters, pinned. Under symmetry the
+// counters depend on which states the canonical key merges; how the key is
+// computed (relabeled encoding bytes or a relabeled state-hash fold) must
+// never move them.
+void expect_counters(const ExploreResult& r, std::size_t states,
+                     std::size_t terminals, std::size_t transitions,
+                     std::size_t deduped) {
+  ASSERT_TRUE(r.ok);
+  ASSERT_TRUE(r.complete);
+  EXPECT_TRUE(r.symmetry_applied);
+  EXPECT_EQ(r.states_visited, states);
+  EXPECT_EQ(r.terminal_states, terminals);
+  EXPECT_EQ(r.transitions, transitions);
+  EXPECT_EQ(r.deduped, deduped);
+}
+
+TEST(Reduction, CasFifoReducedCountersArePinned) {
+  expect_counters(engine::frontier_search(cas_world(), reduced(), {}, {}),
+                  18'345, 12, 40'542, 22'198);
+}
+
+TEST(Reduction, AbdReorderReducedCountersArePinned) {
+  ExploreOptions opt = reduced();
+  opt.reorder = true;
+  expect_counters(engine::frontier_search(abd_world(), opt, {}, {}), 3'489,
+                  12, 8'413, 4'925);
+}
+
 TEST(Reduction, LdrIsSymmetryIneligibleButSleepSetsStillExact) {
   // LDR processes keep the conservative symmetry opt-out, so a reduced
   // run must record symmetry_applied=false and fall back to plain-hash

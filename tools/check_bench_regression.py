@@ -170,14 +170,15 @@ def check_explore(cur, base, tol):
                    "(zero baseline)")
         # Hard invariant, not a tolerance: fingerprint-mode exploration
         # must never serialize a canonical encoding (the incremental state
-        # hash exists to remove exactly that cost).
-        if run["dedupe_mode"] == "fingerprint":
+        # hash exists to remove exactly that cost), and neither may
+        # symmetry mode, whose key is a relabeled fold of the same hash.
+        if run["dedupe_mode"] in ("fingerprint", "symmetry"):
             encodings = run.get("canonical_encodings")
             if encodings is None:
                 ok(f"{mode}: no canonical_encodings field (pre-hash run)")
             elif encodings != 0:
                 fail(f"{mode}: {encodings} canonical encodings in "
-                     "fingerprint mode (must be 0)")
+                     f"{run['dedupe_mode']} mode (must be 0)")
             else:
                 ok(f"{mode}: 0 canonical encodings")
     if not cur.get("parallel_counters_match_sequential", False):

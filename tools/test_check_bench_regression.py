@@ -206,6 +206,22 @@ class ExploreHardInvariants(unittest.TestCase):
         failures, _ = run_check(gate.check_explore, cur, doc, 0.25)
         self.assertTrue(any("canonical encodings" in f for f in failures))
 
+    def test_canonical_encodings_in_symmetry_mode_fail(self):
+        doc = FrontierZeroBaseline().explore_doc()
+        doc["runs"][0]["dedupe_mode"] = "symmetry"
+        cur = copy.deepcopy(doc)
+        cur["runs"][0]["canonical_encodings"] = 7
+        failures, _ = run_check(gate.check_explore, cur, doc, 0.25)
+        self.assertTrue(any("canonical encodings in symmetry mode" in f
+                            for f in failures), failures)
+
+    def test_zero_canonical_encodings_in_symmetry_mode_pass(self):
+        doc = FrontierZeroBaseline().explore_doc()
+        doc["runs"][0]["dedupe_mode"] = "symmetry"
+        failures, out = run_check(gate.check_explore, doc, doc, 0.25)
+        self.assertFalse(any("canonical" in f for f in failures), failures)
+        self.assertIn("0 canonical encodings", out)
+
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)
