@@ -17,7 +17,7 @@
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
 #include "common/table.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 namespace {

@@ -3,13 +3,13 @@
 // (copy-on-write fork) cost — the operation the valency prober leans on.
 #include <benchmark/benchmark.h>
 
+#include "adversary/valency.h"
 #include "algo/abd/system.h"
 #include "algo/cas/system.h"
-#include "adversary/valency.h"
 #include "consistency/checker.h"
+#include "engine/frontier.h"
+#include "engine/scheduler.h"
 #include "sim/cow_stats.h"
-#include "sim/explorer.h"
-#include "sim/scheduler.h"
 #include "workload/driver.h"
 
 namespace {
@@ -181,7 +181,8 @@ void BM_ExploreSmallAbd(benchmark::State& state) {
     memu::abd::System sys = memu::abd::make_system(opt);
     sys.world.invoke(sys.writers[0],
                      {memu::OpType::kWrite, memu::unique_value(1, 1, 12)});
-    const auto res = memu::explore(sys.world, memu::ExploreOptions{}, {}, {});
+    const auto res = memu::engine::frontier_search(
+        sys.world, memu::ExploreOptions{}, {}, {});
     if (!res.complete) state.SkipWithError("exploration incomplete");
     state.counters["states"] = static_cast<double>(res.states_visited);
   }
@@ -202,7 +203,7 @@ void BM_ExploreParallelAbd(benchmark::State& state) {
                      {memu::OpType::kWrite, memu::unique_value(1, 1, 12)});
     memu::ExploreOptions eopt;
     eopt.threads = static_cast<std::size_t>(state.range(0));
-    const auto res = memu::explore(sys.world, eopt, {}, {});
+    const auto res = memu::engine::frontier_search(sys.world, eopt, {}, {});
     if (!res.complete) state.SkipWithError("exploration incomplete");
     state.counters["states"] = static_cast<double>(res.states_visited);
   }
@@ -222,7 +223,7 @@ void BM_ExploreDedupeMode(benchmark::State& state) {
                      {memu::OpType::kWrite, memu::unique_value(1, 1, 12)});
     memu::ExploreOptions eopt;
     eopt.exact_dedupe = state.range(0) != 0;
-    const auto res = memu::explore(sys.world, eopt, {}, {});
+    const auto res = memu::engine::frontier_search(sys.world, eopt, {}, {});
     if (!res.complete) state.SkipWithError("exploration incomplete");
     state.counters["visited_bytes"] = static_cast<double>(res.dedupe_bytes);
   }

@@ -29,8 +29,8 @@
 #include "common/env.h"
 #include "common/table.h"
 #include "consistency/checker.h"
+#include "engine/frontier.h"
 #include "sim/cow_stats.h"
-#include "sim/explorer.h"
 
 namespace {
 
@@ -92,7 +92,7 @@ void state_space_census() {
     sys.world.invoke(sys.writers[0],
                      {OpType::kWrite, enum_value(v, kValueBytes)});
 
-    const auto res = explore(
+    const auto res = engine::frontier_search(
         sys.world, ExploreOptions{},
         [&](const World& w) -> std::optional<std::string> {
           for (const NodeId s : sys.servers) {
@@ -132,7 +132,7 @@ void abd_exhaustive() {
   sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
 
   const double B = 8.0 * kValueBytes;
-  const auto res = explore(
+  const auto res = engine::frontier_search(
       sys.world, ExploreOptions{},
       [&](const World& w) -> std::optional<std::string> {
         // Replication storage is exactly one value per server, always.
@@ -174,7 +174,7 @@ void abd_inversion() {
     ExploreOptions eopt;
     eopt.reduction.sleep_sets = reduce;
     eopt.reduction.symmetry = reduce;
-    return explore(
+    return engine::frontier_search(
         sys.world, eopt,
         [&sys, v1](const World& w) -> std::optional<std::string> {
           bool saw_new = false;
@@ -220,7 +220,7 @@ void cas_exhaustive() {
 
   ExploreOptions eopt;
   eopt.max_states = env_max_states(2'000'000);
-  const auto res = explore(
+  const auto res = engine::frontier_search(
       sys.world, eopt, {},
       [&](const World& w) -> std::optional<std::string> {
         if (w.oplog().responses_since(0) < 2) return "operation stuck";
@@ -270,7 +270,7 @@ TimedExplore timed_explore(const ExploreOptions& opt,
   out.state_bytes = w.canonical_encoding().size();
   const cowstats::Snapshot before = cowstats::snapshot();
   const auto t0 = std::chrono::steady_clock::now();
-  out.result = explore(w, opt, {}, {});
+  out.result = engine::frontier_search(w, opt, {}, {});
   out.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -484,7 +484,6 @@ void engine_benchmark() {
         .set("symmetry_merged", t.result.symmetry_merged)
         .set("symmetry_applied", t.result.symmetry_applied)
         .set("replay_steps", t.result.replay_steps)
-        .set("max_pop_replay", t.result.max_pop_replay)
         // Work-stealing telemetry (0 on sequential runs): batch steals and
         // the tasks they moved; the quotient is the realized steal-unit
         // size (engine/thread_pool.h).

@@ -11,7 +11,7 @@
 
 #include "algo/cas/system.h"
 #include "common/table.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 #include "workload/park.h"
 

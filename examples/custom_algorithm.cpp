@@ -13,10 +13,10 @@
 
 #include "adversary/harness.h"
 #include "consistency/checker.h"
+#include "engine/scheduler.h"
 #include "registers/tag.h"
 #include "registers/value.h"
 #include "sim/process.h"
-#include "sim/scheduler.h"
 #include "sim/world.h"
 #include "workload/driver.h"
 

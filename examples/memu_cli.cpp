@@ -39,9 +39,10 @@
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
 #include "bounds/bounds.h"
+#include "common/env.h"
 #include "common/table.h"
 #include "consistency/checker.h"
-#include "sim/explorer.h"
+#include "engine/frontier.h"
 #include "workload/driver.h"
 
 namespace {
@@ -55,7 +56,8 @@ struct Args {
   bool has(const std::string& f) const { return flags.contains(f); }
   std::size_t num(const std::string& f, std::size_t fallback) const {
     const auto it = flags.find(f);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    if (it == flags.end()) return fallback;
+    return env::parse_count(it->second, ("--" + f).c_str());
   }
 };
 
@@ -97,10 +99,11 @@ int usage() {
 
 int cmd_bounds(const Args& a) {
   if (a.positional.size() < 3) return usage();
-  const std::size_t n = std::stoull(a.positional[1]);
-  const std::size_t f = std::stoull(a.positional[2]);
+  const std::size_t n = env::parse_count(a.positional[1], "N");
+  const std::size_t f = env::parse_count(a.positional[2], "f");
   const std::size_t nu_max =
-      a.positional.size() > 3 ? std::stoull(a.positional[3]) : 16;
+      a.positional.size() > 3 ? env::parse_count(a.positional[3], "nu_max")
+                              : 16;
   using namespace bounds;
   std::cout << "bounds for N=" << n << ", f=" << f
             << " (normalized by log2|V|):\n"
@@ -363,7 +366,7 @@ int cmd_explore(const Args& a) {
   opt.reduction.symmetry = a.has("reduce") || a.has("symmetry");
   opt.max_states = a.num("max-states", 2'000'000);
   if (a.has("mem")) opt.mem = MemBudget::parse(a.flags.at("mem"));
-  const auto res = explore(
+  const auto res = engine::frontier_search(
       *world, opt, {},
       [&](const World& w) -> std::optional<std::string> {
         if (w.oplog().responses_since(0) < 2) return "operation stuck";

@@ -8,7 +8,7 @@
 
 #include "algo/abd/system.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 int main() {

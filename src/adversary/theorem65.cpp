@@ -10,7 +10,7 @@
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
 #include "common/check.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu::adversary {
 

@@ -15,6 +15,7 @@
 //   MEMU_MEM_BUDGET          default --mem for memu_sweep / bench tools
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -36,21 +37,31 @@ inline std::optional<std::string> raw(const char* name) {
   return std::string(v);
 }
 
+// A decimal count: ASCII digits only, no sign, no whitespace, no suffix,
+// and no wrap past 2^64 - 1. Anything else throws ContractError naming
+// `what` (a flag like "--threads" or a variable like "MEMU_FUZZ_WALKS").
+// Command-line count flags and the env overrides below share this one
+// parser, so "-1", "12abc" and "" fail loudly everywhere.
+inline std::uint64_t parse_count(const std::string& text, const char* what) {
+  MEMU_CHECK_MSG(!text.empty(), what << " is empty");
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    MEMU_CHECK_MSG(c >= '0' && c <= '9',
+                   what << "='" << text << "' is not a decimal count");
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    MEMU_CHECK_MSG(v <= (UINT64_MAX - digit) / 10,
+                   what << "='" << text << "' overflows");
+    v = v * 10 + digit;
+  }
+  return v;
+}
+
 // A positive decimal count. Unset -> nullopt; set but not a positive
 // decimal -> ContractError naming the variable.
 inline std::optional<std::uint64_t> u64(const char* name) {
   const auto s = raw(name);
   if (!s.has_value()) return std::nullopt;
-  std::uint64_t v = 0;
-  MEMU_CHECK_MSG(!s->empty(), name << " is empty");
-  for (const char c : *s) {
-    MEMU_CHECK_MSG(c >= '0' && c <= '9',
-                   name << "='" << *s << "' is not a decimal count");
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    MEMU_CHECK_MSG(v <= (UINT64_MAX - digit) / 10,
-                   name << "='" << *s << "' overflows");
-    v = v * 10 + digit;
-  }
+  const std::uint64_t v = parse_count(*s, name);
   MEMU_CHECK_MSG(v > 0, name << "='" << *s << "' must be positive");
   return v;
 }

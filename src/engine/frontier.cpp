@@ -20,16 +20,15 @@ namespace memu::engine {
 
 namespace {
 
-// A compressed frontier entry: a shared base snapshot, the full delivery
-// path from the initial state (the replayable counterexample prefix), and
-// the number of leading path steps the base has already applied. The
-// node's World is not stored; popping it copies the base (COW — pointer
-// bumps) and replays path[base_depth, end) to reconstitute the state.
-// Bases are immutable once published: workers copy them, never mutate
-// them, so sharing one snapshot across threads is safe.
+// A frontier entry: the parent's World plus the one step that leads here.
+// The node's own World is not stored; popping it copies the parent (COW —
+// pointer bumps) and delivers path.back() (the root, with an empty path,
+// is its own parent and delivers nothing). `path` is the full delivery
+// sequence from the initial state, kept as the replayable counterexample.
+// Parents are immutable once published: workers copy them, never mutate
+// them, so sharing one across threads is safe.
 struct Node {
-  std::shared_ptr<const World> base;
-  std::size_t base_depth = 0;
+  std::shared_ptr<const World> parent;
   std::vector<ExploreStep> path;
   // Sleep set (engine/dpor.h): steps whose interleavings an earlier
   // sibling branch already covers. Always empty when reduction is off.
@@ -46,7 +45,7 @@ class Search {
         frontier_budget_(opt.frontier_budget_bytes != 0
                              ? opt.frontier_budget_bytes
                              : opt.mem.total / 8),
-        visited_({opt.exact_dedupe, shard_count(opt),
+        visited_({opt.exact_dedupe, auto_shard_count(opt.threads),
                   opt.dedupe ? visited_budget(opt) : 0}) {}
 
   ExploreResult run(const World& initial) {
@@ -63,9 +62,9 @@ class Search {
       // fingerprint set, deliberately NOT maintained under a --mem budget
       // (it is unmetered and would roughly double visited memory).
       plain_seen_ = std::make_unique<VisitedSet>(
-          VisitedSet::Options{false, shard_count(opt_), 0});
+          VisitedSet::Options{false, auto_shard_count(opt_.threads), 0});
     }
-    Node root{root_, 0, {}, {}};
+    Node root{root_, {}, {}};
     if (opt_.threads <= 1) {
       push_bytes(root);
       frontier_.push_back(std::move(root));
@@ -95,7 +94,6 @@ class Search {
     result.symmetry_merged = symmetry_merged_.load();
     result.symmetry_applied = symmetry_on_;
     result.replay_steps = replay_steps_.load();
-    result.max_pop_replay = max_pop_replay_.load();
     result.complete = complete_.load() && !aborted_.load();
     {
       std::lock_guard<std::mutex> lock(violation_mu_);
@@ -107,15 +105,10 @@ class Search {
   }
 
  private:
-  static std::size_t shard_count(const ExploreOptions& opt) {
-    if (opt.dedupe_shards != 0) return opt.dedupe_shards;
-    return auto_shard_count(opt.threads);
-  }
-
   // --mem split: the visited set takes half the budget (it is the
   // structure that scales with DISTINCT states and cannot shed load), the
   // in-memory frontier an eighth (it can — to disk); the rest is slack
-  // for COW snapshots and bookkeeping. Direct overrides win.
+  // for parent Worlds and bookkeeping. Direct overrides win.
   static std::size_t visited_budget(const ExploreOptions& opt) {
     if (opt.visited_budget_bytes != 0) return opt.visited_budget_bytes;
     return opt.mem.total / 2;
@@ -237,19 +230,14 @@ class Search {
     // same totals in the same order, including under aborts.
     if (!node.path.empty()) transitions_.fetch_add(1);
 
-    // Materialize: COW copy of the base snapshot plus replay of the step
-    // suffix. Delivery is deterministic, so this World is state-identical
-    // (and canonical-encoding byte-identical) to the one the uncompressed
-    // frontier used to carry.
-    World world = *node.base;
-    replay(world, node.path, node.base_depth, node.path.size());
-    if (const std::size_t replayed = node.path.size() - node.base_depth;
-        replayed != 0) {
-      replay_steps_.fetch_add(replayed);
-      std::size_t prev = max_pop_replay_.load();
-      while (replayed > prev &&
-             !max_pop_replay_.compare_exchange_weak(prev, replayed)) {
-      }
+    // Materialize: COW copy of the parent plus its one step. Delivery is
+    // deterministic, so this World is state-identical (and canonical-
+    // encoding byte-identical) to one built by replaying the whole path.
+    World world = *node.parent;
+    if (!node.path.empty()) {
+      const ExploreStep& step = node.path.back();
+      world.deliver(step.chan, step.index);
+      replay_steps_.fetch_add(1);
     }
 
     if (opt_.dedupe) {
@@ -283,16 +271,11 @@ class Search {
       return;
     }
 
-    // Snapshot promotion: once the suffix children would inherit reaches
-    // the interval, retain this node's materialized World as their base so
-    // no pop ever replays more than snapshot_interval steps.
-    std::shared_ptr<const World> base = node.base;
-    std::size_t base_depth = node.base_depth;
-    const std::size_t interval = std::max<std::size_t>(1, opt_.snapshot_interval);
-    if (node.path.size() - node.base_depth + 1 > interval) {
-      base = std::make_shared<const World>(std::move(world));
-      base_depth = node.path.size();
-    }
+    // This node becomes its children's parent. The root's World is root_
+    // itself; any other is wrapped once and shared by every child.
+    const std::shared_ptr<const World> parent =
+        node.path.empty() ? node.parent
+                          : std::make_shared<const World>(std::move(world));
 
     // Sleep-set filtering (engine/dpor.h): an enumerated step found in the
     // node's sleep set is skipped — every interleaving it starts is
@@ -306,7 +289,7 @@ class Search {
     if (sleep_on_) acc = node.sleep;
     const auto emit_step = [&](ChannelId chan, std::size_t index) {
       if (!sleep_on_) {
-        emit(make_child(base, base_depth, node.path, chan, index));
+        emit(make_child(parent, node.path, chan, index));
         return;
       }
       const ExploreStep step{chan, index};
@@ -314,18 +297,15 @@ class Search {
         sleep_blocked_.fetch_add(1);
         return;
       }
-      Node child = make_child(base, base_depth, node.path, chan, index);
+      Node child = make_child(parent, node.path, chan, index);
       child.sleep = dpor::child_sleep(acc, step, server_mask_);
       acc.push_back(step);
       emit(std::move(child));
     };
     for (const ChannelId chan : chans) {
-      // `world` may be moved-from here; child generation reads only `base`
-      // (when promoted) or the parent's queues via `probe`.
-      const World& probe = base_depth == node.path.size() ? *base : world;
       if (!opt_.reorder) {
         // First allowed index (may be > 0 under value/bulk blocks).
-        const std::size_t index = probe.first_deliverable_index(chan);
+        const std::size_t index = parent->first_deliverable_index(chan);
         MEMU_CHECK(index != kNoIndex);
         emit_step(chan, index);
         continue;
@@ -335,17 +315,16 @@ class Search {
       // states) merge in the visited set — payload-level merging here
       // would be unsound for non-adjacent duplicates, whose remaining
       // queue orders differ.
-      for (const std::size_t index : probe.deliverable_indices(chan)) {
+      for (const std::size_t index : parent->deliverable_indices(chan)) {
         emit_step(chan, index);
       }
     }
   }
 
-  static Node make_child(const std::shared_ptr<const World>& base,
-                         std::size_t base_depth,
+  static Node make_child(const std::shared_ptr<const World>& parent,
                          const std::vector<ExploreStep>& path, ChannelId chan,
                          std::size_t index) {
-    Node child{base, base_depth, path, {}};
+    Node child{parent, path, {}};
     child.path.push_back({chan, index});
     return child;
   }
@@ -355,51 +334,35 @@ class Search {
     return *spill_;
   }
 
-  // Consumes `nodes[0, count)` — which must share one base snapshot, and
-  // therefore one path prefix [0, base_depth) — into a batch storing that
-  // prefix once plus per-node suffixes and sleep sets.
+  // Consumes `nodes[0, count)` — which must share one parent, and therefore
+  // one path prefix (the parent's path) — into a batch storing that prefix
+  // once plus each node's last step and sleep set.
   static SpillBatch make_batch(Node* nodes, std::size_t count) {
     SpillBatch batch;
-    const Node& first = nodes[0];
-    batch.prefix.assign(
-        first.path.begin(),
-        first.path.begin() + static_cast<std::ptrdiff_t>(first.base_depth));
+    batch.prefix.assign(nodes[0].path.begin(), nodes[0].path.end() - 1);
     batch.entries.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       Node& n = nodes[i];
-      SpillEntry entry;
-      entry.suffix.assign(
-          n.path.begin() + static_cast<std::ptrdiff_t>(n.base_depth),
-          n.path.end());
-      entry.sleep = std::move(n.sleep);
-      batch.entries.push_back(std::move(entry));
+      batch.entries.push_back({{n.path.back()}, std::move(n.sleep)});
     }
     return batch;
   }
 
-  // Reconstitutes a reloaded batch: the shared prefix replays ONCE from
-  // the root into one fresh base snapshot all the batch's nodes share, so
-  // a reloaded node's pop replays only its spilled suffix — which the
-  // promotion rule had already bounded by snapshot_interval. (Reloading
-  // used to hand nodes the ROOT as base, silently replaying the whole
-  // path per pop on deep frontiers.)
+  // Reconstitutes a reloaded batch: the shared prefix replays ONCE from the
+  // root into a fresh parent all the batch's nodes share, so each reloaded
+  // node's pop still delivers a single step.
   template <class Sink>
   void load_batch(SpillBatch& batch, Sink&& sink) {
-    std::shared_ptr<const World> base = root_;
+    std::shared_ptr<const World> parent = root_;
     if (!batch.prefix.empty()) {
       World w = *root_;
-      replay(w, batch.prefix, 0, batch.prefix.size());
-      replay_steps_.fetch_add(batch.prefix.size());
-      base = std::make_shared<const World>(std::move(w));
+      replay_steps_.fetch_add(replay(w, batch.prefix));
+      parent = std::make_shared<const World>(std::move(w));
     }
     for (SpillEntry& entry : batch.entries) {
-      Node node;
-      node.base = base;
-      node.base_depth = batch.prefix.size();
-      node.path = batch.prefix;
+      Node node{parent, batch.prefix, std::move(entry.sleep)};
       node.path.insert(node.path.end(), entry.suffix.begin(),
                        entry.suffix.end());
-      node.sleep = std::move(entry.sleep);
       sink(std::move(node));
     }
     batch.entries.clear();
@@ -408,8 +371,8 @@ class Search {
   // Sequential spill policy: when the accounted frontier bytes exceed the
   // budget, move the COLD FRONT of the LIFO vector — the nodes a pure DFS
   // would reach last — to disk, down to half budget (hysteresis so spills
-  // batch up instead of thrashing). Consecutive front nodes sharing a base
-  // snapshot spill as one batch (same base => same prefix). The hot tail
+  // batch up instead of thrashing). Consecutive front nodes sharing a
+  // parent spill as one batch (same parent => same prefix). The hot tail
   // stays in memory, so the pop order is untouched; batches return via
   // reload_sequential() LIFO, exactly when the DFS would have reached
   // them.
@@ -428,7 +391,7 @@ class Search {
     std::size_t i = 0;
     while (i < take) {
       std::size_t j = i + 1;
-      while (j < take && frontier_[j].base == frontier_[i].base) ++j;
+      while (j < take && frontier_[j].parent == frontier_[i].parent) ++j;
       spill_file().spill(make_batch(frontier_.data() + i, j - i));
       i = j;
     }
@@ -497,8 +460,8 @@ class Search {
   // spilling moves nodes between workers exactly like a steal does, so
   // those guarantees are unchanged.
   void spill_parallel(std::vector<Node>& children) {
-    // All children of one visit share the visiting node's (possibly
-    // promoted) base, so the whole batch carries one prefix.
+    // All children of one visit share one parent, so the whole batch
+    // carries one prefix.
     std::size_t freed = 0;
     for (const Node& child : children) freed += node_bytes(child);
     const SpillBatch batch = make_batch(children.data(), children.size());
@@ -564,7 +527,7 @@ class Search {
   std::size_t frontier_budget_ = 0;  // bytes; 0 = unbudgeted
   VisitedSet visited_;
 
-  std::shared_ptr<const World> root_;  // replay base for reloaded batches
+  std::shared_ptr<const World> root_;  // the root's World; reload base
   std::vector<Node> frontier_;         // sequential mode only
 
   // --- partial-order reduction ---------------------------------------------
@@ -591,7 +554,6 @@ class Search {
   std::size_t steal_batches_ = 0;
   std::size_t tasks_stolen_ = 0;
   std::atomic<std::size_t> replay_steps_{0};
-  std::atomic<std::size_t> max_pop_replay_{0};
   std::atomic<bool> complete_{true};
   std::atomic<bool> aborted_{false};
 

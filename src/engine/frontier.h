@@ -1,4 +1,4 @@
-// Frontier-based exhaustive exploration: the engine behind explore().
+// Frontier-based exhaustive exploration: engine::frontier_search().
 //
 // The original explorer was a recursive single-threaded DFS. The engine
 // replaces it with an iterative work-queue search over explicit frontier
@@ -8,9 +8,9 @@
 // stealing in parallel mode (owners pop LIFO from their own deque and
 // batch-push children locally; idle workers steal the shallowest node from
 // a random victim; termination is a single in-flight node counter).
-// Frontier nodes are compressed — a node holds a shared base World snapshot
-// plus its ExploreStep suffix and is reconstituted via engine::replay when
-// popped (see ExploreOptions::snapshot_interval). Deduplication runs
+// A frontier node holds its parent's World (shared, COW) plus the one
+// ExploreStep that leads to it, and is materialized when popped by copying
+// the parent and delivering that step. Deduplication runs
 // through engine::VisitedSet — keyed on World::state_hash(), the 64-bit
 // incremental fingerprint maintained through every mutation, so the default
 // mode performs zero canonical encodings per visited state; opt-in exact
@@ -64,23 +64,6 @@ struct ExploreOptions {
   // canonical encoding per visited state and ~encoding-length x the
   // memory).
   bool exact_dedupe = false;
-  // Visited-set shards; 0 = auto (engine::auto_shard_count — 1 when
-  // sequential, scaling with the thread count in parallel mode).
-  std::size_t dedupe_shards = 0;
-  // Frontier node compression: a node stores a shared base snapshot plus
-  // the ExploreStep suffix past it, and is reconstituted by engine::replay
-  // when popped. A node whose suffix has reached this length promotes its
-  // materialized World to a fresh snapshot for its children, bounding the
-  // replay work per pop. Purely a space/time knob — visit order, counters,
-  // and canonical encodings are identical for any value. 0 behaves as 1
-  // (snapshot at every node).
-  //
-  // Default 1: COW snapshots are pointer bumps, so re-delivering even one
-  // replay step costs more than snapshotting — measured ~3x throughput
-  // over the old default of 8 once the per-node canonical encoding was
-  // gone. Raise it to trade time for memory on breadth-heavy searches
-  // where many queued nodes keep their base snapshots alive.
-  std::size_t snapshot_interval = 1;
 
   // --- memory budget -------------------------------------------------------
   // Hard byte cap for the search's growing structures (`--mem` on the
@@ -90,8 +73,8 @@ struct ExploreOptions {
   // hint if the state space needs more; in-memory frontier nodes get an
   // eighth, enforced by spilling cold node batches to a temp file and
   // replaying them later (counters and DFS order stay byte-identical at
-  // ANY budget — see DESIGN.md); the remainder is slack for snapshots and
-  // bookkeeping the engine cannot meter exactly.
+  // ANY budget — see DESIGN.md); the remainder is slack for parent Worlds
+  // and bookkeeping the engine cannot meter exactly.
   MemBudget mem;
   // Direct share overrides in bytes (0 = derive from `mem` as above).
   // Tests and benches use these to force spilling at precise thresholds.
@@ -141,7 +124,7 @@ struct ExploreResult {
   std::size_t dedupe_entries = 0;  // states retained by the visited set
   bool exact_dedupe = false;       // mode behind dedupe_bytes (see above)
   // Peak bytes of in-memory frontier nodes (node structs + paths; shared
-  // COW snapshots are slack, not metered here), and the disk-spill volume
+  // parent Worlds are slack, not metered here), and the disk-spill volume
   // a frontier budget produced: batches written and nodes they carried.
   // Budgeted and unbudgeted runs of the same space may differ ONLY in
   // these telemetry fields — the semantic counters above are budget-
@@ -171,13 +154,12 @@ struct ExploreResult {
   // thread counts, and machines.
   std::size_t steal_batches = 0;
   std::size_t tasks_stolen = 0;
-  // Replay work: total steps re-delivered materializing popped nodes and
-  // reloaded spill batches, and the largest single-pop replay (bounded by
-  // snapshot_interval — spilled batches re-promote a shared base on
-  // reload, see engine/spill.h). Telemetry only: budgeted and unbudgeted
-  // runs of the same space legitimately differ here.
+  // Replay work: steps delivered materializing popped nodes (one per
+  // non-root pop, so equal to `transitions` on an unbudgeted run) plus the
+  // shared prefix of each reloaded spill batch (see engine/spill.h).
+  // Telemetry only: budgeted and unbudgeted runs of the same space
+  // legitimately differ here.
   std::size_t replay_steps = 0;
-  std::size_t max_pop_replay = 0;
   bool complete = false;  // the whole space fit within the bounds
   bool ok = true;         // no invariant/terminal violation found
   std::string violation;  // description of the first violation

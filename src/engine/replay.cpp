@@ -1,7 +1,5 @@
 #include "engine/replay.h"
 
-#include "common/check.h"
-
 namespace memu::engine {
 
 bool ReplayDriver::step(World& world) {
@@ -17,14 +15,6 @@ std::size_t replay(World& world, const std::vector<ExploreStep>& script) {
   while (driver.step(world)) {
   }
   return driver.steps_taken();
-}
-
-std::size_t replay(World& world, const std::vector<ExploreStep>& script,
-                   std::size_t begin, std::size_t end) {
-  MEMU_CHECK(begin <= end && end <= script.size());
-  for (std::size_t i = begin; i < end; ++i)
-    world.deliver(script[i].chan, script[i].index);
-  return end - begin;
 }
 
 }  // namespace memu::engine

@@ -1,25 +1,23 @@
 // SpillFile: disk overflow for frontier nodes under a --mem budget.
 //
-// A compressed frontier node is fully determined by its delivery path from
-// the initial state plus its sleep set (partial-order reduction state —
-// empty when reduction is off), so spilling costs 16 bytes a step and
-// reloading reconstitutes the node by replay. Nodes spill in batches that
-// share one PATH PREFIX: the explorer groups nodes by their base snapshot,
-// and nodes with the same base share path[0, base_depth) verbatim (children
-// copy their parent's path; promotion pins base_depth at the parent's path
-// length). The batch stores that prefix once plus each node's suffix past
-// it, and reload replays the prefix a single time into one shared base
-// snapshot — so a reloaded node's next pop replays only its suffix, keeping
-// the "no pop ever replays more than snapshot_interval steps" bound that a
-// root-based reload used to break on deep frontiers.
+// A frontier node is fully determined by its delivery path from the
+// initial state plus its sleep set (partial-order reduction state — empty
+// when reduction is off), so spilling costs 16 bytes a step and reloading
+// reconstitutes the node by replay. Nodes spill in batches that share one
+// PATH PREFIX: the explorer batches runs of nodes with the same parent,
+// whose paths all extend the parent's path by one step. The batch stores
+// that prefix once plus each node's suffix past it (one step, as the
+// explorer writes them), and reload replays the prefix a single time into
+// one fresh parent World the batch's nodes share — so a reloaded node's
+// pop delivers just its own step, as an unspilled node's does.
 //
 // Batches are strictly LIFO: reload() always returns the most recently
 // spilled batch, with its nodes in their original order. That discipline is
 // what lets the sequential explorer keep its DFS visit order byte-identical
 // at ANY budget: the frontier vector's cold front [0, k) moves to disk as
-// consecutive per-base batches, and when the in-memory tail drains, popping
-// the reloaded batches back-to-front continues exactly where an unbudgeted
-// run would have.
+// consecutive per-parent batches, and when the in-memory tail drains,
+// popping the reloaded batches back-to-front continues exactly where an
+// unbudgeted run would have.
 //
 // The backing store is one anonymous temp file (std::tmpfile — unlinked at
 // creation, reclaimed by the OS even on crash), created lazily on the
@@ -43,8 +41,8 @@ struct SpillEntry {
   std::vector<ExploreStep> sleep;
 };
 
-// One spill batch: nodes sharing the path prefix their common base
-// snapshot had already applied.
+// One spill batch: nodes sharing the path prefix their common parent World
+// had already applied.
 struct SpillBatch {
   std::vector<ExploreStep> prefix;
   std::vector<SpillEntry> entries;

@@ -137,7 +137,6 @@ bool VisitedSet::insert_locked(Shard& s, std::uint64_t fp, const Bytes* key) {
     // genuine all-zero fingerprint from colliding with "free".
     if (s.zero_present) return false;
     s.zero_present = true;
-    s.key_byte_estimate += kFpSlot;
     return true;
   }
   const std::uint64_t slot_fp = exact_ ? exact_slot_fp(fp) : fp;
@@ -182,9 +181,6 @@ bool VisitedSet::insert_locked(Shard& s, std::uint64_t fp, const Bytes* key) {
                          static_cast<std::uint32_t>(key->size())};
           s.slab_used += key->size();
         }
-        s.key_byte_estimate += key->size() + sizeof(std::string);
-      } else {
-        s.key_byte_estimate += kFpSlot;
       }
       s.fps[idx] = slot_fp;
       ++s.entries;
@@ -261,15 +257,6 @@ std::size_t VisitedSet::memory_bytes() const {
       // footprint); unbudgeted slabs grew to what they hold.
       n += arena_.has_value() ? s->slab_capacity : s->heap_slab.size();
     }
-  }
-  return n;
-}
-
-std::size_t VisitedSet::key_bytes() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    n += s->key_byte_estimate;
   }
   return n;
 }

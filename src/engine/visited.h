@@ -18,8 +18,7 @@
 // Unbudgeted (budget_bytes == 0), tables start small and double on demand:
 // the legacy grow-forever behavior. Either way memory_bytes() is EXACT —
 // slots x slot width plus slab bytes — not the old per-key estimate that
-// ignored unordered_set node/bucket overhead (key_bytes() preserves that
-// estimate so tests can pin how far off it was).
+// ignored unordered_set node/bucket overhead.
 //
 // Membership-then-insert is a single operation: try_insert() probes the
 // table once and reports whether the key was fresh, so the frontier's hot
@@ -44,8 +43,8 @@ namespace memu::engine {
 // Visited-set shards for `threads` concurrent inserters: 1 when
 // sequential; otherwise the next power of two of 8x the thread count
 // (so ~1/8 expected contention per probe even if hashing is momentarily
-// unbalanced), capped at 1024 to bound per-set fixed cost. Used by the
-// frontier's auto mode (ExploreOptions::dedupe_shards == 0).
+// unbalanced), capped at 1024 to bound per-set fixed cost. The frontier
+// sizes its visited set with this.
 inline std::size_t auto_shard_count(std::size_t threads) {
   if (threads <= 1) return 1;
   return std::min<std::size_t>(std::bit_ceil(8 * threads), 1024);
@@ -88,13 +87,6 @@ class VisitedSet {
   // number a --mem budget is debited by — not a per-key estimate.
   std::size_t memory_bytes() const;
 
-  // The legacy per-key estimate (8 bytes/state in fingerprint mode; the
-  // encoding length plus string-header bytes in exact mode). Kept ONLY so
-  // tests can assert how badly it undercounted the old unordered_set
-  // backing (which added ~40+ bytes of node + bucket overhead per entry it
-  // never reported) against the exact accounting above.
-  std::size_t key_bytes() const;
-
   // Internal layout; public only so the implementation's file-local
   // helpers (and layout-pinning tests) can name it.
   // One open-addressed shard. fps[i] holds the entry's fingerprint
@@ -121,7 +113,6 @@ class VisitedSet {
     std::uint8_t* slab = nullptr;  // exact mode: encoding bytes
     std::size_t slab_capacity = 0;
     std::size_t slab_used = 0;
-    std::size_t key_byte_estimate = 0;  // legacy accounting (key_bytes())
 
     // Heap backing for the unbudgeted growth path; budgeted shards point
     // into the arena instead and leave these empty.

@@ -30,7 +30,7 @@ namespace memu::cowstats {
 // Snapshot of the counters (plain values, safe to copy around).
 struct Snapshot {
   std::uint64_t world_copies = 0;     // World copy-constructions/assignments
-  std::uint64_t process_detaches = 0; // deep Process::clone() on first write
+  std::uint64_t process_detaches = 0; // Process::clone_into() on first write
   std::uint64_t queue_detaches = 0;   // message-block re-homes on first write
   // Sharing-forced oplog chunk chains. These copy ZERO bytes: the oplog is
   // a persistent chunk chain, so a shared head chunk is frozen in place and

@@ -3,11 +3,11 @@
 // A process reacts to message deliveries (on_message) and to external
 // operation invocations (on_invoke, clients only). All effects go through
 // the Context, which the World supplies per step. Processes must be
-// deep-copyable via clone() — the adversary harness forks entire Worlds to
-// probe hypothetical extensions of an execution, exactly like the paper's
-// proofs extend an execution from a point. Forked Worlds share process
-// blocks copy-on-write, so clone() runs not at fork time but on the first
-// mutation of a shared process (World::mutable_process); clone() must
+// deep-copyable via clone_into() — the adversary harness forks entire
+// Worlds to probe hypothetical extensions of an execution, exactly like the
+// paper's proofs extend an execution from a point. Forked Worlds share
+// process blocks copy-on-write, so the copy runs not at fork time but on
+// the first mutation of a shared process (World::mutable_process); it must
 // therefore still copy ALL mutable state, and processes must not hold
 // internal aliases that make a cloned copy observe the original.
 #pragma once
@@ -118,14 +118,11 @@ class Process {
   // Reaction to an external invocation. Servers ignore this by default.
   virtual void on_invoke(Context& ctx, const Invocation& inv);
 
-  // Deep copy; must copy all mutable state.
-  virtual std::unique_ptr<Process> clone() const = 0;
-
-  // Slab-clone support (common/arena.h): the World keeps processes in
-  // refcounted slab slots rather than shared_ptr blocks, so a COW detach
-  // placement-copies the concrete object into a pool slot of exactly this
-  // many bytes. Both are implemented once by CloneableProcess; like
-  // clone(), the copy constructor they invoke must copy ALL mutable state.
+  // Deep copy (common/arena.h): the World keeps processes in refcounted
+  // slab slots, so a COW detach placement-copies the concrete object into
+  // a pool slot of exactly clone_footprint() bytes. Both are implemented
+  // once by CloneableProcess; the copy constructor they invoke must copy
+  // ALL mutable state.
   virtual std::size_t clone_footprint() const = 0;
   virtual Process* clone_into(void* mem) const = 0;
 
@@ -161,8 +158,8 @@ class Process {
   // Canonical encoding of the state; equal states encode equally. Used by
   // the adversary harness to compare server-state vectors across executions,
   // and fingerprinted into World::state_hash() — so it must cover ALL state
-  // that distinguishes this process from a copy (anything clone() copies),
-  // or the explorer would merge genuinely distinct world states.
+  // that distinguishes this process from a copy (anything clone_into()
+  // copies), or the explorer would merge genuinely distinct world states.
   virtual Bytes encode_state() const = 0;
 
   virtual std::string name() const = 0;
@@ -216,14 +213,10 @@ class Process {
   NodeId id_;
 };
 
-// CRTP helper implementing clone()/clone_into() by copy construction.
+// CRTP helper implementing clone_into() by copy construction.
 template <class Derived>
 class CloneableProcess : public Process {
  public:
-  std::unique_ptr<Process> clone() const override {
-    return std::make_unique<Derived>(static_cast<const Derived&>(*this));
-  }
-
   std::size_t clone_footprint() const override { return sizeof(Derived); }
 
   Process* clone_into(void* mem) const override {

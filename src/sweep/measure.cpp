@@ -4,7 +4,7 @@
 #include "algo/cas/system.h"
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 #include "workload/park.h"
 

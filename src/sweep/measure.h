@@ -5,8 +5,8 @@
 // worst case calls for, and returns peak (or steady-state) total value
 // storage normalized by B = 8 * value_size bits. They are pure functions
 // of their arguments — the simulator is deterministic — which is what lets
-// the sweep engine memoize them by config fingerprint and still guarantee
-// byte-identical output whether a cell hit or missed the cache.
+// the sweep engine simulate each distinct config once and share the result
+// across every cell that maps to it.
 //
 // Parked measurements (`parked_*`) reproduce Section 2.3's worst case: nu
 // writes driven to their value-dependent phase and frozen there, so every

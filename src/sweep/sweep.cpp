@@ -78,14 +78,15 @@ MemoKey memo_key_for(const Cell& c) {
   return key;
 }
 
-MeasuredRow evaluate_measured(const Cell& c) {
-  const MemoKey key = memo_key_for(c);
+namespace {
+
+MeasuredRow simulate(const MemoKey& key) {
   MeasuredRow row;
   row.abd = row.cas = row.casgc = row.ldr = kNaN;
   // Majority-quorum systems (ABD, LDR's 2f+1 replicas) need N >= 2f + 1;
   // CAS additionally needs code dimension k = N - 2f >= 1 — the same
   // threshold. Below it no implemented algorithm is live under f faults.
-  if (c.n < 2 * c.f + 1) return row;
+  if (key.n < 2 * key.f + 1) return row;
   row.abd = parked_abd(key.n, key.f, key.nu, key.value_size);
   row.cas = parked_cas(key.n, key.f, key.k, key.nu, std::nullopt,
                        key.value_size);
@@ -93,6 +94,12 @@ MeasuredRow evaluate_measured(const Cell& c) {
                          std::size_t{key.nu}, key.value_size);
   row.ldr = steady_ldr(key.n, key.f, key.nu, key.value_size);
   return row;
+}
+
+}  // namespace
+
+MeasuredRow evaluate_measured(const Cell& c) {
+  return simulate(memo_key_for(c));
 }
 
 std::string format_value(double v) {
@@ -220,13 +227,10 @@ SweepStats run_sweep(const SweepOptions& opt, RowSink& sink) {
     MeasuredRow measured;
   };
 
-  // Memoization holds half the budget; the in-flight row window a quarter
-  // (the remainder covers transient simulation state). Unbudgeted sweeps
-  // keep a window of a few blocks per worker — enough to keep thieves fed
-  // while the flusher drains in order.
-  MemoTable memo(opt.mem.bounded() && opt.measure && opt.memoize
-                     ? opt.mem.total / 2
-                     : 0);
+  // The key table holds half the budget; the in-flight row window a
+  // quarter (the remainder covers transient simulation state). Unbudgeted
+  // sweeps keep a window of a few blocks per worker — enough to keep
+  // thieves fed while the flusher drains in order.
   std::size_t window = threads * 4;
   if (opt.mem.bounded()) {
     const std::size_t block_bytes = block * sizeof(OutRow);
@@ -238,6 +242,39 @@ SweepStats run_sweep(const SweepOptions& opt, RowSink& sink) {
 
   SweepStats stats;
   stats.cells = total;
+
+  // The key table: every distinct simulation the grid needs, sorted, and
+  // simulated once each before any row streams. logV is the innermost
+  // axis, so adjacent cells usually share a key.
+  std::vector<MemoKey> keys;
+  std::vector<MeasuredRow> measured;
+  if (opt.measure) {
+    for (std::size_t i = 0; i < total; ++i) {
+      const Cell c = opt.grid.cell(i);
+      if (!c.valid()) continue;
+      const MemoKey key = memo_key_for(c);
+      if (keys.empty() || keys.back() != key) keys.push_back(key);
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    stats.memo_bytes = keys.size() * (sizeof(MemoKey) + sizeof(MeasuredRow));
+    MEMU_CHECK_MSG(!opt.mem.bounded() || stats.memo_bytes <= opt.mem.total / 2,
+                   "sweep key table needs "
+                       << stats.memo_bytes << " B for " << keys.size()
+                       << " distinct simulations, over the half of --mem "
+                       << opt.mem.to_string() << " it may use; rerun with"
+                       << " --mem >= "
+                       << MemBudget{2 * stats.memo_bytes}.to_string());
+    measured.resize(keys.size());
+    engine::parallel_for(threads, keys.size(), [&](std::size_t i) {
+      measured[i] = simulate(keys[i]);
+    });
+  }
+  const auto lookup = [&](const Cell& c) -> const MeasuredRow& {
+    const auto it =
+        std::lower_bound(keys.begin(), keys.end(), memo_key_for(c));
+    return measured[static_cast<std::size_t>(it - keys.begin())];
+  };
 
   std::vector<std::vector<OutRow>> results(window);
   sink.begin(opt);
@@ -254,13 +291,7 @@ SweepStats run_sweep(const SweepOptions& opt, RowSink& sink) {
         OutRow r;
         r.cell = c;
         r.bounds = evaluate_bounds(c);
-        if (opt.measure) {
-          const MemoKey key = memo_key_for(c);
-          if (!opt.memoize || !memo.lookup(key, r.measured)) {
-            r.measured = evaluate_measured(c);
-            if (opt.memoize) memo.insert(key, r.measured);
-          }
-        }
+        if (opt.measure) r.measured = lookup(c);
         rows.push_back(r);
       }
     });
@@ -276,10 +307,10 @@ SweepStats run_sweep(const SweepOptions& opt, RowSink& sink) {
   sink.end();
 
   stats.skipped = stats.cells - stats.rows;
-  stats.memo_hits = memo.hits();
-  stats.memo_misses = memo.misses();
-  stats.memo_dropped = memo.dropped_inserts();
-  stats.memo_bytes = memo.memory_bytes();
+  if (opt.measure) {
+    stats.memo_misses = keys.size();
+    stats.memo_hits = stats.rows - keys.size();
+  }
   stats.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -17,10 +17,12 @@
 //     is ever resident; a hundred-million-cell sweep writes CSV at O(window)
 //     memory. With --mem, the window is additionally clamped to its share
 //     of the budget.
-//   * Memoized simulation. Measured cells are cached by config fingerprint
-//     in a MemoTable (see memo.h) holding a --mem share; hits and misses
-//     return identical values by construction, so memoization is invisible
-//     in the output.
+//   * One simulation per distinct config. Measured columns depend only on
+//     the cell's MemoKey, and the grid is known up front, so a measured
+//     sweep first lists every distinct key, simulates each once in
+//     parallel, and then looks rows up in that sorted table without a lock.
+//     The table must fit half of --mem or the sweep fails before any
+//     output is written.
 //
 // Column semantics (all normalized by B = log2|V|, Figure 1's y-axis):
 //   nu_star     min(nu, f + 1), Theorem 6.5's effective concurrency
@@ -43,13 +45,14 @@
 // memory it is NaN.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/arena.h"
 #include "sweep/grid.h"
-#include "sweep/memo.h"
 
 namespace memu::sweep {
 
@@ -62,24 +65,35 @@ struct BoundsRow {
   double cas_model = 0;
 };
 
+// The simulation configuration a measured row is keyed on.
+struct MemoKey {
+  std::uint32_t n = 0, f = 0, k = 0, nu = 0, value_size = 0;
+
+  auto operator<=>(const MemoKey&) const = default;
+};
+
+// Measured columns of one cell; NaN = inapplicable at this config.
+struct MeasuredRow {
+  double abd = 0, cas = 0, casgc = 0, ldr = 0;
+};
+
 // Pure closed-form evaluation of one cell (the vectorized inner loop).
 BoundsRow evaluate_bounds(const Cell& c);
 
 // The simulation config a cell maps to: value_size = ceil(logV / 8)
 // clamped to the simulator minimum, k = N - 2f (0 = coding impossible).
-// Distinct cells sharing a key share one simulation — the memo axis.
+// Distinct cells sharing a key share one simulation.
 MemoKey memo_key_for(const Cell& c);
 
-// Runs the simulations for one cell (no memo). Columns whose system
-// constraints fail at this config are NaN.
+// Runs the simulations for one cell. Columns whose system constraints
+// fail at this config are NaN.
 MeasuredRow evaluate_measured(const Cell& c);
 
 struct SweepOptions {
   GridSpec grid;
   bool measure = false;
   std::size_t threads = 1;
-  MemBudget mem;            // 0 = unbudgeted; else memo + window shares
-  bool memoize = true;      // measured cells only; off = always simulate
+  MemBudget mem;            // 0 = unbudgeted; else key table + window shares
   std::size_t block_cells = 256;  // cells per shard unit
 };
 
@@ -87,7 +101,10 @@ struct SweepStats {
   std::size_t cells = 0;    // grid indices visited (incl. skipped)
   std::size_t rows = 0;     // rows emitted
   std::size_t skipped = 0;  // invalid cells (N <= f)
-  std::uint64_t memo_hits = 0, memo_misses = 0, memo_dropped = 0;
+  // Measured sweeps: misses = distinct simulation keys (each simulated
+  // once), hits = measured rows served from an already simulated key, and
+  // the key table's bytes. Identical at any thread count.
+  std::uint64_t memo_hits = 0, memo_misses = 0;
   std::size_t memo_bytes = 0;
   double seconds = 0;
   double cells_per_sec = 0;
@@ -106,7 +123,9 @@ class RowSink {
 
 // Evaluates the grid and streams rows through the sink (begin / row* /
 // end). Timing and memo stats land in the returned SweepStats only —
-// nothing scheduling-dependent reaches the sink.
+// nothing scheduling-dependent reaches the sink. Throws ContractError,
+// before the sink sees anything, if a measured sweep's key table does not
+// fit half of opt.mem.
 SweepStats run_sweep(const SweepOptions& opt, RowSink& sink);
 
 // Formats a double for sweep output: shortest %.10g form, empty for NaN.

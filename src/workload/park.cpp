@@ -1,8 +1,8 @@
 #include "workload/park.h"
 
 #include "common/check.h"
+#include "engine/scheduler.h"
 #include "registers/value.h"
-#include "sim/scheduler.h"
 
 namespace memu::workload {
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "algo/abd/system.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu::abd {
 namespace {

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "algo/abd/system.h"
+#include "engine/frontier.h"
 #include "engine/replay.h"
 #include "engine/scheduler.h"
-#include "sim/explorer.h"
 
 namespace memu {
 namespace {

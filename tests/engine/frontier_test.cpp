@@ -7,7 +7,6 @@
 
 #include "algo/abd/system.h"
 #include "sim/cow_stats.h"
-#include "sim/explorer.h"
 
 namespace memu {
 namespace {
@@ -219,27 +218,6 @@ TEST(FrontierSearch, AccountingIdentityHoldsUnderParallelTruncation) {
   }
 }
 
-TEST(FrontierSearch, SnapshotIntervalDoesNotChangeCountersOrOutcome) {
-  // Frontier compression is a space/time knob only: snapshotting at every
-  // node, at the default interval, and never (root snapshot + full-path
-  // replay) must produce identical counters and outcome.
-  ExploreOptions every;
-  every.snapshot_interval = 1;
-  ExploreOptions rarely;
-  rarely.snapshot_interval = 1000;
-  const auto a = explore_abd(ExploreOptions{});
-  const auto b = explore_abd(every);
-  const auto c = explore_abd(rarely);
-  for (const auto* r : {&b, &c}) {
-    EXPECT_EQ(a.states_visited, r->states_visited);
-    EXPECT_EQ(a.terminal_states, r->terminal_states);
-    EXPECT_EQ(a.transitions, r->transitions);
-    EXPECT_EQ(a.deduped, r->deduped);
-    EXPECT_EQ(a.complete, r->complete);
-    EXPECT_EQ(a.ok, r->ok);
-  }
-}
-
 TEST(FrontierSearch, DedupeFieldsReportTheRunsOwnMode) {
   // dedupe_bytes is only meaningful relative to the run's mode; the result
   // must carry the mode and the entry count so consumers (bench JSON)
@@ -430,26 +408,41 @@ TEST(FrontierSearch, DepthCutSurvivesParallelAndBudgetedRuns) {
 }
 
 TEST(FrontierSearch, SpilledNodesReplayFromASharedBaseNotFromRoot) {
-  // The spill replay-bound bugfix: reloaded batches used to rebuild every
-  // node by replaying its ENTIRE path from the root World, making replay
-  // cost grow with depth and defeating snapshot_interval. A reloaded
-  // batch now re-promotes one shared base, so the largest single-pop
-  // replay stays bounded by snapshot_interval even when the whole
-  // frontier cycles through disk.
-  ExploreOptions opt;
-  opt.snapshot_interval = 3;
-  opt.frontier_budget_bytes = 2048;  // forces heavy spill/reload cycling
-  const auto r = explore_abd(opt);
-  ASSERT_GT(r.spill_batches, 0u);
-  ASSERT_GT(r.replay_steps, 0u);
-  EXPECT_LE(r.max_pop_replay, opt.snapshot_interval);
-
-  // And the bound is budget-invariant: the unbudgeted run obeys the same
-  // ceiling, with identical semantic counters (checked elsewhere).
+  // A pop copies its parent's World and delivers one step, so an
+  // unbudgeted run replays exactly one step per transition. Spilling adds
+  // only the per-batch prefix replay on reload: one copy of the root per
+  // batch, plus the prefix its nodes share — never a per-node replay of
+  // the whole path from the root.
+  const auto run = [](const ExploreOptions& opt, std::uint64_t& copies) {
+    const auto before = cowstats::snapshot();
+    const auto r = explore_abd(opt);
+    copies = (cowstats::snapshot() - before).world_copies;
+    return r;
+  };
+  // This space's deepest path is 18 deliveries (the smallest max_depth
+  // that completes), so every spilled prefix is at most 17 steps.
+  constexpr std::size_t kDepth = 18;
   ExploreOptions unbudgeted;
-  unbudgeted.snapshot_interval = 3;
-  const auto u = explore_abd(unbudgeted);
-  EXPECT_LE(u.max_pop_replay, unbudgeted.snapshot_interval);
+  unbudgeted.max_depth = kDepth;
+  std::uint64_t unbudgeted_copies = 0;
+  const auto u = run(unbudgeted, unbudgeted_copies);
+  ASSERT_TRUE(u.complete);
+  EXPECT_EQ(u.replay_steps, u.transitions);
+
+  ExploreOptions spilled = unbudgeted;
+  spilled.frontier_budget_bytes = 2048;  // forces heavy spill/reload cycling
+  std::uint64_t spilled_copies = 0;
+  const auto r = run(spilled, spilled_copies);
+  ASSERT_GT(r.spill_batches, 0u);
+  expect_same_semantics(u, r);
+  // Every extra World copy is one reloaded batch's fresh parent, and every
+  // extra replayed step belongs to the prefix of such a batch.
+  const std::uint64_t reloads = spilled_copies - unbudgeted_copies;
+  const std::size_t prefix_steps = r.replay_steps - r.transitions;
+  EXPECT_GT(reloads, 0u);
+  EXPECT_LE(reloads, r.spill_batches);
+  EXPECT_GE(prefix_steps, reloads);
+  EXPECT_LE(prefix_steps, reloads * (kDepth - 1));
 }
 
 TEST(FrontierSearch, InsufficientVisitedBudgetFailsLoudly) {

@@ -47,36 +47,24 @@ TEST(VisitedSet, ExactModeBehavesIdentically) {
   EXPECT_EQ(exact.size(), 300u);
 }
 
-TEST(VisitedSet, KeyBytesPreservesTheLegacyPerKeyEstimate) {
-  VisitedSet fp({/*exact=*/false, /*shards=*/8});
-  VisitedSet exact({/*exact=*/true, /*shards=*/8});
-  // 200-byte keys, the ballpark of a small World encoding.
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    BufWriter w;
-    for (int j = 0; j < 25; ++j) w.u64(i);
-    const Bytes k = std::move(w).take();
-    fp.try_insert(k);
-    exact.try_insert(k);
-  }
-  EXPECT_EQ(fp.key_bytes(), 8u * 100);
-  EXPECT_GE(exact.key_bytes(), 200u * 100);
-}
-
 TEST(VisitedSet, MemoryBytesIsExactAndExceedsTheLegacyEstimate) {
-  // The old memory_bytes() WAS key_bytes(): it summed key payloads and
-  // silently ignored the unordered_set's ~40+ bytes of node + bucket
-  // overhead per entry. The new accounting reports real allocated bytes
-  // (slot tables + slabs), which is strictly larger — pin both the
-  // relation and the exact value so the undercount can never creep back.
+  // The old memory_bytes() summed key payloads (8 B per fingerprint, the
+  // encoding length per exact key) and silently ignored the
+  // unordered_set's ~40+ bytes of node + bucket overhead per entry. The
+  // new accounting reports real allocated bytes (slot tables + slabs),
+  // which is strictly larger — pin both the relation and the exact value
+  // so the undercount can never creep back.
   VisitedSet fp({/*exact=*/false, /*shards=*/1});
   for (std::uint64_t i = 0; i < 100; ++i) fp.try_insert(key(i));
-  EXPECT_GT(fp.memory_bytes(), fp.key_bytes());
+  EXPECT_GT(fp.memory_bytes(), 8u * fp.size());
   // 100 entries at a 75% load limit land in a 256-slot table, 8 B/slot.
   EXPECT_EQ(fp.memory_bytes(), 256u * 8u);
 
   VisitedSet exact({/*exact=*/true, /*shards=*/1});
   for (std::uint64_t i = 0; i < 100; ++i) exact.try_insert(key(i));
-  EXPECT_GT(exact.memory_bytes(), exact.key_bytes());
+  std::size_t key_payload = 0;
+  for (std::uint64_t i = 0; i < 100; ++i) key_payload += key(i).size();
+  EXPECT_GT(exact.memory_bytes(), key_payload);
   // Exact mode adds the refs table and the encoding slab on top.
   EXPECT_GE(exact.memory_bytes(), 256u * (8u + 16u) + 100u * 8u);
 }

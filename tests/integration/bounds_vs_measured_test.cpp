@@ -15,7 +15,7 @@
 #include "algo/cas/system.h"
 #include "algo/strip/strip.h"
 #include "bounds/bounds.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/park.h"
 
 namespace memu {

@@ -9,7 +9,7 @@
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 namespace memu {

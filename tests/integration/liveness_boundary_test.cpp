@@ -8,7 +8,7 @@
 #include "algo/cas/system.h"
 #include "algo/ldr/ldr.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 namespace memu {

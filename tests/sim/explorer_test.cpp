@@ -1,10 +1,10 @@
-#include "sim/explorer.h"
+#include "engine/frontier.h"
 
 #include <gtest/gtest.h>
 
 #include "algo/abd/system.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu {
 namespace {
@@ -45,7 +45,7 @@ TEST(Explorer, TwoIndependentMessagesFourStates) {
   w.enqueue({a, b}, make_msg<Mark>(0));
   w.enqueue({a, c}, make_msg<Mark>(1));
 
-  const auto res = explore(w, ExploreOptions{}, {}, {});
+  const auto res = engine::frontier_search(w, ExploreOptions{}, {}, {});
   EXPECT_TRUE(res.complete);
   EXPECT_TRUE(res.ok);
   // {}, {m0}, {m1}, {m0, m1}: the diamond merges at the bottom.
@@ -61,7 +61,7 @@ TEST(Explorer, FifoChannelIsSinglePath) {
   const NodeId b = w.add_process(std::make_unique<MarkSink>());
   w.enqueue({a, b}, make_msg<Mark>(0));
   w.enqueue({a, b}, make_msg<Mark>(1));
-  const auto res = explore(w, ExploreOptions{}, {}, {});
+  const auto res = engine::frontier_search(w, ExploreOptions{}, {}, {});
   EXPECT_EQ(res.states_visited, 3u);  // a chain, no branching
   EXPECT_EQ(res.deduped, 0u);
 }
@@ -71,7 +71,7 @@ TEST(Explorer, InvariantViolationIsReported) {
   const NodeId a = w.add_process(std::make_unique<MarkSink>());
   const NodeId b = w.add_process(std::make_unique<MarkSink>());
   w.enqueue({a, b}, make_msg<Mark>(0));
-  const auto res = explore(
+  const auto res = engine::frontier_search(
       w, ExploreOptions{},
       [](const World& world) -> std::optional<std::string> {
         if (world.in_flight() == 0) return "message consumed";
@@ -89,7 +89,7 @@ TEST(Explorer, DepthBoundMarksIncomplete) {
   for (std::uint64_t i = 0; i < 5; ++i) w.enqueue({a, b}, make_msg<Mark>(i));
   ExploreOptions opt;
   opt.max_depth = 2;
-  const auto res = explore(w, opt, {}, {});
+  const auto res = engine::frontier_search(w, opt, {}, {});
   EXPECT_FALSE(res.complete);
   EXPECT_EQ(res.terminal_states, 0u);
 }
@@ -112,7 +112,7 @@ TEST(Explorer, AbdSwmrWriteConcurrentReadIsAtomicEverywhere) {
   sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
 
   const Value v0 = enum_value(0, opt.value_size);
-  const auto res = explore(
+  const auto res = engine::frontier_search(
       sys.world, ExploreOptions{}, {},
       [&](const World& w) -> std::optional<std::string> {
         // Liveness: quiescence implies both operations responded.
@@ -173,8 +173,8 @@ TEST(Explorer, FindsNewOldInversionOfRegularReads) {
 
   // One-phase reads: the inversion state is reachable.
   abd::System regular = build(/*write_back=*/false);
-  const auto res = explore(regular.world, ExploreOptions{},
-                           inversion_reachable(regular), {});
+  const auto res = engine::frontier_search(regular.world, ExploreOptions{},
+                                           inversion_reachable(regular), {});
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.violation.find("stale quorum"), std::string::npos);
 
@@ -182,8 +182,8 @@ TEST(Explorer, FindsNewOldInversionOfRegularReads) {
   // only after v1 is installed at a quorum, leaving at most one stale
   // server.
   abd::System atomic = build(/*write_back=*/true);
-  const auto res2 = explore(atomic.world, ExploreOptions{},
-                            inversion_reachable(atomic), {});
+  const auto res2 = engine::frontier_search(atomic.world, ExploreOptions{},
+                                            inversion_reachable(atomic), {});
   EXPECT_TRUE(res2.complete);
   EXPECT_TRUE(res2.ok) << res2.violation;
 }
@@ -224,7 +224,8 @@ TEST(Explorer, ViolationPathReplaysToTheViolation) {
     if (stale >= 2) return "inversion state";
     return std::nullopt;
   };
-  const auto res = explore(sys.world, ExploreOptions{}, predicate, {});
+  const auto res =
+      engine::frontier_search(sys.world, ExploreOptions{}, predicate, {});
   ASSERT_FALSE(res.ok);
   ASSERT_FALSE(res.violation_path.empty());
 
@@ -260,7 +261,7 @@ TEST(Explorer, DeterministicAcrossRuns) {
     abd::System sys = abd::make_system(opt);
     sys.world.invoke(sys.writers[0],
                      {OpType::kWrite, unique_value(1, 1, opt.value_size)});
-    return explore(sys.world, ExploreOptions{}, {}, {});
+    return engine::frontier_search(sys.world, ExploreOptions{}, {}, {});
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -279,18 +280,19 @@ TEST(Explorer, CrashedServerShrinksTheSpace) {
   abd::System healthy = abd::make_system(opt);
   healthy.world.invoke(healthy.writers[0],
                        {OpType::kWrite, unique_value(1, 1, opt.value_size)});
-  const auto full = explore(healthy.world, ExploreOptions{}, {}, {});
+  const auto full =
+      engine::frontier_search(healthy.world, ExploreOptions{}, {}, {});
 
   abd::System degraded = abd::make_system(opt);
   degraded.world.crash(degraded.servers[2]);
   degraded.world.invoke(degraded.writers[0],
                         {OpType::kWrite, unique_value(1, 1, opt.value_size)});
-  const auto crashed = explore(degraded.world, ExploreOptions{}, {},
-                               [](const World& w) -> std::optional<std::string> {
-                                 if (w.oplog().responses_since(0) < 1)
-                                   return "write stuck";
-                                 return std::nullopt;
-                               });
+  const auto crashed = engine::frontier_search(
+      degraded.world, ExploreOptions{}, {},
+      [](const World& w) -> std::optional<std::string> {
+        if (w.oplog().responses_since(0) < 1) return "write stuck";
+        return std::nullopt;
+      });
   EXPECT_TRUE(crashed.ok) << crashed.violation;  // f = 1 tolerated everywhere
   EXPECT_LT(crashed.states_visited, full.states_visited);
 }

@@ -5,8 +5,8 @@
 #include "algo/abd/system.h"
 #include "algo/cas/system.h"
 #include "consistency/checker.h"
-#include "sim/explorer.h"
-#include "sim/scheduler.h"
+#include "engine/frontier.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 namespace memu {
@@ -96,10 +96,10 @@ TEST(Reorder, ExplorerReorderModeCoversMoreStates) {
   w.enqueue({a, b}, make_msg<Item>(1));
   w.enqueue({a, b}, make_msg<Item>(2));
 
-  const auto fifo = explore(w, ExploreOptions{}, {}, {});
+  const auto fifo = engine::frontier_search(w, ExploreOptions{}, {}, {});
   ExploreOptions ro;
   ro.reorder = true;
-  const auto reordered = explore(w, ro, {}, {});
+  const auto reordered = engine::frontier_search(w, ro, {}, {});
 
   EXPECT_EQ(fifo.terminal_states, 1u);   // only last=2 reachable
   EXPECT_EQ(reordered.terminal_states, 2u);  // last=2 and last=1
@@ -168,7 +168,8 @@ TEST(Reorder, ValueBlockedReorderExplorationAndReplay) {
   const NodeId b{1};
 
   const auto safe =
-      explore(blocked_world(&World::value_block), ro, saw_any(b, 0b101), {});
+      engine::frontier_search(blocked_world(&World::value_block), ro,
+                              saw_any(b, 0b101), {});
   EXPECT_TRUE(safe.complete);
   EXPECT_TRUE(safe.ok) << safe.violation;
   EXPECT_EQ(safe.states_visited, 2u);  // metadata undelivered / delivered
@@ -176,7 +177,8 @@ TEST(Reorder, ValueBlockedReorderExplorationAndReplay) {
   // The metadata message IS reachable — and the explorer's counterexample
   // replays to the violating state via World::deliver(chan, index).
   const auto hit =
-      explore(blocked_world(&World::value_block), ro, saw_any(b, 0b010), {});
+      engine::frontier_search(blocked_world(&World::value_block), ro,
+                              saw_any(b, 0b010), {});
   ASSERT_FALSE(hit.ok);
   ASSERT_EQ(hit.violation_path.size(), 1u);
   // Reorder mode must skip past the parked bulk head: index 1, not 0.
@@ -197,14 +199,16 @@ TEST(Reorder, BulkBlockedReorderExplorationAndReplay) {
   const NodeId b{1};
 
   const auto safe =
-      explore(blocked_world(&World::bulk_block), ro, saw_any(b, 0b001), {});
+      engine::frontier_search(blocked_world(&World::bulk_block), ro,
+                              saw_any(b, 0b001), {});
   EXPECT_TRUE(safe.complete);
   EXPECT_TRUE(safe.ok) << safe.violation;
   // Metadata and hash deliverable in either order: 2^2 subset states.
   EXPECT_EQ(safe.states_visited, 4u);
 
   const auto hit =
-      explore(blocked_world(&World::bulk_block), ro, saw_any(b, 0b100), {});
+      engine::frontier_search(blocked_world(&World::bulk_block), ro,
+                              saw_any(b, 0b100), {});
   ASSERT_FALSE(hit.ok);
   ASSERT_FALSE(hit.violation_path.empty());
   // The bulk value (queue head) never moves, so every replayed delivery
@@ -235,7 +239,7 @@ TEST(Reorder, ParallelReorderAgreesWithSequentialOnAbd) {
     ExploreOptions ro;
     ro.reorder = true;
     ro.threads = threads;
-    return explore(sys.world, ro, {}, {});
+    return engine::frontier_search(sys.world, ro, {}, {});
   };
   const auto seq = run(1);
   const auto par = run(8);
@@ -263,7 +267,7 @@ TEST(Reorder, ExhaustiveReorderedAbdStillAtomic) {
   ExploreOptions ro;
   ro.reorder = true;
   const Value v0 = enum_value(0, opt.value_size);
-  const auto res = explore(
+  const auto res = engine::frontier_search(
       sys.world, ro, {},
       [&](const World& w) -> std::optional<std::string> {
         if (w.oplog().responses_since(0) < 2) return "operation stuck";

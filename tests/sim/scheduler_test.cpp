@@ -1,4 +1,4 @@
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 #include <gtest/gtest.h>
 

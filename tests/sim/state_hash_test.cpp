@@ -213,7 +213,10 @@ TEST(StateHash, ReplayFromSnapshotConverges) {
     }
     for (std::size_t s = 0; s < snapshots.size(); ++s) {
       World replayed = snapshots[s];
-      engine::replay(replayed, script, s * 10, script.size());
+      engine::replay(replayed,
+                     std::vector<ExploreStep>(
+                         script.begin() + static_cast<std::ptrdiff_t>(s * 10),
+                         script.end()));
       ASSERT_EQ(replayed.canonical_encoding(), w.canonical_encoding())
           << "seed " << seed << " snapshot " << s;
       EXPECT_EQ(replayed.state_hash(), w.state_hash())

@@ -5,10 +5,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "common/arena.h"
+#include "common/check.h"
 #include "sweep/fig1.h"
 #include "sweep/measure.h"
 
@@ -70,41 +72,8 @@ TEST(MemoKeyFor, LogVBucketsByByteAndClampsToMinimum) {
   EXPECT_EQ(memo_key_for(Cell{5, 1, 2, 96}).value_size, 12u);
   EXPECT_EQ(memo_key_for(Cell{5, 1, 2, 97}).value_size, 13u);
   EXPECT_EQ(memo_key_for(Cell{5, 1, 2, 960}).value_size, 120u);
-  EXPECT_EQ(memo_key_for(Cell{5, 1, 2, 8}).fingerprint(),
-            memo_key_for(Cell{5, 1, 2, 64}).fingerprint());
-}
-
-TEST(MemoTable, LookupComparesFullKeyNotJustFingerprint) {
-  MemoTable t(0);
-  const MemoKey a{5, 1, 3, 2, 12};
-  const MemoKey b{7, 2, 3, 4, 12};
-  t.insert(a, MeasuredRow{1, 2, 3, 4});
-  MeasuredRow out;
-  EXPECT_TRUE(t.lookup(a, out));
-  EXPECT_DOUBLE_EQ(out.abd, 1.0);
-  EXPECT_FALSE(t.lookup(b, out));
-  EXPECT_EQ(t.hits(), 1u);
-  EXPECT_EQ(t.misses(), 1u);
-}
-
-TEST(MemoTable, BudgetedTableDropsInsteadOfGrowing) {
-  MemoTable t(1);  // fits the minimum table only
-  const std::size_t cap = t.capacity();
-  for (std::uint32_t i = 0; i < 4 * cap; ++i)
-    t.insert(MemoKey{i + 1, 1, 1, 1, 12}, MeasuredRow{});
-  EXPECT_EQ(t.capacity(), cap);  // never grew
-  EXPECT_GT(t.dropped_inserts(), 0u);
-  EXPECT_LE(t.size(), cap * 3 / 4);
-}
-
-TEST(MemoTable, UnbudgetedTableGrows) {
-  MemoTable t(0);
-  const std::size_t cap = t.capacity();
-  for (std::uint32_t i = 0; i < 4 * cap; ++i)
-    t.insert(MemoKey{i + 1, 1, 1, 1, 12}, MeasuredRow{});
-  EXPECT_GT(t.capacity(), cap);
-  EXPECT_EQ(t.dropped_inserts(), 0u);
-  EXPECT_EQ(t.size(), 4 * cap);
+  EXPECT_TRUE(memo_key_for(Cell{5, 1, 2, 8}) ==
+              memo_key_for(Cell{5, 1, 2, 64}));
 }
 
 // ---- the determinism contract ----------------------------------------------
@@ -155,10 +124,58 @@ TEST(RunSweep, MemoHitAndMissProduceIdenticalRows) {
   // eleven of twelve measured cells are memo hits.
   opt.grid = GridSpec::parse("N=5,f=1:2,nu=1:2,logV=8:96:8");
   opt.measure = true;
-  const std::string memoized = run_csv(opt);
-  opt.memoize = false;
-  const std::string simulated = run_csv(opt);
-  EXPECT_EQ(memoized, simulated);
+  // The same CSV rebuilt cell by cell, simulating every cell afresh.
+  std::ostringstream expected;
+  CsvSink sink(expected);
+  sink.begin(opt);
+  for (std::size_t i = 0; i < opt.grid.cells(); ++i) {
+    const Cell c = opt.grid.cell(i);
+    if (!c.valid()) continue;
+    const MeasuredRow measured = evaluate_measured(c);
+    sink.row(c, evaluate_bounds(c), &measured);
+  }
+  sink.end();
+  EXPECT_EQ(run_csv(opt), expected.str());
+}
+
+TEST(RunSweep, MemoStatsAreIdenticalAtAnyThreadCount) {
+  SweepOptions opt;
+  opt.grid = GridSpec::parse("N=3:9:2,f=1:3,nu=1:4,logV=8:96:8");
+  opt.measure = true;
+  std::set<MemoKey> keys;
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < opt.grid.cells(); ++i) {
+    const Cell c = opt.grid.cell(i);
+    if (!c.valid()) continue;
+    keys.insert(memo_key_for(c));
+    ++rows;
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    opt.threads = threads;
+    std::ostringstream out;
+    CsvSink sink(out);
+    const SweepStats stats = run_sweep(opt, sink);
+    EXPECT_EQ(stats.memo_misses, keys.size()) << "threads=" << threads;
+    EXPECT_EQ(stats.memo_hits, rows - keys.size()) << "threads=" << threads;
+  }
+}
+
+TEST(RunSweep, MemTooSmallForTheKeyTableFailsLoudly) {
+  SweepOptions opt;
+  // Hundreds of distinct simulations; their table cannot fit 4 KiB.
+  opt.grid = GridSpec::parse("N=3:21:2,f=1:10,nu=1:20,logV=8");
+  opt.measure = true;
+  opt.mem = MemBudget::parse("8K");
+  std::ostringstream out;
+  CsvSink sink(out);
+  try {
+    run_sweep(opt, sink);
+    FAIL() << "expected the key table to exceed its --mem share";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("--mem"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(out.str().empty());  // fails before any output
 }
 
 TEST(RunSweep, TinyMemBudgetDoesNotChangeOutput) {
@@ -166,7 +183,7 @@ TEST(RunSweep, TinyMemBudgetDoesNotChangeOutput) {
   opt.grid = GridSpec::parse("N=3:7:2,f=1:2,nu=1:3,logV=8:32:8");
   opt.measure = true;
   const std::string unbudgeted = run_csv(opt);
-  opt.mem = MemBudget::parse("8K");  // memo and window both squeezed
+  opt.mem = MemBudget::parse("8K");  // key table and window both squeezed
   opt.threads = 4;
   EXPECT_EQ(run_csv(opt), unbudgeted);
 }

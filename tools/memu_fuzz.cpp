@@ -54,7 +54,8 @@ struct Args {
   bool has(const std::string& f) const { return flags.contains(f); }
   std::size_t num(const std::string& f, std::size_t fallback) const {
     const auto it = flags.find(f);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    if (it == flags.end()) return fallback;
+    return env::parse_count(it->second, ("--" + f).c_str());
   }
   std::string str(const std::string& f, const std::string& fallback) const {
     const auto it = flags.find(f);

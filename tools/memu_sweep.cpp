@@ -2,13 +2,15 @@
 //
 //   memu_sweep [--grid N=3:21:2,f=1:10,nu=1:20,logV=1:50] [--measure]
 //              [--threads T] [--mem BUDGET] [--csv FILE] [--json FILE]
-//              [--no-memo] [--block CELLS]
+//              [--block CELLS]
 //       Evaluate every closed-form bound (and, with --measure, every
 //       simulated algorithm) at every grid cell, streaming CSV to stdout
 //       (or --csv FILE) and optionally JSON to --json FILE. Rows are
 //       emitted in row-major grid order (N, f, nu, logV) and the output is
 //       byte-identical for ANY --threads or --mem value — timing, memo
-//       statistics, and thread counts go to stderr only.
+//       statistics, and thread counts go to stderr only. A measured sweep
+//       simulates each distinct config once before streaming rows, so its
+//       memo statistics are the same at any --threads too.
 //
 //   memu_sweep --fig1 [--out-dir DIR] [--threads T] [--mem BUDGET]
 //       Regenerate the committed Figure 1 reproduction artifact:
@@ -16,10 +18,10 @@
 //       The fig1-artifact CI job byte-diffs the regenerated CSV against
 //       the committed copy.
 //
-// --mem takes <bytes|512M|4G> (K/M/G = powers of 1024) and bounds the memo
-// table and the in-flight row window; the MEMU_MEM_BUDGET environment
-// variable supplies a default under the flag-wins rule. A sweep without
-// --mem runs unbudgeted.
+// --mem takes <bytes|512M|4G> (K/M/G = powers of 1024) and bounds the
+// simulation key table (which must fit half of it) and the in-flight row
+// window; the MEMU_MEM_BUDGET environment variable supplies a default under
+// the flag-wins rule. A sweep without --mem runs unbudgeted.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -45,7 +47,8 @@ struct Args {
   bool has(const std::string& f) const { return flags.contains(f); }
   std::size_t num(const std::string& f, std::size_t fallback) const {
     const auto it = flags.find(f);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    if (it == flags.end()) return fallback;
+    return env::parse_count(it->second, ("--" + f).c_str());
   }
   std::string str(const std::string& f, const std::string& fallback) const {
     const auto it = flags.find(f);
@@ -62,8 +65,7 @@ int usage() {
   std::cerr
       << "usage: memu_sweep [--grid N=3:21:2,f=1:10,nu=1:20,logV=1:50]\n"
       << "                  [--measure] [--threads T] [--mem BUDGET]\n"
-      << "                  [--csv FILE] [--json FILE] [--no-memo]\n"
-      << "                  [--block CELLS]\n"
+      << "                  [--csv FILE] [--json FILE] [--block CELLS]\n"
       << "       memu_sweep --fig1 [--out-dir DIR] [--threads T]"
       << " [--mem BUDGET]\n"
       << "Grid axes: N, f, nu, logV — each lo[:hi[:step]], inclusive.\n"
@@ -79,7 +81,7 @@ bool parse_args(int argc, char** argv, Args& a) {
     const std::string key = s.substr(2);
     // emplace: a repeated flag keeps its first value (and dodges a GCC 12
     // -Wrestrict false positive in the map-assign path, PR105329).
-    if (key == "measure" || key == "fig1" || key == "no-memo") {
+    if (key == "measure" || key == "fig1") {
       a.flags.emplace(key, "1");
     } else if (i + 1 < argc) {
       a.flags.emplace(key, argv[++i]);
@@ -98,8 +100,8 @@ void report_stats(const sweep::SweepStats& stats, std::size_t threads,
             << " threads, mem " << mem.to_string() << ")\n";
   if (measured) {
     std::cerr << "memo: " << stats.memo_hits << " hits, "
-              << stats.memo_misses << " misses, " << stats.memo_dropped
-              << " dropped inserts, " << stats.memo_bytes << " bytes\n";
+              << stats.memo_misses << " misses, " << stats.memo_bytes
+              << " bytes\n";
   }
 }
 
@@ -120,7 +122,6 @@ int cmd_sweep(const Args& a, std::size_t threads, const MemBudget& mem) {
   opt.measure = a.has("measure");
   opt.threads = threads;
   opt.mem = mem;
-  opt.memoize = !a.has("no-memo");
   opt.block_cells = a.num("block", 256);
   MEMU_CHECK_MSG(opt.block_cells >= 1, "--block must be >= 1");
 
