@@ -26,7 +26,6 @@
 //       spill to disk).
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
 #include "bounds/bounds.h"
+#include "common/cli.h"
 #include "common/env.h"
 #include "common/table.h"
 #include "consistency/checker.h"
@@ -48,39 +48,7 @@
 namespace {
 
 using namespace memu;
-
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
-
-  bool has(const std::string& f) const { return flags.contains(f); }
-  std::size_t num(const std::string& f, std::size_t fallback) const {
-    const auto it = flags.find(f);
-    if (it == flags.end()) return fallback;
-    return env::parse_count(it->second, ("--" + f).c_str());
-  }
-};
-
-Args parse(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--", 0) == 0) {
-      const std::string key = s.substr(2);
-      if (key == "reorder" || key == "witness" || key == "reduce" ||
-          key == "sleep-sets" || key == "symmetry") {
-        a.flags[key] = "1";
-      } else if (i + 1 < argc) {
-        a.flags[key] = argv[++i];
-      } else {
-        a.flags[key] = "";
-      }
-    } else {
-      a.positional.push_back(s);
-    }
-  }
-  return a;
-}
+using cli::Args;
 
 int usage() {
   std::cerr << "usage: memu bounds <N> <f> [nu_max]\n"
@@ -397,9 +365,12 @@ int cmd_explore(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-  if (a.positional.empty()) return usage();
   try {
+    const Args a = cli::parse(
+        argc, argv, {"reorder", "witness", "reduce", "sleep-sets", "symmetry"},
+        {"n", "f", "k", "writers", "readers", "ops-per-client", "value-bytes",
+         "seed", "crash", "delta", "domain", "nu", "max-states", "mem"});
+    if (a.positional.empty()) return usage();
     const std::string& cmd = a.positional[0];
     if (cmd == "bounds") return cmd_bounds(a);
     if (cmd == "run") return cmd_run(a);

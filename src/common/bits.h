@@ -47,8 +47,11 @@ inline double log2d(double n) {
 }
 
 // log2(n!) computed via lgamma; exact enough for bound evaluation.
+// lgamma_r, not std::lgamma: lgamma also writes the sign to the libm global
+// `signgam`, a data race when sweep workers evaluate bounds concurrently.
 inline double log2_factorial(std::uint64_t n) {
-  return std::lgamma(static_cast<double>(n) + 1.0) / std::log(2.0);
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign) / std::log(2.0);
 }
 
 // log2 of the binomial coefficient C(n, k). Returns -inf-free 0 when k > n

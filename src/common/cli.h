@@ -1,0 +1,75 @@
+// The one command-line parser behind memu, memu_fuzz and memu_sweep.
+//
+// Each tool names its flags up front: `switches` take no value, `values`
+// take the next argument. Anything else spelled "--name" is an error, as is
+// a value flag in the last position or a flag given twice; all three throw
+// ContractError naming the flag, so a misspelled `--thread 1` fails loudly
+// instead of running with the default. Arguments without "--" are
+// positional. Count values go through env::parse_count, the same strict
+// digit loop the MEMU_* overrides use.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <initializer_list>
+#include <map>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/check.h"
+#include "common/env.h"
+
+namespace memu::cli {
+
+struct Args {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string> flags;
+
+  bool has(const std::string& f) const { return flags.contains(f); }
+  std::size_t num(const std::string& f, std::size_t fallback) const {
+    const auto it = flags.find(f);
+    if (it == flags.end()) return fallback;
+    return env::parse_count(it->second, ("--" + f).c_str());
+  }
+  std::string str(const std::string& f, const std::string& fallback) const {
+    const auto it = flags.find(f);
+    return it == flags.end() ? fallback : it->second;
+  }
+  std::optional<std::string> opt(const std::string& f) const {
+    const auto it = flags.find(f);
+    if (it == flags.end()) return std::nullopt;
+    return it->second;
+  }
+};
+
+inline Args parse(int argc, const char* const* argv,
+                  std::initializer_list<std::string_view> switches,
+                  std::initializer_list<std::string_view> values) {
+  const auto named = [](std::initializer_list<std::string_view> names,
+                        const std::string& key) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
+  Args a;
+  for (int i = 1; i < argc; ++i) {
+    const std::string s = argv[i];
+    if (s.rfind("--", 0) != 0) {
+      a.positional.push_back(s);
+      continue;
+    }
+    const std::string key = s.substr(2);
+    std::string value = "1";
+    if (named(values, key)) {
+      MEMU_CHECK_MSG(i + 1 < argc, s << " needs a value");
+      value = argv[++i];
+    } else {
+      MEMU_CHECK_MSG(named(switches, key), "unknown flag " << s);
+    }
+    MEMU_CHECK_MSG(a.flags.emplace(key, std::move(value)).second,
+                   s << " is given twice");
+  }
+  return a;
+}
+
+}  // namespace memu::cli

@@ -27,48 +27,56 @@
 
 namespace memu::cowstats {
 
+// The counters, declared once; every per-counter definition below expands
+// this list.
+//   world_copies          World copy-constructions/assignments
+//   process_detaches      Process::clone_into() on first write
+//   queue_detaches        message-block re-homes on first write
+//   oplog_detaches        sharing-forced oplog chunk chains. These copy ZERO
+//                         bytes: the oplog is a persistent chunk chain, so a
+//                         shared head chunk is frozen in place and a fresh
+//                         chunk is linked in front of it (see sim/oplog.h).
+//   bytes_copied          bytes materialized by the detaches, split by
+//   process_bytes_copied  source (process clones vs message re-homes; oplog
+//   queue_bytes_copied    chains are always 0-byte) so the benches can
+//                         attribute the copy traffic.
+//   canonical_encodings   full canonical_encoding() serializations. The
+//                         incremental state hash exists so the
+//                         fingerprint-mode explorer performs ZERO of these
+//                         per node; tests and benches pin that here.
+//   fuzz_system_builds    fuzz-walk scratch reuse: a campaign worker builds
+//   fuzz_system_reuses    one prototype FuzzSystem per spec from scratch (a
+//                         build) and serves every further walk on that spec
+//                         from a COW copy of it (a reuse: pointer bumps
+//                         instead of re-running process construction). The
+//                         reuse:build ratio is the allocation churn the
+//                         prototype cache removes.
+#define MEMU_COWSTATS_COUNTERS(X) \
+  X(world_copies)                 \
+  X(process_detaches)             \
+  X(queue_detaches)               \
+  X(oplog_detaches)               \
+  X(bytes_copied)                 \
+  X(process_bytes_copied)         \
+  X(queue_bytes_copied)           \
+  X(canonical_encodings)          \
+  X(fuzz_system_builds)           \
+  X(fuzz_system_reuses)
+
 // Snapshot of the counters (plain values, safe to copy around).
 struct Snapshot {
-  std::uint64_t world_copies = 0;     // World copy-constructions/assignments
-  std::uint64_t process_detaches = 0; // Process::clone_into() on first write
-  std::uint64_t queue_detaches = 0;   // message-block re-homes on first write
-  // Sharing-forced oplog chunk chains. These copy ZERO bytes: the oplog is
-  // a persistent chunk chain, so a shared head chunk is frozen in place and
-  // a fresh chunk is linked in front of it (see sim/oplog.h).
-  std::uint64_t oplog_detaches = 0;
-  std::uint64_t bytes_copied = 0;     // bytes materialized by the detaches
-  // Per-source split of bytes_copied (process clones vs message re-homes;
-  // oplog chains are always 0-byte), so the benches can attribute the
-  // copy traffic instead of reporting one opaque total.
-  std::uint64_t process_bytes_copied = 0;
-  std::uint64_t queue_bytes_copied = 0;
-  // Full canonical_encoding() serializations. The incremental state hash
-  // exists so the fingerprint-mode explorer performs ZERO of these per
-  // node; tests and benches pin that via this counter.
-  std::uint64_t canonical_encodings = 0;
-  // Fuzz-walk scratch reuse: a campaign worker builds one prototype
-  // FuzzSystem per spec from scratch (a `build`) and serves every further
-  // walk on that spec from a COW copy of the prototype (a `reuse` — pointer
-  // bumps instead of re-running process construction). The reuse:build
-  // ratio is the allocation churn the prototype cache removes.
-  std::uint64_t fuzz_system_builds = 0;
-  std::uint64_t fuzz_system_reuses = 0;
+#define MEMU_COWSTATS_FIELD(name) std::uint64_t name = 0;
+  MEMU_COWSTATS_COUNTERS(MEMU_COWSTATS_FIELD)
+#undef MEMU_COWSTATS_FIELD
 
   std::uint64_t detaches() const {
     return process_detaches + queue_detaches + oplog_detaches;
   }
 
   friend Snapshot operator-(Snapshot a, const Snapshot& b) {
-    a.world_copies -= b.world_copies;
-    a.process_detaches -= b.process_detaches;
-    a.queue_detaches -= b.queue_detaches;
-    a.oplog_detaches -= b.oplog_detaches;
-    a.bytes_copied -= b.bytes_copied;
-    a.process_bytes_copied -= b.process_bytes_copied;
-    a.queue_bytes_copied -= b.queue_bytes_copied;
-    a.canonical_encodings -= b.canonical_encodings;
-    a.fuzz_system_builds -= b.fuzz_system_builds;
-    a.fuzz_system_reuses -= b.fuzz_system_reuses;
+#define MEMU_COWSTATS_SUB(name) a.name -= b.name;
+    MEMU_COWSTATS_COUNTERS(MEMU_COWSTATS_SUB)
+#undef MEMU_COWSTATS_SUB
     return a;
   }
 };
@@ -78,16 +86,9 @@ namespace detail {
 // One thread's counters: two cache lines (10 x 8-byte counters + the
 // registry link), aligned so no two threads' hot fields share a line.
 struct alignas(64) Block {
-  std::atomic<std::uint64_t> world_copies{0};
-  std::atomic<std::uint64_t> process_detaches{0};
-  std::atomic<std::uint64_t> queue_detaches{0};
-  std::atomic<std::uint64_t> oplog_detaches{0};
-  std::atomic<std::uint64_t> bytes_copied{0};
-  std::atomic<std::uint64_t> process_bytes_copied{0};
-  std::atomic<std::uint64_t> queue_bytes_copied{0};
-  std::atomic<std::uint64_t> canonical_encodings{0};
-  std::atomic<std::uint64_t> fuzz_system_builds{0};
-  std::atomic<std::uint64_t> fuzz_system_reuses{0};
+#define MEMU_COWSTATS_FIELD(name) std::atomic<std::uint64_t> name{0};
+  MEMU_COWSTATS_COUNTERS(MEMU_COWSTATS_FIELD)
+#undef MEMU_COWSTATS_FIELD
   Block* next = nullptr;  // registry chain; set once at birth
 };
 
@@ -159,37 +160,19 @@ inline void note_fuzz_system_reuse() {
 inline Snapshot snapshot() {
   Snapshot s;
   detail::for_each_block([&s](detail::Block& b) {
-    s.world_copies += b.world_copies.load(std::memory_order_relaxed);
-    s.process_detaches += b.process_detaches.load(std::memory_order_relaxed);
-    s.queue_detaches += b.queue_detaches.load(std::memory_order_relaxed);
-    s.oplog_detaches += b.oplog_detaches.load(std::memory_order_relaxed);
-    s.bytes_copied += b.bytes_copied.load(std::memory_order_relaxed);
-    s.process_bytes_copied +=
-        b.process_bytes_copied.load(std::memory_order_relaxed);
-    s.queue_bytes_copied +=
-        b.queue_bytes_copied.load(std::memory_order_relaxed);
-    s.canonical_encodings +=
-        b.canonical_encodings.load(std::memory_order_relaxed);
-    s.fuzz_system_builds +=
-        b.fuzz_system_builds.load(std::memory_order_relaxed);
-    s.fuzz_system_reuses +=
-        b.fuzz_system_reuses.load(std::memory_order_relaxed);
+#define MEMU_COWSTATS_ADD(name) \
+  s.name += b.name.load(std::memory_order_relaxed);
+    MEMU_COWSTATS_COUNTERS(MEMU_COWSTATS_ADD)
+#undef MEMU_COWSTATS_ADD
   });
   return s;
 }
 
 inline void reset() {
   detail::for_each_block([](detail::Block& b) {
-    b.world_copies.store(0, std::memory_order_relaxed);
-    b.process_detaches.store(0, std::memory_order_relaxed);
-    b.queue_detaches.store(0, std::memory_order_relaxed);
-    b.oplog_detaches.store(0, std::memory_order_relaxed);
-    b.bytes_copied.store(0, std::memory_order_relaxed);
-    b.process_bytes_copied.store(0, std::memory_order_relaxed);
-    b.queue_bytes_copied.store(0, std::memory_order_relaxed);
-    b.canonical_encodings.store(0, std::memory_order_relaxed);
-    b.fuzz_system_builds.store(0, std::memory_order_relaxed);
-    b.fuzz_system_reuses.store(0, std::memory_order_relaxed);
+#define MEMU_COWSTATS_ZERO(name) b.name.store(0, std::memory_order_relaxed);
+    MEMU_COWSTATS_COUNTERS(MEMU_COWSTATS_ZERO)
+#undef MEMU_COWSTATS_ZERO
   });
 }
 

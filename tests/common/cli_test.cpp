@@ -1,0 +1,48 @@
+#include "common/cli.h"
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+namespace memu::cli {
+namespace {
+
+Args parse_line(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "tool");
+  return parse(static_cast<int>(argv.size()), argv.data(), {"measure"},
+               {"threads", "out"});
+}
+
+TEST(CliParse, SplitsSwitchesValuesAndPositionals) {
+  const Args a =
+      parse_line({"run", "--threads", "2", "--measure", "x.json", "--out", ""});
+  EXPECT_EQ(a.positional, (std::vector<std::string>{"run", "x.json"}));
+  EXPECT_EQ(a.num("threads", 9), 2u);
+  EXPECT_TRUE(a.has("measure"));
+  EXPECT_EQ(a.opt("out"), "");
+  EXPECT_EQ(a.str("missing", "fallback"), "fallback");
+}
+
+TEST(CliParse, RejectsMisuseNamingTheFlag) {
+  // Each of these used to run silently: a misspelled flag was ignored, a
+  // trailing value flag became "", and a repeat kept one of the values.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> bad = {
+      {{"--thread", "1"}, "unknown flag --thread"},
+      {{"--threads"}, "--threads needs a value"},
+      {{"--threads", "1", "--threads", "2"}, "--threads is given twice"},
+      {{"--measure=1"}, "unknown flag --measure=1"},
+  };
+  for (const auto& [argv, message] : bad) {
+    try {
+      parse_line(argv);
+      ADD_FAILURE() << "accepted " << message;
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+}  // namespace
+}  // namespace memu::cli

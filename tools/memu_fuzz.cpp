@@ -28,13 +28,13 @@
 // with a sizing hint instead of OOMing mid-campaign.
 #include <chrono>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/cli.h"
 #include "common/env.h"
 #include "engine/thread_pool.h"
 #include "fuzz/campaign.h"
@@ -46,27 +46,7 @@ namespace {
 
 using namespace memu;
 using namespace memu::fuzz;
-
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
-
-  bool has(const std::string& f) const { return flags.contains(f); }
-  std::size_t num(const std::string& f, std::size_t fallback) const {
-    const auto it = flags.find(f);
-    if (it == flags.end()) return fallback;
-    return env::parse_count(it->second, ("--" + f).c_str());
-  }
-  std::string str(const std::string& f, const std::string& fallback) const {
-    const auto it = flags.find(f);
-    return it == flags.end() ? fallback : it->second;
-  }
-  std::optional<std::string> opt(const std::string& f) const {
-    const auto it = flags.find(f);
-    if (it == flags.end()) return std::nullopt;
-    return it->second;
-  }
-};
+using cli::Args;
 
 // --mem under the common/env.h flag-wins rule: the flag, else
 // MEMU_MEM_BUDGET, else unbudgeted.
@@ -74,26 +54,6 @@ std::optional<MemBudget> mem_budget(const Args& a) {
   const MemBudget mem = env::mem_budget_or(a.opt("mem"));
   if (!mem.bounded()) return std::nullopt;
   return mem;
-}
-
-Args parse(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--", 0) == 0) {
-      const std::string key = s.substr(2);
-      if (key == "no-minimize" || key == "expect-violations") {
-        a.flags[key] = "1";
-      } else if (i + 1 < argc) {
-        a.flags[key] = argv[++i];
-      } else {
-        a.flags[key] = "";
-      }
-    } else {
-      a.positional.push_back(s);
-    }
-  }
-  return a;
 }
 
 int usage() {
@@ -276,9 +236,13 @@ int cmd_shrink(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-  if (a.positional.empty()) return usage();
   try {
+    const Args a = cli::parse(
+        argc, argv, {"no-minimize", "expect-violations"},
+        {"algo", "seed", "walks", "max-steps", "writes", "reads", "check", "n",
+         "f", "k", "writers", "readers", "value-bytes", "mix", "threads",
+         "mem", "out-dir", "out"});
+    if (a.positional.empty()) return usage();
     const std::string& cmd = a.positional[0];
     if (cmd == "run") return cmd_run(a);
     if (cmd == "replay") return cmd_replay(a);

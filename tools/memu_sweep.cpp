@@ -25,12 +25,12 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/cli.h"
 #include "common/env.h"
 #include "engine/thread_pool.h"
 #include "sweep/fig1.h"
@@ -40,26 +40,7 @@
 namespace {
 
 using namespace memu;
-
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  bool has(const std::string& f) const { return flags.contains(f); }
-  std::size_t num(const std::string& f, std::size_t fallback) const {
-    const auto it = flags.find(f);
-    if (it == flags.end()) return fallback;
-    return env::parse_count(it->second, ("--" + f).c_str());
-  }
-  std::string str(const std::string& f, const std::string& fallback) const {
-    const auto it = flags.find(f);
-    return it == flags.end() ? fallback : it->second;
-  }
-  std::optional<std::string> opt(const std::string& f) const {
-    const auto it = flags.find(f);
-    if (it == flags.end()) return std::nullopt;
-    return it->second;
-  }
-};
+using cli::Args;
 
 int usage() {
   std::cerr
@@ -72,24 +53,6 @@ int usage() {
       << "Output is byte-identical for any --threads/--mem value; stats\n"
       << "go to stderr. MEMU_MEM_BUDGET sets a default --mem (flag wins).\n";
   return 2;
-}
-
-bool parse_args(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--", 0) != 0) return false;
-    const std::string key = s.substr(2);
-    // emplace: a repeated flag keeps its first value (and dodges a GCC 12
-    // -Wrestrict false positive in the map-assign path, PR105329).
-    if (key == "measure" || key == "fig1") {
-      a.flags.emplace(key, "1");
-    } else if (i + 1 < argc) {
-      a.flags.emplace(key, argv[++i]);
-    } else {
-      return false;
-    }
-  }
-  return true;
 }
 
 void report_stats(const sweep::SweepStats& stats, std::size_t threads,
@@ -155,9 +118,11 @@ int cmd_sweep(const Args& a, std::size_t threads, const MemBudget& mem) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args a;
-  if (!parse_args(argc, argv, a)) return usage();
   try {
+    const Args a = cli::parse(argc, argv, {"measure", "fig1"},
+                              {"grid", "threads", "mem", "csv", "json",
+                               "block", "out-dir"});
+    if (!a.positional.empty()) return usage();
     const std::size_t threads =
         a.num("threads", memu::engine::default_worker_count());
     // Flag-wins: --mem, else MEMU_MEM_BUDGET, else unbudgeted.

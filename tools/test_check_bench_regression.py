@@ -3,19 +3,14 @@
 
 The gate is itself CI-critical logic: a bug that silently skips a check lets
 performance regressions merge, and a bug that fails spuriously blocks every
-PR. These tests pin the three behaviors with the most edge-case surface:
+PR. The tests are one table. Each case is a (current, baseline) document
+pair for one bench, or for one stand-alone row, plus the set of row labels
+the gate must fail and, where the case is about a skip, text the gate must
+print instead.
 
-  * the basic tolerance gates (check_lower_bound / check_upper_bound),
-    including the boundary-exactly-at-floor case;
-  * the machine-aware multi-core scaling gate: gated on a big runner,
-    loudly skipped (never failed) on a small one, and skipped when the
-    bench recorded no speedup entry at all;
-  * the frontier zero-baseline path: a baseline that recorded 0 bytes must
-    fall back to the absolute floor instead of the vacuous 0*(1+tol)
-    ceiling — and a pre-field baseline must skip, not fail.
-
-Run directly (python3 tools/test_check_bench_regression.py) or via the CI
-gate (python3 -m unittest discover -s tools -p 'test_*.py').
+Run directly (python3 tools/test_check_bench_regression.py), through ctest
+(the check_bench_regression_unit test), or with
+python3 -m unittest discover -s tools -p 'test_*.py'.
 """
 
 import copy
@@ -24,203 +19,301 @@ import sys
 import unittest
 from contextlib import redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check_bench_regression as gate
 
+FLOOR = gate.FRONTIER_ABS_FLOOR_BYTES
+SEQ = "runs[mode=sequential_fingerprint]"
+SPEEDUP = f"scaling[threads={gate.SCALING_GATE_THREADS}].speedup_x"
 
-def run_check(fn, *args, **kwargs):
-    """Call a gate function with a clean failure list; return (failures, out)."""
+
+class Case(NamedTuple):
+    name: str
+    target: object  # a bench file name (all its ROWS) or one gate.Row
+    cur: dict
+    base: dict
+    fails: set = set()
+    prints: str = None
+
+
+def run_gate(target, cur, base, tol=0.25):
+    """Runs the gate with a clean failure list; returns (failed labels, out)."""
     gate.failures.clear()
     buf = io.StringIO()
     with redirect_stdout(buf):
-        fn(*args, **kwargs)
-    captured = list(gate.failures)
+        if isinstance(target, gate.Row):
+            gate.evaluate(target, cur, base, tol)
+        else:
+            gate.check(target, cur, base, tol)
+    failed = {f.split(": ", 1)[0] for f in gate.failures}
     gate.failures.clear()
-    return captured, buf.getvalue()
+    return failed, buf.getvalue()
 
 
-class GateHygiene(unittest.TestCase):
-    def test_failures_is_module_level_accumulator(self):
-        # The CLI exit code rides on this list; make sure helpers append to
-        # it rather than raising.
-        failures, _ = run_check(gate.fail, "boom")
-        self.assertEqual(failures, ["boom"])
+# --- document builders -------------------------------------------------------
+
+def row(rule, bound=None):
+    return gate.Row("T", "m", rule, bound)
 
 
-class ToleranceGates(unittest.TestCase):
-    def test_lower_bound_triggers_below_floor(self):
-        failures, _ = run_check(
-            gate.check_lower_bound, "m", 74.9, 100.0, 0.25)
-        self.assertEqual(len(failures), 1)
-        self.assertIn("m:", failures[0])
-
-    def test_lower_bound_passes_at_exact_floor(self):
-        failures, _ = run_check(gate.check_lower_bound, "m", 75.0, 100.0, 0.25)
-        self.assertEqual(failures, [])
-
-    def test_lower_bound_passes_on_improvement(self):
-        failures, _ = run_check(gate.check_lower_bound, "m", 140.0, 100.0, 0.25)
-        self.assertEqual(failures, [])
-
-    def test_upper_bound_triggers_above_ceiling(self):
-        failures, _ = run_check(
-            gate.check_upper_bound, "m", 125.1, 100.0, 0.25)
-        self.assertEqual(len(failures), 1)
-
-    def test_upper_bound_passes_at_exact_ceiling(self):
-        failures, _ = run_check(gate.check_upper_bound, "m", 125.0, 100.0, 0.25)
-        self.assertEqual(failures, [])
-
-    def test_zero_baseline_upper_bound_rejects_any_growth(self):
-        # The generic gate IS vacuous at a zero baseline — this pins the
-        # behavior the frontier_bytes special case exists to compensate for.
-        failures, _ = run_check(gate.check_upper_bound, "m", 1.0, 0.0, 0.25)
-        self.assertEqual(len(failures), 1)
-
-
-class ScalingGate(unittest.TestCase):
-    @staticmethod
-    def record(cores, speedup, threads=None):
-        threads = gate.SCALING_GATE_THREADS if threads is None else threads
-        return {
-            "cores": cores,
-            "scaling": [{"threads": threads, "speedup_x": speedup}],
-        }
-
-    def test_fails_below_floor_on_big_runner(self):
-        failures, _ = run_check(
-            gate.check_scaling_speedup,
-            self.record(gate.SCALING_MIN_CORES, 1.2), "explore")
-        self.assertEqual(len(failures), 1)
-        self.assertIn("speedup", failures[0])
-
-    def test_passes_at_floor_on_big_runner(self):
-        failures, _ = run_check(
-            gate.check_scaling_speedup,
-            self.record(8, gate.SCALING_MIN_SPEEDUP_X), "explore")
-        self.assertEqual(failures, [])
-
-    def test_small_runner_skips_loudly_instead_of_failing(self):
-        failures, out = run_check(
-            gate.check_scaling_speedup,
-            self.record(gate.SCALING_MIN_CORES - 1, 1.0), "explore")
-        self.assertEqual(failures, [])
-        self.assertIn("scaling not gated", out)
-
-    def test_no_speedup_entry_is_a_skip_not_a_crash(self):
-        failures, out = run_check(
-            gate.check_scaling_speedup, {"cores": 16, "scaling": []}, "fuzz")
-        self.assertEqual(failures, [])
-        self.assertIn("not gated", out)
-
-    def test_wrong_thread_count_entry_is_not_gated(self):
-        failures, _ = run_check(
-            gate.check_scaling_speedup,
-            self.record(16, 0.5, threads=gate.SCALING_GATE_THREADS + 1),
-            "explore")
-        self.assertEqual(failures, [])
-
-    def test_hardware_concurrency_field_is_accepted(self):
-        rec = self.record(0, 1.0)
-        del rec["cores"]
-        rec["hardware_concurrency"] = 2
-        failures, out = run_check(
-            gate.check_scaling_speedup, rec, "explore")
-        self.assertEqual(failures, [])
-        self.assertIn("2-core", out)
-
-
-class FrontierZeroBaseline(unittest.TestCase):
-    """check_explore's frontier_bytes handling around a 0-byte baseline."""
-
-    BASE_RUN = {
+def explore_doc(frontier=None, **run_fields):
+    run = {
         "mode": "sequential_fingerprint",
         "dedupe_mode": "fingerprint",
         "states_per_sec": 100.0,
         "cow_bytes_per_state": 100.0,
         "canonical_encodings": 0,
+        **run_fields,
+    }
+    if frontier is not None:
+        run["frontier_bytes"] = frontier
+    return {
+        "runs": [run],
+        "parallel_counters_match_sequential": True,
+        "cow_copy_reduction_x": 10.0,
     }
 
-    def explore_doc(self, frontier=None):
-        run = dict(self.BASE_RUN)
-        if frontier is not None:
-            run["frontier_bytes"] = frontier
-        return {
-            "runs": [run],
-            "parallel_counters_match_sequential": True,
-            "cow_copy_reduction_x": 10.0,
-        }
 
-    def run_explore(self, cur_frontier, base_frontier):
-        cur = self.explore_doc(cur_frontier)
-        base = self.explore_doc(base_frontier)
-        return run_check(gate.check_explore, cur, base, 0.25)
-
-    def test_zero_baseline_enforces_absolute_floor(self):
-        failures, _ = self.run_explore(
-            gate.FRONTIER_ABS_FLOOR_BYTES + 1, 0)
-        self.assertTrue(
-            any("frontier_bytes" in f and "zero baseline" in f
-                for f in failures), failures)
-
-    def test_zero_baseline_allows_small_frontier(self):
-        failures, out = self.run_explore(gate.FRONTIER_ABS_FLOOR_BYTES, 0)
-        self.assertFalse(any("frontier_bytes" in f for f in failures))
-        self.assertIn("absolute floor", out)
-
-    def test_missing_baseline_field_skips(self):
-        failures, out = self.run_explore(10 * gate.FRONTIER_ABS_FLOOR_BYTES,
-                                         None)
-        self.assertFalse(any("frontier_bytes" in f for f in failures))
-        self.assertIn("no baseline field", out)
-
-    def test_positive_baseline_uses_relative_ceiling(self):
-        failures, _ = self.run_explore(1000, 100)
-        self.assertTrue(any("frontier_bytes" in f for f in failures))
-        failures, _ = self.run_explore(100, 100)
-        self.assertFalse(any("frontier_bytes" in f for f in failures))
-
-    def test_parallel_mode_frontier_is_never_gated(self):
-        cur = self.explore_doc(10 * gate.FRONTIER_ABS_FLOOR_BYTES)
-        base = self.explore_doc(0)
-        for doc in (cur, base):
-            doc["runs"][0] = dict(doc["runs"][0], mode="parallel_fingerprint")
-        failures, _ = run_check(gate.check_explore, cur, base, 0.25)
-        self.assertFalse(any("frontier_bytes" in f for f in failures))
+def with_(doc, **fields):
+    doc = copy.deepcopy(doc)
+    doc.update(fields)
+    return doc
 
 
-class ExploreHardInvariants(unittest.TestCase):
-    def test_parallel_counter_divergence_fails(self):
-        doc = FrontierZeroBaseline().explore_doc()
-        cur = copy.deepcopy(doc)
-        cur["parallel_counters_match_sequential"] = False
-        failures, _ = run_check(gate.check_explore, cur, doc, 0.25)
-        self.assertTrue(any("parallel" in f for f in failures))
+def scaling_doc(speedup, parallelism=None, threads=gate.SCALING_GATE_THREADS):
+    doc = {"scaling": [{"threads": threads, "speedup_x": speedup}]}
+    if parallelism is not None:
+        doc["spin_parallelism"] = parallelism
+    return doc
 
-    def test_canonical_encodings_in_fingerprint_mode_fail(self):
-        doc = FrontierZeroBaseline().explore_doc()
-        cur = copy.deepcopy(doc)
-        cur["runs"][0]["canonical_encodings"] = 7
-        failures, _ = run_check(gate.check_explore, cur, doc, 0.25)
-        self.assertTrue(any("canonical encodings" in f for f in failures))
 
-    def test_canonical_encodings_in_symmetry_mode_fail(self):
-        doc = FrontierZeroBaseline().explore_doc()
-        doc["runs"][0]["dedupe_mode"] = "symmetry"
-        cur = copy.deepcopy(doc)
-        cur["runs"][0]["canonical_encodings"] = 7
-        failures, _ = run_check(gate.check_explore, cur, doc, 0.25)
-        self.assertTrue(any("canonical encodings in symmetry mode" in f
-                            for f in failures), failures)
+def reduction_doc(ratio, complete=True):
+    return {"reduction": {
+        "verdict_match": True, "pinned_violation_found": True,
+        "reorder_both_complete": complete, "reorder_reduction_x": ratio}}
 
-    def test_zero_canonical_encodings_in_symmetry_mode_pass(self):
-        doc = FrontierZeroBaseline().explore_doc()
-        doc["runs"][0]["dedupe_mode"] = "symmetry"
-        failures, out = run_check(gate.check_explore, doc, doc, 0.25)
-        self.assertFalse(any("canonical" in f for f in failures), failures)
-        self.assertIn("0 canonical encodings", out)
+
+def harness_case(name, gossip, **verdicts):
+    return {"case": name, "gossip_variant": gossip, "holds": True,
+            "injective": True, "cow_bytes_per_copy": 48, **verdicts}
+
+
+# Theorem 4.1 runs two cases under one name, told apart by gossip_variant.
+ABD = "ABD   N=5 f=2        "
+H41 = {"cases": [harness_case(ABD, False), harness_case(ABD, True)]}
+H41_NO_GOSSIP = f"cases[case={ABD.strip()},gossip_variant=false]"
+H41_GOSSIP = f"cases[case={ABD.strip()},gossip_variant=true]"
+
+
+def h41_with(index, **fields):
+    doc = copy.deepcopy(H41)
+    doc["cases"][index].update(fields)
+    return doc
+
+
+def fuzz_doc(walks=256, rate=1000.0, tests_run=10):
+    return {"walks": walks, "walks_per_sec": rate,
+            "thread_determinism_ok": True,
+            "minimize": {"determinism_ok": True, "tests_run": tests_run}}
+
+
+E = gate.EXPLORE
+
+CASES = [
+    # Tolerance rules (higher / lower) at, below and beyond their bounds.
+    Case("higher_fails_below_floor", row("higher"), {"m": 74.9}, {"m": 100.0},
+         {"m"}),
+    Case("higher_passes_at_exact_floor", row("higher"), {"m": 75.0},
+         {"m": 100.0}),
+    Case("higher_passes_on_improvement", row("higher"), {"m": 140.0},
+         {"m": 100.0}),
+    Case("lower_fails_above_ceiling", row("lower"), {"m": 125.1},
+         {"m": 100.0}, {"m"}),
+    Case("lower_passes_at_exact_ceiling", row("lower"), {"m": 125.0},
+         {"m": 100.0}),
+    # The multiplicative ceiling is vacuous at a zero baseline; a row
+    # without an absolute bound therefore rejects any growth.
+    Case("lower_zero_baseline_rejects_any_growth", row("lower"), {"m": 1.0},
+         {"m": 0.0}, {"m"}),
+    Case("lower_zero_baseline_uses_bound_at_limit", row("lower", 10),
+         {"m": 10}, {"m": 0}),
+    Case("lower_zero_baseline_uses_bound_past_limit", row("lower", 10),
+         {"m": 11}, {"m": 0}, {"m"}),
+    # Absolute rules ignore the baseline value.
+    Case("at_least_passes_at_bound", row("at_least", 5), {"m": 5},
+         {"m": 0}),
+    Case("at_least_fails_below_bound", row("at_least", 5), {"m": 4.99},
+         {"m": 9}, {"m"}),
+    Case("at_most_passes_at_bound", row("at_most", 0), {"m": 0}, {"m": 7}),
+    Case("at_most_fails_above_bound", row("at_most", 0), {"m": 1}, {"m": 0},
+         {"m"}),
+    Case("true_passes_on_true", row("true"), {"m": True}, {"m": False}),
+    Case("true_fails_on_false", row("true"), {"m": False}, {"m": True},
+         {"m"}),
+    Case("true_fails_on_truthy_non_bool", row("true"), {"m": 1}, {"m": True},
+         {"m"}),
+    Case("same_passes_on_equal", row("same"), {"m": False}, {"m": False}),
+    Case("same_fails_on_change", row("same"), {"m": 11}, {"m": 10}, {"m"}),
+    # One missing-field policy for every rule.
+    Case("field_missing_from_baseline_skips_loudly", row("true"),
+         {"m": False}, {}, prints="m: no baseline, not gated"),
+    Case("field_missing_from_current_fails", row("higher"), {}, {"m": 1.0},
+         {"m"}),
+    Case("dotted_field_missing_from_current_fails",
+         gate.Row("T", "a.b", "same"), {"a": {}}, {"a": {"b": 1}}, {"a.b"}),
+    Case("list_element_missing_from_current_fails",
+         gate.Row("T", "runs[mode].x", "same"), {"runs": []},
+         {"runs": [{"mode": "m1", "x": 1}]}, {"runs[mode=m1].x"}),
+    Case("new_list_element_skips_loudly",
+         gate.Row("T", "runs[mode].x", "same"),
+         {"runs": [{"mode": "m1", "x": 1}]}, {"runs": []},
+         prints="runs[mode=m1].x: no baseline"),
+    Case("duplicate_list_keys_fail",
+         gate.Row("T", "runs[mode].x", "same"),
+         {"runs": [{"mode": "m1", "x": 1}, {"mode": "m1", "x": 1}]},
+         {"runs": [{"mode": "m1", "x": 1}]}, {"runs[mode]"}),
+
+    # Multi-core scaling: gated only where the spin measured real CPUs.
+    Case("scaling_fails_below_floor_on_parallel_runner", E,
+         scaling_doc(1.2, 4.0), scaling_doc(1.0), {SPEEDUP}),
+    Case("scaling_passes_at_floor_on_parallel_runner", E,
+         scaling_doc(gate.SCALING_MIN_SPEEDUP_X, 8.0), scaling_doc(1.0)),
+    Case("scaling_small_runner_skips_loudly", E, scaling_doc(1.0, 2.2),
+         scaling_doc(1.0), prints=f"{SPEEDUP}: not gated"),
+    Case("scaling_parallelism_at_threshold_is_gated", E,
+         scaling_doc(1.0, gate.SCALING_MIN_PARALLELISM), scaling_doc(1.0),
+         {SPEEDUP}),
+    Case("scaling_cores_alone_do_not_enable_the_gate", E,
+         with_(scaling_doc(1.0), cores=16), scaling_doc(1.0),
+         prints=f"{SPEEDUP}: not gated"),
+    Case("scaling_no_speedup_entry_skips_loudly", E, {"scaling": []},
+         {"scaling": []}, prints="not gated"),
+    Case("scaling_wrong_thread_count_entry_is_not_gated", E,
+         scaling_doc(0.5, 16.0, threads=gate.SCALING_GATE_THREADS + 1),
+         scaling_doc(0.5, threads=gate.SCALING_GATE_THREADS + 1)),
+
+    # frontier_bytes: relative ceiling, absolute ceiling at a zero
+    # baseline, sequential runs only.
+    Case("frontier_zero_baseline_enforces_absolute_ceiling", E,
+         explore_doc(FLOOR + 1), explore_doc(0), {f"{SEQ}.frontier_bytes"}),
+    Case("frontier_zero_baseline_allows_small_frontier", E,
+         explore_doc(FLOOR), explore_doc(0),
+         prints=f"{SEQ}.frontier_bytes: lower"),
+    Case("frontier_missing_baseline_field_skips", E,
+         explore_doc(10 * FLOOR), explore_doc(),
+         prints=f"{SEQ}.frontier_bytes: no baseline"),
+    Case("frontier_positive_baseline_uses_relative_ceiling", E,
+         explore_doc(1000), explore_doc(100), {f"{SEQ}.frontier_bytes"}),
+    Case("frontier_positive_baseline_passes_when_flat", E,
+         explore_doc(100), explore_doc(100)),
+    Case("frontier_parallel_run_is_never_gated", E,
+         explore_doc(10 * FLOOR, mode="parallel_fingerprint"),
+         explore_doc(0, mode="parallel_fingerprint"),
+         prints="not gated (parallel run)"),
+
+    # Explorer hard invariants.
+    Case("parallel_counter_divergence_fails", E,
+         with_(explore_doc(), parallel_counters_match_sequential=False),
+         explore_doc(), {"parallel_counters_match_sequential"}),
+    Case("canonical_encodings_in_fingerprint_mode_fail", E,
+         explore_doc(canonical_encodings=7), explore_doc(),
+         {f"{SEQ}.canonical_encodings"}),
+    Case("canonical_encodings_in_symmetry_mode_fail", E,
+         explore_doc(canonical_encodings=7, dedupe_mode="symmetry"),
+         explore_doc(dedupe_mode="symmetry"),
+         {f"{SEQ}.canonical_encodings"}),
+    Case("zero_canonical_encodings_in_symmetry_mode_pass", E,
+         explore_doc(dedupe_mode="symmetry"),
+         explore_doc(dedupe_mode="symmetry"),
+         prints=f"{SEQ}.canonical_encodings: at_most 0"),
+    Case("canonical_encodings_in_exact_mode_are_not_gated", E,
+         explore_doc(canonical_encodings=7, dedupe_mode="exact"),
+         explore_doc(dedupe_mode="exact")),
+    Case("dedupe_mode_change_fails_once_and_skips_the_run", E,
+         explore_doc(states_per_sec=1.0, dedupe_mode="exact"), explore_doc(),
+         {f"{SEQ}.dedupe_mode"}, prints="dedupe_mode differs"),
+    Case("cow_bytes_per_state_absolute_ceiling", E,
+         explore_doc(cow_bytes_per_state=gate.COW_BYTES_PER_STATE_ABS_MAX + 1),
+         explore_doc(cow_bytes_per_state=190.0),
+         {f"{SEQ}.cow_bytes_per_state"}),
+
+    # Reduction: sound, complete, and reducing by at least 5x.
+    Case("reduction_ratio_below_absolute_floor_fails", E,
+         reduction_doc(4.9), reduction_doc(5.8),
+         {"reduction.reorder_reduction_x"}),
+    Case("reduction_ratio_not_gated_when_truncated", E,
+         reduction_doc(1.0, complete=False), reduction_doc(5.8),
+         {"reduction.reorder_both_complete"}, prints="truncated smoke run"),
+    Case("reduction_missing_pinned_violation_fails", E,
+         {"reduction": dict(reduction_doc(6.0)["reduction"],
+                            pinned_violation_found=False)},
+         reduction_doc(6.0), {"reduction.pinned_violation_found"}),
+    Case("reduction_record_missing_from_current_fails", E, {},
+         reduction_doc(6.0),
+         {"reduction.verdict_match", "reduction.pinned_violation_found",
+          "reduction.reorder_both_complete"}),
+
+    # Proof harnesses: verdicts keyed by (case, gossip_variant).
+    # Keyed by name alone, both current cases would be compared against the
+    # gossip case's 60-byte baseline and pass.
+    Case("harness_duplicate_names_compare_per_gossip_variant",
+         gate.HARNESS_41, h41_with(0, cow_bytes_per_copy=61),
+         h41_with(1, cow_bytes_per_copy=60),
+         {f"{H41_NO_GOSSIP}.cow_bytes_per_copy"}),
+    Case("harness_violated_certificate_fails", gate.HARNESS_41,
+         h41_with(0, holds=False), H41, {f"{H41_NO_GOSSIP}.holds"}),
+    Case("harness_non_injective_gossip_case_fails", gate.HARNESS_41,
+         h41_with(1, injective=False), H41, {f"{H41_GOSSIP}.injective"}),
+    Case("harness_expected_non_injective_map_passes", gate.HARNESS_65,
+         {"cases": [{"case": "ABD", "single_point_injective": False}]},
+         {"cases": [{"case": "ABD", "single_point_injective": False}]}),
+
+    # Fuzz: determinism always, throughput only at equal campaign size.
+    Case("fuzz_walk_count_change_skips_throughput", gate.FUZZ,
+         fuzz_doc(walks=32, rate=1.0), fuzz_doc(),
+         prints="walk count differs"),
+    Case("fuzz_throughput_drop_fails", gate.FUZZ, fuzz_doc(rate=700.0),
+         fuzz_doc(), {"walks_per_sec"}),
+    Case("fuzz_tests_run_change_fails", gate.FUZZ, fuzz_doc(tests_run=11),
+         fuzz_doc(), {"minimize.tests_run"}),
+]
+
+
+class GateCases(unittest.TestCase):
+    def test_failures_is_module_level_accumulator(self):
+        # The CLI exit code rides on this list; make sure helpers append to
+        # it rather than raising.
+        gate.failures.clear()
+        with redirect_stdout(io.StringIO()):
+            gate.fail("boom")
+        self.assertEqual(gate.failures, ["boom"])
+        gate.failures.clear()
+
+    def test_every_row_names_a_known_bench_and_rule(self):
+        for r in gate.ROWS:
+            self.assertIn(r.bench, gate.BENCHES, r)
+            self.assertIn(r.rule, gate.RULES, r)
+            if r.rule in ("at_least", "at_most"):
+                self.assertIsNotNone(r.bound, r)
+            elif r.rule != "lower":
+                self.assertIsNone(r.bound, r)
+
+
+def make_test(case):
+    def test(self):
+        failed, out = run_gate(case.target, case.cur, case.base)
+        self.assertEqual(failed, set(case.fails), out)
+        if case.prints is not None:
+            self.assertIn(case.prints, out)
+    return test
+
+
+for _case in CASES:
+    assert not hasattr(GateCases, f"test_{_case.name}"), _case.name
+    setattr(GateCases, f"test_{_case.name}", make_test(_case))
 
 
 if __name__ == "__main__":
