@@ -291,8 +291,8 @@ void engine_benchmark() {
   exact.exact_dedupe = true;
 
   // --mem contract evidence: the same space (a) under the hard g_mem_budget
-  // cap — visited set fitted to half of it up front, frontier share derived
-  // — and (b) under a deliberately tiny explicit frontier share that forces
+  // cap — visited set growing on demand up to half of it, frontier share
+  // derived — and (b) under a deliberately tiny explicit frontier share that forces
   // spill/reload cycles through the temp file. Both must reproduce the
   // unbudgeted counters byte-for-byte.
   ExploreOptions mem = base;

@@ -55,6 +55,25 @@ class ValencyExplorer {
   std::set<Value> values_;
 };
 
+// Delivers every pending server-to-server message (Definition 5.3 lets
+// the inter-server channels act before the read is invoked). Const access
+// for the is_server() queries: the non-const process() overload detaches
+// shared COW blocks, which a read-only query must not force.
+void flush_gossip(World& w) {
+  for (;;) {
+    bool delivered = false;
+    for (const ChannelId chan : w.deliverable_channels()) {
+      if (std::as_const(w).process(chan.src).is_server() &&
+          std::as_const(w).process(chan.dst).is_server()) {
+        w.deliver(chan);
+        delivered = true;
+        break;  // channel list may have changed; re-enumerate
+      }
+    }
+    if (!delivered) break;
+  }
+}
+
 }  // namespace
 
 std::optional<Value> probe_read(const World& at, NodeId writer, NodeId reader,
@@ -64,24 +83,7 @@ std::optional<Value> probe_read(const World& at, NodeId writer, NodeId reader,
   World w = at;
   w.freeze(writer);
 
-  if (opt.flush_gossip) {
-    // Deliver every pending server-to-server message (Definition 5.3 lets
-    // the inter-server channels act before the read is invoked). Const
-    // access for the is_server() queries: the non-const process() overload
-    // detaches shared COW blocks, which a read-only query must not force.
-    for (;;) {
-      bool delivered = false;
-      for (const ChannelId chan : w.deliverable_channels()) {
-        if (std::as_const(w).process(chan.src).is_server() &&
-            std::as_const(w).process(chan.dst).is_server()) {
-          w.deliver(chan);
-          delivered = true;
-          break;  // channel list may have changed; re-enumerate
-        }
-      }
-      if (!delivered) break;
-    }
-  }
+  if (opt.flush_gossip) flush_gossip(w);
 
   const std::size_t base_events = w.oplog().size();
   w.invoke(reader, Invocation{OpType::kRead, {}});
@@ -109,20 +111,7 @@ std::set<Value> probe_read_all_values(const World& at, NodeId writer,
                                       std::size_t max_states) {
   World w = at;
   w.freeze(writer);
-  if (opt.flush_gossip) {
-    for (;;) {
-      bool delivered = false;
-      for (const ChannelId chan : w.deliverable_channels()) {
-        if (std::as_const(w).process(chan.src).is_server() &&
-            std::as_const(w).process(chan.dst).is_server()) {
-          w.deliver(chan);
-          delivered = true;
-          break;
-        }
-      }
-      if (!delivered) break;
-    }
-  }
+  if (opt.flush_gossip) flush_gossip(w);
   const std::size_t base_events = w.oplog().size();
   w.invoke(reader, Invocation{OpType::kRead, {}});
 

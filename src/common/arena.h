@@ -1,26 +1,18 @@
 // Bounded memory: MemBudget (the `--mem` contract every tool shares) and
-// Arena (a pre-allocated bump/pool allocator that enforces it).
+// SlabPool (the refcounted slab pages behind the COW World blocks).
 //
-// The exploration engine must fit a user-supplied memory budget the way
-// mccortex's cmd_mem fits its k-mer hash to `-m`: size every structure to
-// its share of the budget UP FRONT, run with zero per-allocation metadata,
-// and fail loudly — with a sizing diagnostic naming the budget that would
-// have sufficed — instead of OOMing hours into a run. Arena is the
-// allocation half of that contract (in the spirit of datakit's membound
-// pool allocator, minus the buddy free list: exploration structures are
-// append-only, so a bump pointer is exact and free). MemBudget is the
-// parsing/partitioning half.
-//
-// Concurrency: one Arena is NOT thread-safe. Workers that allocate
-// concurrently carve per-worker sub-arenas (`carve()`) out of one parent up
-// front; each sub-arena is then owner-exclusive with no locking and no
-// per-alloc bookkeeping beyond the bump offset.
+// A budget is a ceiling, not an allocation: structures start small, grow on
+// demand, and fail loudly — with a sizing diagnostic naming a budget that
+// would have sufficed — when growth would pass their share, instead of
+// OOMing hours into a run. MemBudget is the parsing half of that contract;
+// each structure enforces its own share (the visited set in
+// engine/visited.h, frontier spilling in engine/frontier.h, the World slab
+// pages through `worldmem` below).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <new>
 #include <string>
@@ -33,9 +25,9 @@
 namespace memu {
 
 // A byte budget threaded from `--mem` down to every sized structure.
-// total == 0 means unbudgeted: structures grow on demand (the legacy
-// behavior); any nonzero total is a HARD cap enforced by Arena/VisitedSet/
-// frontier spilling, never a hint.
+// total == 0 means unbudgeted: structures grow on demand without limit;
+// any nonzero total is a HARD cap enforced by VisitedSet, frontier spilling
+// and worldmem, never a hint.
 struct MemBudget {
   std::size_t total = 0;
 
@@ -92,103 +84,18 @@ inline std::string MemBudget::to_string() const {
   return std::to_string(total);
 }
 
-// A bounded bump allocator over one pre-allocated region. alloc() is a
-// pointer bump (zero per-allocation metadata — used() is exact accounting,
-// not an estimate); exceeding the capacity is a contract violation carrying
-// a sizing diagnostic, never a silent heap fallback. There is no free():
-// exploration structures are append-only and die with the arena (or are
-// dropped wholesale via reset()).
-class Arena {
- public:
-  // Root arena: owns `capacity` bytes allocated once, here.
-  Arena(std::size_t capacity, std::string name)
-      : name_(std::move(name)),
-        owned_(std::make_unique<std::uint8_t[]>(capacity)),
-        base_(owned_.get()),
-        capacity_(capacity) {}
-
-  Arena(Arena&&) = default;
-  Arena& operator=(Arena&&) = default;
-
-  // Carves a child arena out of this one: the child manages [p, p+capacity)
-  // bump-allocated from the parent, with its own name for diagnostics. The
-  // parent must outlive the child. This is how per-worker/per-shard
-  // sub-arenas split one --mem share without locks: carve once up front,
-  // then every owner allocates from its own region.
-  Arena carve(std::size_t capacity, std::string name) {
-    return Arena(std::move(name),
-                 static_cast<std::uint8_t*>(
-                     alloc(capacity, alignof(std::max_align_t))),
-                 capacity);
-  }
-
-  // Bump-allocates `bytes` aligned to `align` (a power of two). CHECK-fails
-  // with the arena name, the request, and the occupancy when the region
-  // cannot fit it — the caller's budget was too small, and the message says
-  // so in --mem terms.
-  void* alloc(std::size_t bytes, std::size_t align = alignof(std::max_align_t)) {
-    // Align the absolute address, not the offset — the backing region's own
-    // alignment (new[] gives max_align_t at best) must not leak into the
-    // caller's alignment guarantee.
-    const std::uintptr_t cur = reinterpret_cast<std::uintptr_t>(base_) + used_;
-    const std::size_t aligned = used_ + (((cur + (align - 1)) & ~(std::uintptr_t{align} - 1)) - cur);
-    MEMU_CHECK_MSG(
-        aligned + bytes <= capacity_,
-        "arena '" << name_ << "' exhausted: requested " << bytes
-                  << " B with " << (capacity_ - used_) << " of " << capacity_
-                  << " B free — increase --mem (this structure alone needs >= "
-                  << (aligned + bytes) << " B)");
-    void* p = base_ + aligned;
-    used_ = aligned + bytes;
-    return p;
-  }
-
-  // Typed helper: n default-constructible Ts (trivially destroyed with the
-  // arena — do not put owning types here).
-  template <class T>
-  T* alloc_array(std::size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "arena memory is reclaimed without running destructors");
-    T* p = static_cast<T*>(alloc(n * sizeof(T), alignof(T)));
-    for (std::size_t i = 0; i < n; ++i) new (p + i) T();
-    return p;
-  }
-
-  // Drops every allocation at once (the only "free" a bump arena has).
-  // Carved children become dangling: reset only arenas that handed out no
-  // live carves.
-  void reset() { used_ = 0; }
-
-  const std::string& name() const { return name_; }
-  std::size_t capacity() const { return capacity_; }
-  std::size_t used() const { return used_; }
-  std::size_t remaining() const { return capacity_ - used_; }
-
- private:
-  Arena(std::string name, std::uint8_t* base, std::size_t capacity)
-      : name_(std::move(name)), base_(base), capacity_(capacity) {}
-
-  std::string name_;
-  std::unique_ptr<std::uint8_t[]> owned_;  // null for carved children
-  std::uint8_t* base_ = nullptr;
-  std::size_t capacity_ = 0;
-  std::size_t used_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // SlabPool: refcounted slab pages for the COW World blocks.
 //
-// Arena covers the append-only engine structures; the World's shared blocks
-// (process state, channel message blocks, oplog chunks) churn — they are
-// allocated per fork and freed when the last referencing World dies — so
-// they get the freelist-backed sibling: size-class freelists over large
+// The World's shared blocks (process state, channel message blocks, oplog
+// chunks) churn — they are allocated per fork and freed when the last
+// referencing World dies — so they live in size-class freelists over large
 // pages, with the refcount living in a 16-byte header immediately before
 // each payload instead of in a separately allocated shared_ptr control
 // block. One malloc per 64 KiB page instead of one per block, no control-
 // block cache miss on the refcount, and a slot free is two pointer writes.
 //
-// Concurrency contract (mirrors Arena's owner-exclusive carve discipline):
-// a pool is LEASED to one thread at a time — local_pool() hands every
+// Concurrency contract: a pool is LEASED to one thread at a time — local_pool() hands every
 // thread its own pool, so the alloc path and local frees touch no shared
 // state and take no locks. A block freed by a thread that does not own the
 // originating pool is pushed onto the owner's lock-free remote stack
@@ -201,9 +108,7 @@ class Arena {
 //
 // The pages compose with the --mem/MemBudget contract through `worldmem`: a
 // process-wide reserve counter over every page (and oversized heap-fallback
-// slot), with an optional hard limit that CHECK-fails in --mem terms — the
-// same fail-loudly-up-front discipline as Arena, applied to the one
-// structure whose peak is workload-shaped rather than sizeable up front.
+// slot), with an optional hard limit that CHECK-fails in --mem terms.
 
 class SlabPool;
 
@@ -242,10 +147,9 @@ static_assert(sizeof(SlotHeader) == 16, "payload alignment depends on this");
 
 }  // namespace slabdetail
 
-// Budget hooks for the World slab pages (`--mem` backstop). Unlike the
-// Arena shares, which are fitted up front, slab pages are reserved lazily
-// as Worlds grow — so the limit is enforced at reservation time, and the
-// diagnostic names the pool so a failing run says which structure to budget
+// Budget hooks for the World slab pages (`--mem` backstop). Slab pages
+// are reserved lazily as Worlds grow, so the limit is enforced at
+// reservation time, and the diagnostic names the pool so a failing run says which structure to budget
 // for. Pages are cached in pools forever once reserved; reserved_bytes() is
 // therefore a high-water mark of live page bytes, not a live-object count.
 namespace worldmem {

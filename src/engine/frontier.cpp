@@ -45,8 +45,7 @@ class Search {
         frontier_budget_(opt.frontier_budget_bytes != 0
                              ? opt.frontier_budget_bytes
                              : opt.mem.total / 8),
-        visited_({opt.exact_dedupe, auto_shard_count(opt.threads),
-                  opt.dedupe ? visited_budget(opt) : 0}) {}
+        visited_({opt.exact_dedupe, auto_shard_count(opt.threads), opt.mem}) {}
 
   ExploreResult run(const World& initial) {
     root_ = std::make_shared<const World>(initial);
@@ -57,12 +56,12 @@ class Search {
     // process set are fixed), so one root check covers the search.
     symmetry_on_ = opt_.reduction.symmetry && symmetry::eligible(initial);
     if (symmetry_on_) groups_.emplace(initial);
-    if (symmetry_on_ && opt_.dedupe && visited_budget(opt_) == 0) {
+    if (symmetry_on_ && !opt_.mem.bounded()) {
       // Telemetry twin-detector for symmetry_merged: an auxiliary plain-
       // fingerprint set, deliberately NOT maintained under a --mem budget
       // (it is unmetered and would roughly double visited memory).
       plain_seen_ = std::make_unique<VisitedSet>(
-          VisitedSet::Options{false, auto_shard_count(opt_.threads), 0});
+          VisitedSet::Options{false, auto_shard_count(opt_.threads)});
     }
     Node root{root_, {}, {}};
     if (opt_.threads <= 1) {
@@ -79,8 +78,8 @@ class Search {
     result.transitions = transitions_.load();
     result.deduped = deduped_.load();
     result.truncated = truncated_.load();
-    result.dedupe_bytes = opt_.dedupe ? visited_.memory_bytes() : 0;
-    result.dedupe_entries = opt_.dedupe ? visited_.size() : 0;
+    result.dedupe_bytes = visited_.memory_bytes();
+    result.dedupe_entries = visited_.size();
     result.exact_dedupe = opt_.exact_dedupe;
     result.frontier_bytes = frontier_peak_.load();
     if (spill_ != nullptr) {
@@ -105,15 +104,6 @@ class Search {
   }
 
  private:
-  // --mem split: the visited set takes half the budget (it is the
-  // structure that scales with DISTINCT states and cannot shed load), the
-  // in-memory frontier an eighth (it can — to disk); the rest is slack
-  // for parent Worlds and bookkeeping. Direct overrides win.
-  static std::size_t visited_budget(const ExploreOptions& opt) {
-    if (opt.visited_budget_bytes != 0) return opt.visited_budget_bytes;
-    return opt.mem.total / 2;
-  }
-
   // Frontier memory accounting: the node struct plus its path storage.
   // Deliberately based on size(), not capacity(), so the accounting — and
   // therefore every spill decision — is identical across allocators and
@@ -133,6 +123,7 @@ class Search {
 
   void pop_bytes(const Node& n) { frontier_bytes_.fetch_sub(node_bytes(n)); }
 
+  // Records the first violation and aborts the search.
   void record_violation(const std::string& why,
                         const std::vector<ExploreStep>& path) {
     std::lock_guard<std::mutex> lock(violation_mu_);
@@ -141,7 +132,7 @@ class Search {
       violation_ = why;
       violation_path_ = path;
     }
-    if (opt_.stop_at_first_violation) aborted_.store(true);
+    aborted_.store(true);
   }
 
   // Dedupe keys. Default: the state as-is. Under symmetry reduction the
@@ -240,19 +231,13 @@ class Search {
       replay_steps_.fetch_add(1);
     }
 
-    if (opt_.dedupe) {
-      if (!admit(world)) return;
-    } else if (states_visited_.load() >= opt_.max_states) {
-      complete_.store(false);
-      truncated_.fetch_add(1);
-      return;
-    }
+    if (!admit(world)) return;
     states_visited_.fetch_add(1);
 
     if (invariant_) {
       if (const auto why = invariant_(world); why.has_value()) {
         record_violation("invariant: " + *why, node.path);
-        if (aborted_.load()) return;
+        return;
       }
     }
 

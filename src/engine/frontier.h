@@ -48,8 +48,6 @@ namespace memu {
 struct ExploreOptions {
   std::size_t max_depth = 200;       // deliveries along one path
   std::size_t max_states = 500'000;  // distinct states to expand
-  bool dedupe = true;                // canonical-state memoization
-  bool stop_at_first_violation = true;
   // Branch over every in-channel position too (the paper's channels are
   // not FIFO). Branches that lead to identical states (e.g. delivering
   // either of two adjacent identical payloads) merge in the visited set.
@@ -67,18 +65,16 @@ struct ExploreOptions {
 
   // --- memory budget -------------------------------------------------------
   // Hard byte cap for the search's growing structures (`--mem` on the
-  // tools). Unbounded (the default) preserves the grow-forever behavior.
-  // Bounded, the budget is split up front: the visited set gets half,
-  // fitted mccortex-style at construction and CHECK-failing with a sizing
-  // hint if the state space needs more; in-memory frontier nodes get an
-  // eighth, enforced by spilling cold node batches to a temp file and
-  // replaying them later (counters and DFS order stay byte-identical at
-  // ANY budget — see DESIGN.md); the remainder is slack for parent Worlds
-  // and bookkeeping the engine cannot meter exactly.
+  // tools). Unbounded (the default) lets them grow on demand. Bounded, the
+  // visited set still grows on demand, but only up to half the budget:
+  // growth past that CHECK-fails with a --mem sizing hint. In-memory
+  // frontier nodes get an eighth, enforced by spilling cold node batches
+  // to a temp file and replaying them later (counters and DFS order stay
+  // byte-identical at ANY budget — see DESIGN.md); the remainder is slack
+  // for parent Worlds and bookkeeping the engine cannot meter exactly.
   MemBudget mem;
-  // Direct share overrides in bytes (0 = derive from `mem` as above).
-  // Tests and benches use these to force spilling at precise thresholds.
-  std::size_t visited_budget_bytes = 0;
+  // Direct frontier share in bytes (0 = an eighth of `mem`). Tests and
+  // benches use it to force spilling at precise thresholds.
   std::size_t frontier_budget_bytes = 0;
 
   // --- partial-order reduction ---------------------------------------------
@@ -115,11 +111,11 @@ struct ExploreResult {
   std::size_t transitions = 0;      // deliveries executed
   std::size_t deduped = 0;          // revisits merged away
   std::size_t truncated = 0;        // expansions rejected by max_states
-  // Visited-set footprint, via VisitedSet::memory_bytes(): EXACT allocated
-  // bytes — open-addressed slot tables plus (exact mode) the encoding
-  // slabs. The two modes are NOT comparable byte-for-byte — check
-  // exact_dedupe before comparing across runs (bench emitters tag every
-  // record with its mode for exactly this reason).
+  // Visited-set footprint, via VisitedSet::memory_bytes(): open-addressed
+  // slot tables plus (exact mode) the encoding bytes the slabs hold. The
+  // two modes are NOT comparable byte-for-byte — check exact_dedupe before
+  // comparing across runs (bench emitters tag every record with its mode
+  // for exactly this reason).
   std::size_t dedupe_bytes = 0;
   std::size_t dedupe_entries = 0;  // states retained by the visited set
   bool exact_dedupe = false;       // mode behind dedupe_bytes (see above)

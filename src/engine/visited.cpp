@@ -1,6 +1,9 @@
 #include "engine/visited.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "common/check.h"
 
@@ -8,19 +11,15 @@ namespace memu::engine {
 
 namespace {
 
-// Slot widths for exact memory accounting and budget fitting.
+// Slot widths for memory accounting and the growth ceiling.
 constexpr std::size_t kFpSlot = sizeof(std::uint64_t);
 constexpr std::size_t kRefSlot = sizeof(VisitedSet::Shard::SlabRef);
 
-// Smallest slot table a budgeted shard may be fitted with; below this the
-// budget is rejected at construction instead of thrashing at runtime.
-constexpr std::size_t kMinCapacity = 64;
-
-// Unbudgeted shards start here and double on demand.
+// Every shard's slot table starts here and doubles on demand.
 constexpr std::size_t kInitialCapacity = 256;
 
-// Open addressing stays O(1) while occupancy <= 3/4; past it a budgeted
-// shard fails loudly and an unbudgeted one doubles.
+// Open addressing stays O(1) while occupancy <= 3/4; past it the shard
+// doubles.
 constexpr std::size_t load_limit(std::size_t capacity) {
   return capacity - capacity / 4;
 }
@@ -39,96 +38,90 @@ inline std::uint64_t exact_slot_fp(std::uint64_t fp) {
   return fp == VisitedSet::Shard::kEmpty ? 1 : fp;
 }
 
+// The --mem that gives `shards` shards a `share`-byte ceiling each (the
+// set takes half of --mem), rounded up to a whole K, or M past 1M.
+std::string mem_hint(std::size_t share, std::size_t shards) {
+  const std::size_t total = 2 * share * shards;
+  const std::size_t unit = total >= (1u << 20) ? (1u << 20) : (1u << 10);
+  return MemBudget{(total + unit - 1) / unit * unit}.to_string();
+}
+
 }  // namespace
 
 VisitedSet::VisitedSet(const Options& opt)
-    : exact_(opt.exact), budget_bytes_(opt.budget_bytes) {
+    : exact_(opt.exact), mem_(opt.mem) {
   const std::size_t n = opt.shards == 0 ? 1 : opt.shards;
+  share_ = mem_.total / 2 / n;
+  MEMU_CHECK_MSG(!mem_.bounded() || table_bytes(kInitialCapacity) <= share_,
+                 "visited set cannot fit its first "
+                     << kInitialCapacity << "-slot table in the " << share_
+                     << " B shard share of --mem " << mem_.to_string()
+                     << " (" << n << " shard(s)); rerun with --mem >= "
+                     << mem_hint(table_bytes(kInitialCapacity), n));
   shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-
-  if (budget_bytes_ == 0) {
-    for (auto& s : shards_) init_shard(*s, kInitialCapacity, 0);
-    return;
-  }
-
-  // Budgeted: fit every shard's capacity to its share of the budget UP
-  // FRONT (mccortex-style), all carved from one pre-allocated arena. A few
-  // bytes per carve go to alignment, hence the small per-shard reserve.
-  arena_.emplace(budget_bytes_, "visited-set");
-  constexpr std::size_t kCarveSlack = 64;
-  const std::size_t per_shard = budget_bytes_ / n;
-  const std::size_t slot_width = exact_ ? kFpSlot + kRefSlot : kFpSlot;
-  // Exact mode spends most of its share on the encoding slab; the table
-  // takes a quarter. Fingerprint mode is all table.
-  const std::size_t table_share = exact_ ? per_shard / 4 : per_shard;
-  const std::size_t capacity =
-      table_share > kCarveSlack + slot_width
-          ? std::bit_floor((table_share - kCarveSlack) / slot_width)
-          : 0;
-  MEMU_CHECK_MSG(
-      capacity >= kMinCapacity,
-      "visited-set budget too small: "
-          << MemBudget{budget_bytes_}.to_string() << " across " << n
-          << " shard(s) fits " << capacity
-          << " slots/shard (need >= " << kMinCapacity
-          << "); rerun with --mem >= "
-          << MemBudget{n * slot_width * kMinCapacity * (exact_ ? 8 : 2)}
-                 .to_string());
-  const std::size_t slab =
-      exact_ ? per_shard - capacity * slot_width - kCarveSlack : 0;
-  for (auto& s : shards_) init_shard(*s, capacity, slab);
-}
-
-void VisitedSet::init_shard(Shard& s, std::size_t capacity,
-                            std::size_t slab_capacity) {
-  s.capacity = capacity;
-  if (arena_.has_value()) {
-    s.fps = arena_->alloc_array<std::uint64_t>(capacity);
-    if (exact_) {
-      s.refs = arena_->alloc_array<Shard::SlabRef>(capacity);
-      s.slab = static_cast<std::uint8_t*>(arena_->alloc(slab_capacity, 1));
-      s.slab_capacity = slab_capacity;
-    }
-    return;
-  }
-  s.heap_fps.assign(capacity, Shard::kEmpty);
-  s.fps = s.heap_fps.data();
-  if (exact_) {
-    s.heap_refs.assign(capacity, Shard::SlabRef{});
-    s.refs = s.heap_refs.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto s = std::make_unique<Shard>();
+    s->fps.assign(kInitialCapacity, Shard::kEmpty);
+    if (exact_) s->refs.assign(kInitialCapacity, Shard::SlabRef{});
+    shards_.push_back(std::move(s));
   }
 }
 
-void VisitedSet::grow(Shard& s) {
+std::size_t VisitedSet::table_bytes(std::size_t capacity) const {
+  return capacity * (exact_ ? kFpSlot + kRefSlot : kFpSlot);
+}
+
+void VisitedSet::check_fits(const Shard& s, std::size_t bytes,
+                            const char* what, std::size_t need) const {
+  const std::size_t held = table_bytes(s.fps.size()) + s.slab.capacity();
   MEMU_CHECK_MSG(
-      !arena_.has_value(),
-      "visited set at its --mem load limit: "
-          << s.entries << " states fill " << s.capacity
-          << " slots to the 3/4 bound (budget "
-          << MemBudget{budget_bytes_}.to_string()
-          << "); rerun with --mem >= "
-          << MemBudget{budget_bytes_ * 2}.to_string()
-          << " or switch to fingerprint dedupe");
-  const std::size_t new_cap = s.capacity * 2;
+      share_ == 0 || held + bytes <= share_,
+      "visited set at its --mem ceiling: "
+          << s.entries << " states fill " << s.fps.size() << " slots; a "
+          << bytes << " B " << what << " next to the " << held
+          << " B held passes the " << share_ << " B shard share of --mem "
+          << mem_.to_string() << " (" << shards_.size()
+          << " shard(s)); rerun with --mem >= "
+          << mem_hint(need, shards_.size())
+          << (exact_ ? " or switch to fingerprint dedupe" : ""));
+}
+
+void VisitedSet::grow_table(Shard& s) {
+  // The old table lives until the rehash is done, so both must fit. A
+  // rerun whose share is 3x the table plus the slab grows past this point.
+  const std::size_t cap = s.fps.size();
+  const std::size_t new_cap = cap * 2;
+  check_fits(s, table_bytes(new_cap), "doubled slot table",
+             3 * (table_bytes(cap) + s.slab.size()));
   std::vector<std::uint64_t> fps(new_cap, Shard::kEmpty);
-  std::vector<Shard::SlabRef> refs;
-  if (exact_) refs.assign(new_cap, Shard::SlabRef{});
-  for (std::size_t i = 0; i < s.capacity; ++i) {
+  std::vector<Shard::SlabRef> refs(exact_ ? new_cap : 0);
+  for (std::size_t i = 0; i < cap; ++i) {
     if (s.fps[i] == Shard::kEmpty) continue;
     std::size_t idx = probe_start(s.fps[i], new_cap);
     while (fps[idx] != Shard::kEmpty) idx = (idx + 1) & (new_cap - 1);
     fps[idx] = s.fps[i];
     if (exact_) refs[idx] = s.refs[i];
   }
-  s.heap_fps = std::move(fps);
-  s.fps = s.heap_fps.data();
-  if (exact_) {
-    s.heap_refs = std::move(refs);
-    s.refs = s.heap_refs.data();
+  s.fps = std::move(fps);
+  s.refs = std::move(refs);
+}
+
+void VisitedSet::append_key(Shard& s, const Bytes& key) {
+  const std::size_t need = s.slab.size() + key.size();
+  if (need > s.slab.capacity()) {
+    // Grows as std::vector::insert would (to twice the size, or the need
+    // if larger), but explicitly, so a budgeted slab stops at what its
+    // share can hold while the old copy is still alive.
+    std::size_t room = SIZE_MAX;
+    if (share_ != 0)
+      room = share_ - table_bytes(s.fps.size()) - s.slab.capacity();
+    const std::size_t cap =
+        std::max(need, std::min(2 * s.slab.size(), room));
+    check_fits(s, cap, "encoding slab",
+               3 * (table_bytes(s.fps.size()) + need));
+    s.slab.reserve(cap);
   }
-  s.capacity = new_cap;
+  s.slab.insert(s.slab.end(), key.begin(), key.end());
 }
 
 bool VisitedSet::insert_locked(Shard& s, std::uint64_t fp, const Bytes* key) {
@@ -141,7 +134,8 @@ bool VisitedSet::insert_locked(Shard& s, std::uint64_t fp, const Bytes* key) {
   }
   const std::uint64_t slot_fp = exact_ ? exact_slot_fp(fp) : fp;
   for (;;) {
-    std::size_t idx = probe_start(slot_fp, s.capacity);
+    const std::size_t mask = s.fps.size() - 1;
+    std::size_t idx = probe_start(slot_fp, s.fps.size());
     for (;;) {
       const std::uint64_t have = s.fps[idx];
       if (have == Shard::kEmpty) break;
@@ -149,44 +143,26 @@ bool VisitedSet::insert_locked(Shard& s, std::uint64_t fp, const Bytes* key) {
         if (!exact_) return false;
         const Shard::SlabRef& ref = s.refs[idx];
         if (ref.length == key->size() &&
-            std::memcmp(s.slab + ref.offset, key->data(), ref.length) == 0)
+            std::memcmp(s.slab.data() + ref.offset, key->data(),
+                        ref.length) == 0)
           return false;
         // Exact-mode fingerprint collision: different bytes, same slot
         // value — keep probing; the colliding key lives further down the
         // chain or in a free slot.
       }
-      idx = (idx + 1) & (s.capacity - 1);
+      idx = (idx + 1) & mask;
     }
-    if (s.entries + 1 <= load_limit(s.capacity)) {
+    if (s.entries + 1 <= load_limit(s.fps.size())) {
       if (exact_) {
-        MEMU_CHECK_MSG(
-            s.slab_used + key->size() <= s.slab_capacity ||
-                !arena_.has_value(),
-            "visited-set encoding slab exhausted: "
-                << s.entries << " states consumed " << s.slab_used << " of "
-                << s.slab_capacity << " B (budget "
-                << MemBudget{budget_bytes_}.to_string()
-                << "); rerun with --mem >= "
-                << MemBudget{budget_bytes_ * 2}.to_string()
-                << " or switch to fingerprint dedupe");
-        if (!arena_.has_value()) {
-          s.heap_slab.insert(s.heap_slab.end(), key->begin(), key->end());
-          s.slab = s.heap_slab.data();
-          s.slab_used = s.heap_slab.size();
-          s.refs[idx] = {s.slab_used - key->size(),
-                         static_cast<std::uint32_t>(key->size())};
-        } else {
-          std::memcpy(s.slab + s.slab_used, key->data(), key->size());
-          s.refs[idx] = {s.slab_used,
-                         static_cast<std::uint32_t>(key->size())};
-          s.slab_used += key->size();
-        }
+        append_key(s, *key);
+        s.refs[idx] = {s.slab.size() - key->size(),
+                       static_cast<std::uint32_t>(key->size())};
       }
       s.fps[idx] = slot_fp;
       ++s.entries;
       return true;
     }
-    grow(s);  // unbudgeted: double and re-probe; budgeted: CHECK-fails
+    grow_table(s);  // CHECK-fails at the --mem ceiling
   }
 }
 
@@ -194,7 +170,8 @@ bool VisitedSet::contains_locked(const Shard& s, std::uint64_t fp,
                                  const Bytes* key) const {
   if (!exact_ && fp == Shard::kEmpty) return s.zero_present;
   const std::uint64_t slot_fp = exact_ ? exact_slot_fp(fp) : fp;
-  std::size_t idx = probe_start(slot_fp, s.capacity);
+  const std::size_t mask = s.fps.size() - 1;
+  std::size_t idx = probe_start(slot_fp, s.fps.size());
   for (;;) {
     const std::uint64_t have = s.fps[idx];
     if (have == Shard::kEmpty) return false;
@@ -202,10 +179,11 @@ bool VisitedSet::contains_locked(const Shard& s, std::uint64_t fp,
       if (!exact_) return true;
       const Shard::SlabRef& ref = s.refs[idx];
       if (ref.length == key->size() &&
-          std::memcmp(s.slab + ref.offset, key->data(), ref.length) == 0)
+          std::memcmp(s.slab.data() + ref.offset, key->data(), ref.length) ==
+              0)
         return true;
     }
-    idx = (idx + 1) & (s.capacity - 1);
+    idx = (idx + 1) & mask;
   }
 }
 
@@ -250,13 +228,7 @@ std::size_t VisitedSet::memory_bytes() const {
   std::size_t n = 0;
   for (const auto& s : shards_) {
     std::lock_guard<std::mutex> lock(s->mu);
-    n += s->capacity * kFpSlot;
-    if (exact_) {
-      n += s->capacity * kRefSlot;
-      // Budgeted slabs are reserved in full up front (that IS the
-      // footprint); unbudgeted slabs grew to what they hold.
-      n += arena_.has_value() ? s->slab_capacity : s->heap_slab.size();
-    }
+    n += table_bytes(s->fps.size()) + s->slab.size();
   }
   return n;
 }

@@ -10,14 +10,15 @@
 // at 64 bits the expected collision count for S states is ~S^2 / 2^65, and
 // in exact mode colliding fingerprints are disambiguated by byte compare.
 //
-// Memory contract (the mccortex shape): with Options::budget_bytes set,
-// the slot tables and slabs are carved out of ONE pre-allocated
-// common/arena.h Arena, capacity fitted to the budget up front — the set
-// never allocates past the budget, and filling it beyond the load limit
-// CHECK-fails with a sizing diagnostic in --mem terms instead of growing.
-// Unbudgeted (budget_bytes == 0), tables start small and double on demand:
-// the legacy grow-forever behavior. Either way memory_bytes() is EXACT —
-// slots x slot width plus slab bytes — not the old per-key estimate that
+// Memory: every shard's slot table (and, in exact mode, its slab) starts
+// small and doubles on demand. Options::mem, the run's --mem budget, only
+// caps that growth: the set's ceiling is half of --mem, split evenly over
+// the shards, and a shard grows only while its old and new allocations
+// together fit its share. An insert that needs growth past the ceiling
+// CHECK-fails with a hint naming a --mem that gets past it. A budgeted set
+// that stays under its ceiling holds exactly what the unbudgeted set of
+// the same space holds. memory_bytes() is slots x slot width plus the slab
+// bytes held — real table memory, not the old per-key estimate that
 // ignored unordered_set node/bucket overhead.
 //
 // Membership-then-insert is a single operation: try_insert() probes the
@@ -30,8 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -55,10 +54,9 @@ class VisitedSet {
   struct Options {
     bool exact = false;      // keep full encodings alongside fingerprints
     std::size_t shards = 1;  // >1 for concurrent inserters
-    // Hard memory cap in bytes; 0 = unbudgeted (grow on demand). Budgeted
-    // sets fit their capacity to the budget at construction and CHECK-fail
-    // with a sizing hint when the state space needs more.
-    std::size_t budget_bytes = 0;
+    // The run's --mem budget. Unbounded (the default) grows on demand;
+    // bounded, half of it is the set's growth ceiling (see header comment).
+    MemBudget mem{};
   };
 
   explicit VisitedSet(const Options& opt);
@@ -82,19 +80,19 @@ class VisitedSet {
 
   std::size_t size() const;
 
-  // EXACT bytes backing the set: slot-table capacity x slot width, plus
-  // (exact mode) the encoding slab. This is real allocated memory, the
-  // number a --mem budget is debited by — not a per-key estimate.
+  // Bytes backing the set: slot-table capacity x slot width, plus (exact
+  // mode) the encoding bytes the slabs hold. Never above the --mem share.
   std::size_t memory_bytes() const;
 
   // Internal layout; public only so the implementation's file-local
   // helpers (and layout-pinning tests) can name it.
   // One open-addressed shard. fps[i] holds the entry's fingerprint
-  // (kEmpty marks a free slot). A genuine all-zero fingerprint is tracked
-  // by the zero_present flag in fingerprint mode; exact mode remaps it to
-  // 1 before probing, which is sound there because byte comparison — not
-  // the fingerprint — decides equality. Exact mode adds a parallel refs[]
-  // array locating each entry's encoding inside the shard's slab.
+  // (kEmpty marks a free slot); fps.size() is the capacity, a power of
+  // two. A genuine all-zero fingerprint is tracked by the zero_present flag
+  // in fingerprint mode; exact mode remaps it to 1 before probing, which is
+  // sound there because byte comparison — not the fingerprint — decides
+  // equality. Exact mode adds a parallel refs[] array locating each
+  // entry's encoding inside the shard's slab.
   struct Shard {
     static constexpr std::uint64_t kEmpty = 0;
 
@@ -104,21 +102,11 @@ class VisitedSet {
     };
 
     mutable std::mutex mu;
-    std::uint64_t* fps = nullptr;
-    SlabRef* refs = nullptr;  // exact mode only
-    std::size_t capacity = 0;  // power of two
+    std::vector<std::uint64_t> fps;
+    std::vector<SlabRef> refs;       // exact mode only
+    std::vector<std::uint8_t> slab;  // exact mode only: encoding bytes
     std::size_t entries = 0;
     bool zero_present = false;  // fingerprint mode: a state hashed to 0
-
-    std::uint8_t* slab = nullptr;  // exact mode: encoding bytes
-    std::size_t slab_capacity = 0;
-    std::size_t slab_used = 0;
-
-    // Heap backing for the unbudgeted growth path; budgeted shards point
-    // into the arena instead and leave these empty.
-    std::vector<std::uint64_t> heap_fps;
-    std::vector<SlabRef> heap_refs;
-    std::vector<std::uint8_t> heap_slab;
   };
 
  private:
@@ -129,12 +117,18 @@ class VisitedSet {
   bool insert_locked(Shard& s, std::uint64_t fp, const Bytes* key);
   bool contains_locked(const Shard& s, std::uint64_t fp,
                        const Bytes* key) const;
-  void grow(Shard& s);
-  void init_shard(Shard& s, std::size_t capacity, std::size_t slab_capacity);
+  void grow_table(Shard& s);
+  void append_key(Shard& s, const Bytes& key);
+  std::size_t table_bytes(std::size_t capacity) const;
+  // CHECK-fails unless `bytes` more fit the shard's share (always true
+  // unbudgeted); `need` is the share that would fit the growth, for the
+  // hint.
+  void check_fits(const Shard& s, std::size_t bytes, const char* what,
+                  std::size_t need) const;
 
   bool exact_;
-  std::size_t budget_bytes_ = 0;
-  std::optional<Arena> arena_;  // engaged iff budgeted
+  MemBudget mem_;
+  std::size_t share_ = 0;  // per-shard byte ceiling; 0 = unbudgeted
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <string>
+
 #include "algo/abd/system.h"
 #include "sim/cow_stats.h"
 
@@ -233,17 +236,6 @@ TEST(FrontierSearch, DedupeFieldsReportTheRunsOwnMode) {
   EXPECT_EQ(b.dedupe_entries, b.states_visited);
   EXPECT_GE(a.dedupe_bytes, 8 * a.dedupe_entries);
   EXPECT_GT(b.dedupe_bytes, 8 * b.dedupe_entries);
-
-  // Dedupe off: no visited set, so no entries and no bytes.
-  World w;
-  const NodeId x = w.add_process(std::make_unique<MarkSink>());
-  const NodeId y = w.add_process(std::make_unique<MarkSink>());
-  w.enqueue({x, y}, make_msg<Mark>(0));
-  ExploreOptions off;
-  off.dedupe = false;
-  const auto c = engine::frontier_search(w, off, {}, {});
-  EXPECT_EQ(c.dedupe_entries, 0u);
-  EXPECT_EQ(c.dedupe_bytes, 0u);
 }
 
 TEST(FrontierSearch, ParallelFindsTheSameInvariantViolation) {
@@ -371,8 +363,10 @@ TEST(FrontierSearch, MemBudgetDerivesSharesAndCompletesIdentically) {
   const auto b = explore_abd(budgeted);
   expect_same_semantics(base, b);
   EXPECT_EQ(b.spill_batches, 0u);
-  // And the exact visited accounting is what the budget was debited by.
+  // The budget is a ceiling, not an allocation: the visited set holds
+  // exactly what the unbudgeted run's holds, well inside its half.
   EXPECT_GT(b.dedupe_bytes, 0u);
+  EXPECT_EQ(b.dedupe_bytes, base.dedupe_bytes);
   EXPECT_LE(b.dedupe_bytes, budgeted.mem.total / 2);
 }
 
@@ -446,17 +440,62 @@ TEST(FrontierSearch, SpilledNodesReplayFromASharedBaseNotFromRoot) {
 }
 
 TEST(FrontierSearch, InsufficientVisitedBudgetFailsLoudly) {
-  // The ABD space needs thousands of fingerprint slots; a 4 KB visited
-  // budget cannot hold them and must CHECK-fail with a --mem sizing hint
-  // rather than degrade or grow.
+  // The ABD space needs thousands of fingerprint slots; the 4 KB visited
+  // share of an 8K budget cannot hold them and must CHECK-fail with a
+  // --mem sizing hint rather than degrade or grow past it.
   ExploreOptions opt;
-  opt.visited_budget_bytes = 4096;
+  opt.mem = MemBudget::parse("8K");
   try {
     explore_abd(opt);
-    FAIL() << "expected the visited-set load limit to throw";
+    FAIL() << "expected the visited-set ceiling to throw";
   } catch (const ContractError& e) {
     EXPECT_NE(std::string(e.what()).find("--mem"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(FrontierSearch, VisitedSizingHintGetsPastTheFailingSize) {
+  // Following the ceiling's hint from a budget far too small must always
+  // make progress: each hint names more than the --mem it was given, and
+  // each rerun completes or fails later — at a strictly larger table in
+  // fingerprint mode, past strictly more states in exact mode (whose slab
+  // can also hit the ceiling). Only exact mode is told to switch modes.
+  const std::regex failure(R"((\d+) states fill (\d+) slots)");
+  const std::regex hint(R"(--mem >= ([0-9]+[KMG]?))");
+  for (const bool exact : {false, true}) {
+    ExploreOptions opt;
+    opt.exact_dedupe = exact;
+    opt.mem = MemBudget::parse("64K");
+    std::size_t last_states = 0, last_slots = 0;
+    for (int rerun = 0;; ++rerun) {
+      ASSERT_LT(rerun, 32) << "hints never reached a fitting budget";
+      std::string what;
+      try {
+        const auto r = explore_abd(opt);
+        EXPECT_TRUE(r.complete);
+        EXPECT_GT(rerun, 0) << "64K should not fit the space";
+        break;
+      } catch (const ContractError& e) {
+        what = e.what();
+      }
+      std::smatch f, h;
+      ASSERT_TRUE(std::regex_search(what, f, failure)) << what;
+      ASSERT_TRUE(std::regex_search(what, h, hint)) << what;
+      const std::size_t states = std::stoull(f[1]);
+      const std::size_t slots = std::stoull(f[2]);
+      const MemBudget next = MemBudget::parse(h[1]);
+      EXPECT_GT(next.total, opt.mem.total) << what;
+      if (exact) {
+        EXPECT_GT(states, last_states) << what;
+        EXPECT_NE(what.find("fingerprint dedupe"), std::string::npos) << what;
+      } else {
+        EXPECT_GT(slots, last_slots) << what;
+        EXPECT_EQ(what.find("fingerprint dedupe"), std::string::npos) << what;
+      }
+      last_states = states;
+      last_slots = slots;
+      opt.mem = next;
+    }
   }
 }
 

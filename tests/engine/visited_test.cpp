@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 namespace memu::engine {
@@ -69,55 +70,77 @@ TEST(VisitedSet, MemoryBytesIsExactAndExceedsTheLegacyEstimate) {
   EXPECT_GE(exact.memory_bytes(), 256u * (8u + 16u) + 100u * 8u);
 }
 
-TEST(VisitedSet, BudgetedSetFitsCapacityUpFrontAndStaysWithinBudget) {
-  constexpr std::size_t kBudget = 1 << 16;  // 64 KiB
-  VisitedSet set({/*exact=*/false, /*shards=*/4, kBudget});
-  // Capacity is fitted at construction: memory_bytes() is already final
-  // and within budget before any insert.
-  const std::size_t fitted = set.memory_bytes();
-  EXPECT_GT(fitted, 0u);
-  EXPECT_LE(fitted, kBudget);
-  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_TRUE(set.try_insert(key(i)));
-  EXPECT_EQ(set.size(), 1000u);
-  EXPECT_EQ(set.memory_bytes(), fitted);  // no growth, ever
+TEST(VisitedSet, BudgetedSetHoldsWhatTheUnbudgetedSetHolds) {
+  // --mem is a ceiling, not an allocation: under a budget the space fits,
+  // the set grows exactly as the unbudgeted one does, in both modes.
+  for (const bool exact : {false, true}) {
+    VisitedSet free_set({exact, /*shards=*/4});
+    VisitedSet capped({exact, /*shards=*/4, MemBudget::parse("64M")});
+    EXPECT_EQ(capped.memory_bytes(), free_set.memory_bytes());
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+      EXPECT_TRUE(capped.try_insert(key(i)));
+      free_set.try_insert(key(i));
+    }
+    EXPECT_EQ(capped.size(), 5000u);
+    EXPECT_EQ(capped.memory_bytes(), free_set.memory_bytes()) << exact;
+  }
 }
 
 TEST(VisitedSet, OverfilledBudgetFailsLoudlyWithSizingHint) {
-  // A budget too small for the state space must CHECK-fail at the load
-  // limit — not grow, not degrade — and the message must tell the user
-  // what to do in --mem terms.
-  VisitedSet set({/*exact=*/false, /*shards=*/1, /*budget_bytes=*/4096});
-  try {
-    for (std::uint64_t i = 0; i < 100'000; ++i) set.try_insert(key(i));
-    FAIL() << "insert past the load limit should have thrown";
-  } catch (const ContractError& e) {
-    EXPECT_NE(std::string(e.what()).find("--mem"), std::string::npos)
-        << e.what();
+  // A budget too small for the state space must CHECK-fail when growth
+  // would pass the share — not grow past it, not degrade — and the message
+  // must tell the user what to do in --mem terms. Exact mode grows two
+  // structures, table and slab, inside one share; neither may push the
+  // footprint past it before the failing insert.
+  constexpr std::size_t kMem = 64 << 10;  // a 32 KB share
+  for (const bool exact : {false, true}) {
+    VisitedSet set({exact, /*shards=*/1, MemBudget{kMem}});
+    try {
+      for (std::uint64_t i = 0; i < 100'000; ++i) {
+        set.try_insert(key(i));
+        ASSERT_LE(set.memory_bytes(), kMem / 2) << exact << " at " << i;
+      }
+      FAIL() << "insert past the ceiling should have thrown";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("--mem"), std::string::npos)
+          << e.what();
+    }
+    if (!exact) {
+      // 2048 slots (16 KB) fit the share; 2048 + 4096 slots together do
+      // not, so the table stops at its 3/4 load limit.
+      EXPECT_EQ(set.size(), 1536u);
+      EXPECT_EQ(set.memory_bytes(), 2048u * 8u);
+    }
   }
 }
 
 TEST(VisitedSet, ImpossiblySmallBudgetFailsAtConstruction) {
-  // Not even a minimum-capacity table fits: fail at construction, again
-  // with the --mem sizing hint.
+  // Not even the first table fits: fail at construction, again with the
+  // --mem sizing hint — and the hinted budget does construct.
   try {
-    VisitedSet set({/*exact=*/false, /*shards=*/16, /*budget_bytes=*/256});
+    VisitedSet set({/*exact=*/false, /*shards=*/16, MemBudget{512}});
     FAIL() << "construction should have thrown";
   } catch (const ContractError& e) {
-    EXPECT_NE(std::string(e.what()).find("--mem"), std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    const std::string flag = "--mem >= ";
+    const std::size_t at = what.find(flag);
+    ASSERT_NE(at, std::string::npos) << what;
+    const MemBudget hint = MemBudget::parse(what.substr(at + flag.size()));
+    EXPECT_GT(hint.total, 512u);
+    EXPECT_NO_THROW(VisitedSet({/*exact=*/false, /*shards=*/16, hint}));
   }
 }
 
 TEST(VisitedSet, BudgetedExactModeKeepsEncodingsAndStaysWithinBudget) {
-  constexpr std::size_t kBudget = 1 << 20;  // 1 MiB
-  VisitedSet set({/*exact=*/true, /*shards=*/2, kBudget});
-  EXPECT_LE(set.memory_bytes(), kBudget);
+  constexpr std::size_t kShare = 1 << 20;  // half of a 2 MiB --mem
+  VisitedSet set({/*exact=*/true, /*shards=*/2, MemBudget{2 * kShare}});
+  EXPECT_LE(set.memory_bytes(), kShare);
   for (std::uint64_t i = 0; i < 500; ++i) {
     EXPECT_TRUE(set.try_insert(key(i)));
     EXPECT_FALSE(set.try_insert(key(i)));
   }
   EXPECT_EQ(set.size(), 500u);
-  EXPECT_LE(set.memory_bytes(), kBudget);
+  EXPECT_LE(set.memory_bytes(), kShare);
 }
 
 TEST(VisitedSet, ConcurrentInsertersAgreeOnFreshness) {
