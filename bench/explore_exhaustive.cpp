@@ -290,15 +290,11 @@ void engine_benchmark() {
   ExploreOptions exact = base;
   exact.exact_dedupe = true;
 
-  // --mem contract evidence: the same space (a) under the hard g_mem_budget
-  // cap — visited set growing on demand up to half of it, frontier share
-  // derived — and (b) under a deliberately tiny explicit frontier share that forces
-  // spill/reload cycles through the temp file. Both must reproduce the
-  // unbudgeted counters byte-for-byte.
+  // --mem contract evidence: the same space under the hard g_mem_budget
+  // cap — visited set growing on demand up to half of it, frontier nodes up
+  // to an eighth — must reproduce the unbudgeted counters byte-for-byte.
   ExploreOptions mem = base;
   mem.mem = g_mem_budget;
-  ExploreOptions spill = base;
-  spill.frontier_budget_bytes = 16ull << 10;
 
   // Partial-order reduction (sleep sets + server symmetry): the same space
   // reduced, and — the headline pair — the non-FIFO (reorder) space full vs
@@ -318,7 +314,6 @@ void engine_benchmark() {
   const TimedExplore p = timed_explore(par);
   const TimedExplore e = timed_explore(exact);
   const TimedExplore m = timed_explore(mem);
-  const TimedExplore sp = timed_explore(spill);
   const TimedExplore r = timed_explore(red);
   const TimedExplore fro = timed_explore(full_ro);
   const TimedExplore rro = timed_explore(red_ro);
@@ -358,7 +353,7 @@ void engine_benchmark() {
            s.result.complete == t.result.complete;
   };
   const bool counts_match = sem_match(p);
-  const bool budget_counts_match = sem_match(m) && sem_match(sp);
+  const bool budget_counts_match = sem_match(m);
   const double speedup = p.seconds > 0 ? s.seconds / p.seconds : 0;
 
   // Reduction ratios and verdict agreement. The ratios are only meaningful
@@ -426,11 +421,6 @@ void engine_benchmark() {
             << " B, frontier peak=" << m.result.frontier_bytes
             << " B, counters "
             << (sem_match(m) ? "IDENTICAL to unbudgeted" : "MISMATCH") << '\n'
-            << "    spill (16K frontier share): " << sp.result.spill_batches
-            << " batches / " << sp.result.spilled_nodes
-            << " nodes through disk, counters "
-            << (sem_match(sp) ? "IDENTICAL to unbudgeted" : "MISMATCH")
-            << '\n'
             << "    DPOR+symmetry (FIFO): " << r.result.states_visited
             << " states (" << fifo_reduction_x << "x fewer), sleep_blocked="
             << r.result.sleep_blocked << " symmetry_merged="
@@ -476,12 +466,9 @@ void engine_benchmark() {
         .set("dedupe_bytes", t.result.dedupe_bytes)
         // Memory-contract telemetry: exact allocated visited-set bytes
         // (same number dedupe_bytes now reports — kept under the name the
-        // --mem gates use), the peak accounted in-memory frontier bytes,
-        // and the disk-spill volume a frontier budget produced.
+        // --mem gates use) and the peak accounted frontier bytes.
         .set("visited_bytes", t.result.dedupe_bytes)
         .set("frontier_bytes", t.result.frontier_bytes)
-        .set("spill_batches", t.result.spill_batches)
-        .set("spilled_nodes", t.result.spilled_nodes)
         // Exploration-accounting telemetry: paths cut by max_depth (any
         // nonzero means complete=false), reduction counters, and the
         // replay work behind frontier-node reconstitution.
@@ -548,7 +535,6 @@ void engine_benchmark() {
                        .push(run_json("parallel8_fingerprint", p))
                        .push(run_json("sequential_exact", e))
                        .push(run_json("sequential_fingerprint_mem", m))
-                       .push(run_json("sequential_spill16k", sp))
                        .push(run_json("sequential_reduced", r))
                        .push(run_json("sequential_reorder_full", fro))
                        .push(run_json("sequential_reorder_reduced", rro))

@@ -22,9 +22,9 @@
 //       Exhaustively model-check a small configuration. --reduce enables
 //       both partial-order reductions (sleep sets + server symmetry);
 //       the individual flags enable one at a time. --mem applies the hard
-//       memory budget: a ceiling on visited-set growth (an exhausted set
-//       fails with a --mem sizing hint) and cold frontier nodes spill to
-//       disk.
+//       memory budget: a ceiling on visited-set growth (half of it) and on
+//       the frontier (an eighth); a run that passes either fails with a
+//       --mem sizing hint.
 #include <cstring>
 #include <iostream>
 #include <sstream>

@@ -6,7 +6,7 @@
 // would have sufficed — when growth would pass their share, instead of
 // OOMing hours into a run. MemBudget is the parsing half of that contract;
 // each structure enforces its own share (the visited set in
-// engine/visited.h, frontier spilling in engine/frontier.h, the World slab
+// engine/visited.h, the frontier in engine/frontier.h, the World slab
 // pages through `worldmem` below).
 #pragma once
 
@@ -26,7 +26,7 @@ namespace memu {
 
 // A byte budget threaded from `--mem` down to every sized structure.
 // total == 0 means unbudgeted: structures grow on demand without limit;
-// any nonzero total is a HARD cap enforced by VisitedSet, frontier spilling
+// any nonzero total is a HARD cap enforced by VisitedSet, the frontier
 // and worldmem, never a hint.
 struct MemBudget {
   std::size_t total = 0;
@@ -42,6 +42,10 @@ struct MemBudget {
   // Human-readable rendering for diagnostics: exact when the byte count is
   // a whole K/M/G multiple ("64M"), raw bytes otherwise.
   std::string to_string() const;
+
+  // The smallest budget of at least `bytes` that is a whole K, or a whole
+  // M past 1M: what a sizing hint's "rerun with --mem >= " names.
+  static MemBudget rounded_up(std::size_t bytes);
 };
 
 inline MemBudget MemBudget::parse(const std::string& text) {
@@ -82,6 +86,11 @@ inline std::string MemBudget::to_string() const {
   if (total % kM == 0) return std::to_string(total / kM) + "M";
   if (total % kK == 0) return std::to_string(total / kK) + "K";
   return std::to_string(total);
+}
+
+inline MemBudget MemBudget::rounded_up(std::size_t bytes) {
+  const std::size_t unit = bytes >= (1u << 20) ? (1u << 20) : (1u << 10);
+  return MemBudget{(bytes + unit - 1) / unit * unit};
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "engine/dpor.h"
-#include "engine/replay.h"
-#include "engine/spill.h"
 #include "engine/thread_pool.h"
 #include "engine/visited.h"
 #include "sim/symmetry.h"
@@ -42,13 +40,9 @@ class Search {
       : opt_(opt),
         invariant_(invariant),
         terminal_(terminal),
-        frontier_budget_(opt.frontier_budget_bytes != 0
-                             ? opt.frontier_budget_bytes
-                             : opt.mem.total / 8),
         visited_({opt.exact_dedupe, auto_shard_count(opt.threads), opt.mem}) {}
 
   ExploreResult run(const World& initial) {
-    root_ = std::make_shared<const World>(initial);
     sleep_on_ = opt_.reduction.sleep_sets;
     if (sleep_on_) server_mask_ = dpor::server_mask(initial);
     // Symmetry engages only when the root World is eligible; crashes and
@@ -63,7 +57,7 @@ class Search {
       plain_seen_ = std::make_unique<VisitedSet>(
           VisitedSet::Options{false, auto_shard_count(opt_.threads)});
     }
-    Node root{root_, {}, {}};
+    Node root{std::make_shared<const World>(initial), {}, {}};
     if (opt_.threads <= 1) {
       push_bytes(root);
       frontier_.push_back(std::move(root));
@@ -82,17 +76,13 @@ class Search {
     result.dedupe_entries = visited_.size();
     result.exact_dedupe = opt_.exact_dedupe;
     result.frontier_bytes = frontier_peak_.load();
-    if (spill_ != nullptr) {
-      result.spill_batches = spill_->batches_spilled();
-      result.spilled_nodes = spill_->nodes_spilled();
-    }
     result.depth_cut = depth_cut_.load();
     result.steal_batches = steal_batches_;
     result.tasks_stolen = tasks_stolen_;
     result.sleep_blocked = sleep_blocked_.load();
     result.symmetry_merged = symmetry_merged_.load();
     result.symmetry_applied = symmetry_on_;
-    result.replay_steps = replay_steps_.load();
+    result.replay_steps = result.transitions;
     result.complete = complete_.load() && !aborted_.load();
     {
       std::lock_guard<std::mutex> lock(violation_mu_);
@@ -104,18 +94,31 @@ class Search {
   }
 
  private:
-  // Frontier memory accounting: the node struct plus its path storage.
+  // Frontier memory accounting: the node struct plus its path and sleep-set
+  // storage.
   // Deliberately based on size(), not capacity(), so the accounting — and
-  // therefore every spill decision — is identical across allocators and
+  // therefore where the ceiling fires — is identical across allocators and
   // stdlib growth policies.
   static std::size_t node_bytes(const Node& n) {
     return sizeof(Node) +
            (n.path.size() + n.sleep.size()) * sizeof(ExploreStep);
   }
 
+  // Under a bounded --mem the frontier may hold an eighth of it; the push
+  // that would pass that share CHECK-fails with a sizing hint whose share
+  // is twice the bytes the frontier would have held.
   void push_bytes(const Node& n) {
-    const std::size_t now =
-        frontier_bytes_.fetch_add(node_bytes(n)) + node_bytes(n);
+    const std::size_t bytes = node_bytes(n);
+    const std::size_t now = frontier_bytes_.fetch_add(bytes) + bytes;
+    const std::size_t share = opt_.mem.total / 8;
+    MEMU_CHECK_MSG(!opt_.mem.bounded() || now <= share,
+                   "frontier at its --mem ceiling after "
+                       << states_visited_.load() << " states: a " << bytes
+                       << " B node next to the " << now - bytes
+                       << " B held passes the " << share
+                       << " B frontier share (an eighth) of --mem "
+                       << opt_.mem.to_string() << "; rerun with --mem >= "
+                       << MemBudget::rounded_up(16 * now).to_string());
     std::size_t peak = frontier_peak_.load();
     while (now > peak && !frontier_peak_.compare_exchange_weak(peak, now)) {
     }
@@ -228,7 +231,6 @@ class Search {
     if (!node.path.empty()) {
       const ExploreStep& step = node.path.back();
       world.deliver(step.chan, step.index);
-      replay_steps_.fetch_add(1);
     }
 
     if (!admit(world)) return;
@@ -256,8 +258,8 @@ class Search {
       return;
     }
 
-    // This node becomes its children's parent. The root's World is root_
-    // itself; any other is wrapped once and shared by every child.
+    // This node becomes its children's parent. The root's World is already
+    // shared; any other is wrapped once and shared by every child.
     const std::shared_ptr<const World> parent =
         node.path.empty() ? node.parent
                           : std::make_shared<const World>(std::move(world));
@@ -314,100 +316,13 @@ class Search {
     return child;
   }
 
-  SpillFile& spill_file() {
-    if (spill_ == nullptr) spill_ = std::make_unique<SpillFile>();
-    return *spill_;
-  }
-
-  // Consumes `nodes[0, count)` — which must share one parent, and therefore
-  // one path prefix (the parent's path) — into a batch storing that prefix
-  // once plus each node's last step and sleep set.
-  static SpillBatch make_batch(Node* nodes, std::size_t count) {
-    SpillBatch batch;
-    batch.prefix.assign(nodes[0].path.begin(), nodes[0].path.end() - 1);
-    batch.entries.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      Node& n = nodes[i];
-      batch.entries.push_back({{n.path.back()}, std::move(n.sleep)});
-    }
-    return batch;
-  }
-
-  // Reconstitutes a reloaded batch: the shared prefix replays ONCE from the
-  // root into a fresh parent all the batch's nodes share, so each reloaded
-  // node's pop still delivers a single step.
-  template <class Sink>
-  void load_batch(SpillBatch& batch, Sink&& sink) {
-    std::shared_ptr<const World> parent = root_;
-    if (!batch.prefix.empty()) {
-      World w = *root_;
-      replay_steps_.fetch_add(replay(w, batch.prefix));
-      parent = std::make_shared<const World>(std::move(w));
-    }
-    for (SpillEntry& entry : batch.entries) {
-      Node node{parent, batch.prefix, std::move(entry.sleep)};
-      node.path.insert(node.path.end(), entry.suffix.begin(),
-                       entry.suffix.end());
-      sink(std::move(node));
-    }
-    batch.entries.clear();
-  }
-
-  // Sequential spill policy: when the accounted frontier bytes exceed the
-  // budget, move the COLD FRONT of the LIFO vector — the nodes a pure DFS
-  // would reach last — to disk, down to half budget (hysteresis so spills
-  // batch up instead of thrashing). Consecutive front nodes sharing a
-  // parent spill as one batch (same parent => same prefix). The hot tail
-  // stays in memory, so the pop order is untouched; batches return via
-  // reload_sequential() LIFO, exactly when the DFS would have reached
-  // them.
-  void maybe_spill_sequential() {
-    if (frontier_budget_ == 0 ||
-        frontier_bytes_.load() <= frontier_budget_)
-      return;
-    const std::size_t target = frontier_budget_ / 2;
-    std::size_t take = 0, freed = 0;
-    while (take + 1 < frontier_.size() &&
-           frontier_bytes_.load() - freed > target) {
-      freed += node_bytes(frontier_[take]);
-      ++take;
-    }
-    if (take == 0) return;
-    std::size_t i = 0;
-    while (i < take) {
-      std::size_t j = i + 1;
-      while (j < take && frontier_[j].parent == frontier_[i].parent) ++j;
-      spill_file().spill(make_batch(frontier_.data() + i, j - i));
-      i = j;
-    }
-    frontier_.erase(frontier_.begin(),
-                    frontier_.begin() + static_cast<std::ptrdiff_t>(take));
-    frontier_bytes_.fetch_sub(freed);
-  }
-
-  // Reloads the most recent spill batch when the in-memory frontier has
-  // drained; returns false when no work remains anywhere.
-  bool reload_sequential() {
-    SpillBatch batch;
-    if (spill_ == nullptr || !spill_->reload(batch)) return false;
-    frontier_.reserve(frontier_.size() + batch.entries.size());
-    load_batch(batch, [&](Node&& node) {
-      push_bytes(node);
-      frontier_.push_back(std::move(node));
-    });
-    return true;
-  }
-
   // Sequential mode: LIFO frontier, children pushed in reverse generation
   // order, so pops happen in exactly the recursive-DFS entry order — every
-  // counter and the first counterexample match the seed explorer. Under a
-  // frontier budget the cold front of the vector lives on disk, re-entering
-  // exactly where the DFS would have reached it: the visit order — and so
-  // every counter and the first violation — is byte-identical at any
-  // budget.
+  // counter and the first counterexample match the seed explorer, at any
+  // --mem the run fits.
   void run_sequential() {
     std::vector<Node> children;
-    while ((!frontier_.empty() || reload_sequential()) && !aborted_.load()) {
+    while (!frontier_.empty() && !aborted_.load()) {
       const Node node = std::move(frontier_.back());
       frontier_.pop_back();
       pop_bytes(node);
@@ -417,7 +332,6 @@ class Search {
         push_bytes(*it);
         frontier_.push_back(std::move(*it));
       }
-      maybe_spill_sequential();
     }
   }
 
@@ -431,51 +345,10 @@ class Search {
   // Counter guarantees are unchanged from the shared-queue engine: every
   // generated node is popped exactly once by some worker, and dedupe is
   // atomic per state, so states/terminals/transitions/deduped match the
-  // sequential run regardless of thread count or steal order.
-  // Parallel budget enforcement: a worker whose children would push the
-  // accounted frontier past its budget spills the WHOLE child batch to
-  // disk instead of submitting it (one lock, one sequential write). The
-  // refill hook reloads a batch when a worker finds no queued work and
-  // nothing to steal — before the termination check, so spilled nodes
-  // (which live outside the pool's in-flight counter) can never be
-  // orphaned: the spill happened inside a visit, which holds in-flight
-  // above zero until the spilling worker retires, and by then the batch
-  // record is visible under spill_mu_. Parallel mode never promised a
-  // deterministic visit ORDER — only the counter guarantees above — and
-  // spilling moves nodes between workers exactly like a steal does, so
-  // those guarantees are unchanged.
-  void spill_parallel(std::vector<Node>& children) {
-    // All children of one visit share one parent, so the whole batch
-    // carries one prefix.
-    std::size_t freed = 0;
-    for (const Node& child : children) freed += node_bytes(child);
-    const SpillBatch batch = make_batch(children.data(), children.size());
-    children.clear();
-    {
-      std::lock_guard<std::mutex> lock(spill_mu_);
-      spill_file().spill(batch);
-    }
-    frontier_bytes_.fetch_sub(freed);
-  }
-
-  bool refill_parallel(std::size_t id, WorkStealingPool<Node>& pool) {
-    SpillBatch batch;
-    {
-      std::lock_guard<std::mutex> lock(spill_mu_);
-      if (spill_ == nullptr || !spill_->reload(batch)) return false;
-    }
-    // Prefix replay happens outside the lock — one replay per batch, not
-    // per node.
-    std::vector<Node> nodes;
-    nodes.reserve(batch.entries.size());
-    load_batch(batch, [&](Node&& node) {
-      push_bytes(node);
-      nodes.push_back(std::move(node));
-    });
-    pool.submit(id, nodes);
-    return true;
-  }
-
+  // sequential run regardless of thread count or steal order. A --mem
+  // ceiling hit inside a worker's visit surfaces here as the same
+  // ContractError the sequential run throws: the pool stops the other
+  // workers and rethrows it on this thread.
   void run_parallel(Node&& root) {
     WorkStealingPool<Node> pool(opt_.threads);
     push_bytes(root);
@@ -493,14 +366,8 @@ class Search {
           visit(node,
                 [&](Node&& child) { children.push_back(std::move(child)); });
           for (const Node& child : children) push_bytes(child);
-          if (frontier_budget_ != 0 && !children.empty() &&
-              frontier_bytes_.load() > frontier_budget_) {
-            spill_parallel(children);
-          } else {
-            pool.submit(id, children);
-          }
-        },
-        [this, &pool](std::size_t id) { return refill_parallel(id, pool); });
+          pool.submit(id, children);
+        });
     steal_batches_ = pool.steal_batches();
     tasks_stolen_ = pool.tasks_stolen();
   }
@@ -508,12 +375,8 @@ class Search {
   const ExploreOptions& opt_;
   const StateCheck& invariant_;
   const StateCheck& terminal_;
-  // Declared before visited_ to match the constructor's init order.
-  std::size_t frontier_budget_ = 0;  // bytes; 0 = unbudgeted
   VisitedSet visited_;
-
-  std::shared_ptr<const World> root_;  // the root's World; reload base
-  std::vector<Node> frontier_;         // sequential mode only
+  std::vector<Node> frontier_;  // sequential mode only
 
   // --- partial-order reduction ---------------------------------------------
   bool sleep_on_ = false;
@@ -524,8 +387,6 @@ class Search {
 
   std::atomic<std::size_t> frontier_bytes_{0};
   std::atomic<std::size_t> frontier_peak_{0};
-  std::mutex spill_mu_;  // guards spill_ in parallel mode
-  std::unique_ptr<SpillFile> spill_;  // lazily created on first spill
 
   std::atomic<std::size_t> states_visited_{0};
   std::atomic<std::size_t> terminal_states_{0};
@@ -538,7 +399,6 @@ class Search {
   // Written once, after pool.run() returns (workers joined) — plain fields.
   std::size_t steal_batches_ = 0;
   std::size_t tasks_stolen_ = 0;
-  std::atomic<std::size_t> replay_steps_{0};
   std::atomic<bool> complete_{true};
   std::atomic<bool> aborted_{false};
 

@@ -65,17 +65,14 @@ struct ExploreOptions {
 
   // --- memory budget -------------------------------------------------------
   // Hard byte cap for the search's growing structures (`--mem` on the
-  // tools). Unbounded (the default) lets them grow on demand. Bounded, the
-  // visited set still grows on demand, but only up to half the budget:
-  // growth past that CHECK-fails with a --mem sizing hint. In-memory
-  // frontier nodes get an eighth, enforced by spilling cold node batches
-  // to a temp file and replaying them later (counters and DFS order stay
-  // byte-identical at ANY budget — see DESIGN.md); the remainder is slack
-  // for parent Worlds and bookkeeping the engine cannot meter exactly.
+  // tools). Unbounded (the default) lets them grow on demand. Bounded, they
+  // still grow on demand, but only up to a share: the visited set up to
+  // half the budget, the frontier nodes up to an eighth. Growth past a
+  // share CHECK-fails with a --mem sizing hint, so a run that completes
+  // under a budget is identical to the unbudgeted run. The remainder is
+  // slack for parent Worlds and bookkeeping the engine cannot meter
+  // exactly.
   MemBudget mem;
-  // Direct frontier share in bytes (0 = an eighth of `mem`). Tests and
-  // benches use it to force spilling at precise thresholds.
-  std::size_t frontier_budget_bytes = 0;
 
   // --- partial-order reduction ---------------------------------------------
   // Both reductions are opt-in and preserve the ok/violation verdict and
@@ -119,15 +116,10 @@ struct ExploreResult {
   std::size_t dedupe_bytes = 0;
   std::size_t dedupe_entries = 0;  // states retained by the visited set
   bool exact_dedupe = false;       // mode behind dedupe_bytes (see above)
-  // Peak bytes of in-memory frontier nodes (node structs + paths; shared
-  // parent Worlds are slack, not metered here), and the disk-spill volume
-  // a frontier budget produced: batches written and nodes they carried.
-  // Budgeted and unbudgeted runs of the same space may differ ONLY in
-  // these telemetry fields — the semantic counters above are budget-
-  // invariant by contract.
+  // Peak bytes of frontier nodes (node structs + paths + sleep sets;
+  // shared parent Worlds are slack, not metered here). Never more than
+  // mem.total / 8 on a budgeted run that completes.
   std::size_t frontier_bytes = 0;
-  std::size_t spill_batches = 0;
-  std::size_t spilled_nodes = 0;
   // Paths cut by max_depth. Like truncated, any nonzero value means the
   // run did NOT cover the space (complete is false) — a depth-limited run
   // reporting ok=true has only checked what it reached.
@@ -150,11 +142,8 @@ struct ExploreResult {
   // thread counts, and machines.
   std::size_t steal_batches = 0;
   std::size_t tasks_stolen = 0;
-  // Replay work: steps delivered materializing popped nodes (one per
-  // non-root pop, so equal to `transitions` on an unbudgeted run) plus the
-  // shared prefix of each reloaded spill batch (see engine/spill.h).
-  // Telemetry only: budgeted and unbudgeted runs of the same space
-  // legitimately differ here.
+  // Replay work: steps delivered materializing popped nodes, one per
+  // non-root pop, so always equal to `transitions`.
   std::size_t replay_steps = 0;
   bool complete = false;  // the whole space fit within the bounds
   bool ok = true;         // no invariant/terminal violation found

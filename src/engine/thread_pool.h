@@ -32,6 +32,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -105,32 +106,32 @@ class WorkStealingPool {
   // loop runs inline, so the sequential path stays allocation- and
   // sync-free apart from the owner's uncontended mutex.
   //
-  // `refill(worker_id)` is consulted when a worker finds no local work and
-  // nothing to steal, BEFORE the termination check: returning true means
-  // the hook submitted more tasks (via submit()) and the worker should
-  // retry; false means it has nothing. This is how a memory-budgeted
-  // frontier reloads spilled batches: spilled nodes live outside the
-  // in-flight counter, and a worker may only exit after observing refill
-  // exhausted AND in-flight zero — every spill happens inside some visit
-  // (which holds in-flight above zero), so the spilling worker itself can
-  // never exit while its batch is still on disk, and no batch is orphaned.
-  template <class Visit, class Refill>
-  void run(Visit&& visit, Refill&& refill) {
+  // A visit that throws ends the run: the pool keeps the first exception,
+  // stops the other workers, joins them, and rethrows it here on the
+  // calling thread (inline, it simply propagates). Tasks still queued are
+  // dropped unvisited.
+  template <class Visit>
+  void run(Visit&& visit) {
     if (deques_.size() == 1) {
-      worker_loop(0, visit, refill);
+      worker_loop(0, visit);
       return;
     }
+    std::exception_ptr error;
+    std::mutex error_mu;
     std::vector<std::thread> workers;
     workers.reserve(deques_.size());
     for (std::size_t i = 0; i < deques_.size(); ++i)
-      workers.emplace_back(
-          [this, &visit, &refill, i] { worker_loop(i, visit, refill); });
+      workers.emplace_back([this, &visit, &error, &error_mu, i] {
+        try {
+          worker_loop(i, visit);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (error == nullptr) error = std::current_exception();
+          stop();
+        }
+      });
     for (auto& w : workers) w.join();
-  }
-
-  template <class Visit>
-  void run(Visit&& visit) {
-    run(visit, [](std::size_t) { return false; });
+    if (error != nullptr) std::rethrow_exception(error);
   }
 
  private:
@@ -189,18 +190,14 @@ class WorkStealingPool {
     return false;
   }
 
-  template <class Visit, class Refill>
-  void worker_loop(std::size_t id, Visit& visit, Refill& refill) {
+  template <class Visit>
+  void worker_loop(std::size_t id, Visit& visit) {
     std::uint64_t rng = mix64(id ^ 0xd6e8feb86659fd93ull);
     std::size_t idle = 0;
     for (;;) {
       if (stop_.load()) return;
       Task task;
       if (!try_pop_local(id, task) && !try_steal(id, rng, task)) {
-        if (refill(id)) {
-          idle = 0;
-          continue;
-        }
         if (in_flight_.load() == 0) return;  // nothing queued, nothing running
         // Brief spin, then sleep: on saturated hardware (or 1 core) idle
         // thieves must yield the CPU to whoever holds the work.

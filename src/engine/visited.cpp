@@ -39,11 +39,9 @@ inline std::uint64_t exact_slot_fp(std::uint64_t fp) {
 }
 
 // The --mem that gives `shards` shards a `share`-byte ceiling each (the
-// set takes half of --mem), rounded up to a whole K, or M past 1M.
+// set takes half of --mem).
 std::string mem_hint(std::size_t share, std::size_t shards) {
-  const std::size_t total = 2 * share * shards;
-  const std::size_t unit = total >= (1u << 20) ? (1u << 20) : (1u << 10);
-  return MemBudget{(total + unit - 1) / unit * unit}.to_string();
+  return MemBudget::rounded_up(2 * share * shards).to_string();
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "algo/abd/system.h"
+#include "algo/cas/system.h"
 #include "sim/cow_stats.h"
 
 namespace memu {
@@ -120,6 +121,8 @@ TEST(FrontierSearch, AccountingIdentityOnAbd) {
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.truncated, 0u);
   expect_accounting_identity(res);
+  // Every non-root pop delivers exactly its own step.
+  EXPECT_EQ(res.replay_steps, res.transitions);
 }
 
 ExploreResult explore_abd(const ExploreOptions& opt) {
@@ -131,6 +134,20 @@ ExploreResult explore_abd(const ExploreOptions& opt) {
   abd::System sys = abd::make_system(aopt);
   sys.world.invoke(sys.writers[0],
                    {OpType::kWrite, unique_value(1, 1, aopt.value_size)});
+  sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
+  return engine::frontier_search(sys.world, opt, {}, {});
+}
+
+// CAS N=3 write || read, the space `memu explore cas` checks.
+ExploreResult explore_cas(const ExploreOptions& opt) {
+  cas::Options copt;
+  copt.n_servers = 3;
+  copt.f = 1;
+  copt.k = 1;
+  copt.n_writers = 1;
+  copt.value_size = 12;
+  cas::System sys = cas::make_system(copt);
+  sys.world.invoke(sys.writers[0], {OpType::kWrite, unique_value(1, 1, 12)});
   sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
   return engine::frontier_search(sys.world, opt, {}, {});
 }
@@ -265,7 +282,7 @@ TEST(FrontierSearch, ParallelFindsTheSameInvariantViolation) {
   EXPECT_EQ(p.violation_path.size(), 2u);
 }
 
-// ---- memory budget + spill ------------------------------------------------
+// ---- memory budget ---------------------------------------------------------
 
 void expect_same_semantics(const ExploreResult& a, const ExploreResult& b) {
   EXPECT_EQ(a.states_visited, b.states_visited);
@@ -286,88 +303,23 @@ void expect_same_semantics(const ExploreResult& a, const ExploreResult& b) {
   }
 }
 
-TEST(FrontierSearch, SpillingFrontierIsByteIdenticalToUnbudgeted) {
-  // The central --mem contract: a frontier budget tight enough to force
-  // repeated spill/reload cycles must leave EVERY semantic field — all
-  // counters, completion, ok, and the violation path — byte-identical to
-  // the unbudgeted run. Only the telemetry (frontier_bytes, spill stats)
-  // may differ.
-  const auto base = explore_abd(ExploreOptions{});
-  ASSERT_TRUE(base.complete);
-  ASSERT_EQ(base.spill_batches, 0u);
-
-  ExploreOptions tight;
-  tight.frontier_budget_bytes = 4096;  // far below the ~100 KB peak
-  const auto spilled = explore_abd(tight);
-  EXPECT_GT(spilled.spill_batches, 0u);
-  EXPECT_GT(spilled.spilled_nodes, 0u);
-  expect_same_semantics(base, spilled);
-}
-
-TEST(FrontierSearch, SpillKeepsTheViolationPathIdentical) {
-  // First-violation identity under spilling: sequential DFS order is the
-  // contract, so the budgeted run must find the SAME first violation.
-  auto run = [](std::size_t frontier_budget) {
-    ExploreOptions opt;
-    opt.frontier_budget_bytes = frontier_budget;
-    abd::Options aopt;
-    aopt.n_servers = 3;
-    aopt.f = 1;
-    aopt.single_writer = true;
-    aopt.value_size = 12;
-    abd::System sys = abd::make_system(aopt);
-    sys.world.invoke(sys.writers[0],
-                     {OpType::kWrite, unique_value(1, 1, aopt.value_size)});
-    sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
-    std::size_t countdown = 500;
-    return engine::frontier_search(
-        sys.world, opt,
-        [&countdown](const World&) -> std::optional<std::string> {
-          if (countdown-- == 0) return "synthetic violation";
-          return std::nullopt;
-        },
-        {});
-  };
-  const auto base = run(0);
-  const auto spilled = run(2048);
-  ASSERT_FALSE(base.ok);
-  EXPECT_GT(spilled.spill_batches, 0u);
-  expect_same_semantics(base, spilled);
-}
-
-TEST(FrontierSearch, ParallelSpillMatchesSequentialCounters) {
-  // Parallel + budget: spilled batches move between workers like steals,
-  // so the thread-count-independent counter guarantees must survive a
-  // budget that forces heavy spilling.
-  const auto base = explore_abd(ExploreOptions{});
-  ExploreOptions par;
-  par.threads = 4;
-  par.frontier_budget_bytes = 4096;
-  const auto p = explore_abd(par);
-  EXPECT_GT(p.spill_batches, 0u);
-  EXPECT_EQ(base.states_visited, p.states_visited);
-  EXPECT_EQ(base.terminal_states, p.terminal_states);
-  EXPECT_EQ(base.transitions, p.transitions);
-  EXPECT_EQ(base.deduped, p.deduped);
-  EXPECT_EQ(base.complete, p.complete);
-  EXPECT_EQ(base.ok, p.ok);
-}
-
 TEST(FrontierSearch, MemBudgetDerivesSharesAndCompletesIdentically) {
   // A generous --mem passes through MemBudget: visited gets half, the
-  // frontier an eighth, and a space that fits completes byte-identically
-  // with zero spills.
+  // frontier an eighth, and a space that fits completes byte-identically.
   const auto base = explore_abd(ExploreOptions{});
   ExploreOptions budgeted;
   budgeted.mem = MemBudget::parse("64M");
   const auto b = explore_abd(budgeted);
   expect_same_semantics(base, b);
-  EXPECT_EQ(b.spill_batches, 0u);
-  // The budget is a ceiling, not an allocation: the visited set holds
-  // exactly what the unbudgeted run's holds, well inside its half.
+  // The budget is a ceiling, not an allocation: the visited set and the
+  // frontier hold exactly what the unbudgeted run's hold, inside their
+  // shares.
   EXPECT_GT(b.dedupe_bytes, 0u);
   EXPECT_EQ(b.dedupe_bytes, base.dedupe_bytes);
   EXPECT_LE(b.dedupe_bytes, budgeted.mem.total / 2);
+  EXPECT_GT(b.frontier_bytes, 0u);
+  EXPECT_EQ(b.frontier_bytes, base.frontier_bytes);
+  EXPECT_LE(b.frontier_bytes, budgeted.mem.total / 8);
 }
 
 TEST(FrontierSearch, DepthLimitCutsAreCountedAndUnsetComplete) {
@@ -388,55 +340,16 @@ TEST(FrontierSearch, DepthLimitCutsAreCountedAndUnsetComplete) {
 }
 
 TEST(FrontierSearch, DepthCutSurvivesParallelAndBudgetedRuns) {
-  for (const auto& [threads, budget] : {std::pair<std::size_t, std::size_t>{
-                                            4, 0},
-                                        {1, 4096}}) {
+  for (const auto& [threads, mem] :
+       {std::pair<std::size_t, const char*>{4, "0"}, {1, "64K"}}) {
     ExploreOptions opt;
     opt.max_depth = 4;
     opt.threads = threads;
-    opt.frontier_budget_bytes = budget;
+    opt.mem = MemBudget::parse(mem);
     const auto r = explore_abd(opt);
-    EXPECT_GT(r.depth_cut, 0u) << threads << "/" << budget;
-    EXPECT_FALSE(r.complete) << threads << "/" << budget;
+    EXPECT_GT(r.depth_cut, 0u) << threads << "/" << mem;
+    EXPECT_FALSE(r.complete) << threads << "/" << mem;
   }
-}
-
-TEST(FrontierSearch, SpilledNodesReplayFromASharedBaseNotFromRoot) {
-  // A pop copies its parent's World and delivers one step, so an
-  // unbudgeted run replays exactly one step per transition. Spilling adds
-  // only the per-batch prefix replay on reload: one copy of the root per
-  // batch, plus the prefix its nodes share — never a per-node replay of
-  // the whole path from the root.
-  const auto run = [](const ExploreOptions& opt, std::uint64_t& copies) {
-    const auto before = cowstats::snapshot();
-    const auto r = explore_abd(opt);
-    copies = (cowstats::snapshot() - before).world_copies;
-    return r;
-  };
-  // This space's deepest path is 18 deliveries (the smallest max_depth
-  // that completes), so every spilled prefix is at most 17 steps.
-  constexpr std::size_t kDepth = 18;
-  ExploreOptions unbudgeted;
-  unbudgeted.max_depth = kDepth;
-  std::uint64_t unbudgeted_copies = 0;
-  const auto u = run(unbudgeted, unbudgeted_copies);
-  ASSERT_TRUE(u.complete);
-  EXPECT_EQ(u.replay_steps, u.transitions);
-
-  ExploreOptions spilled = unbudgeted;
-  spilled.frontier_budget_bytes = 2048;  // forces heavy spill/reload cycling
-  std::uint64_t spilled_copies = 0;
-  const auto r = run(spilled, spilled_copies);
-  ASSERT_GT(r.spill_batches, 0u);
-  expect_same_semantics(u, r);
-  // Every extra World copy is one reloaded batch's fresh parent, and every
-  // extra replayed step belongs to the prefix of such a batch.
-  const std::uint64_t reloads = spilled_copies - unbudgeted_copies;
-  const std::size_t prefix_steps = r.replay_steps - r.transitions;
-  EXPECT_GT(reloads, 0u);
-  EXPECT_LE(reloads, r.spill_batches);
-  EXPECT_GE(prefix_steps, reloads);
-  EXPECT_LE(prefix_steps, reloads * (kDepth - 1));
 }
 
 TEST(FrontierSearch, InsufficientVisitedBudgetFailsLoudly) {
@@ -473,6 +386,7 @@ TEST(FrontierSearch, VisitedSizingHintGetsPastTheFailingSize) {
       try {
         const auto r = explore_abd(opt);
         EXPECT_TRUE(r.complete);
+        EXPECT_LE(r.frontier_bytes, opt.mem.total / 8);
         EXPECT_GT(rerun, 0) << "64K should not fit the space";
         break;
       } catch (const ContractError& e) {
@@ -497,6 +411,83 @@ TEST(FrontierSearch, VisitedSizingHintGetsPastTheFailingSize) {
       opt.mem = next;
     }
   }
+}
+
+TEST(FrontierSearch, FrontierSizingHintGetsPastTheFailingSize) {
+  // --mem 16K gives the frontier a 2K share, which CAS N=3 passes while
+  // expanding its fifth state — long before the visited set's first
+  // doubling. The hint names a larger --mem, and following the hints
+  // always makes progress: each rerun completes or fails later, at more
+  // states. A visited-set failure at N states is later than a frontier
+  // failure after N states (it fires admitting state N+1), so failures
+  // are ordered by 2 * states, plus one for the visited set.
+  const std::regex frontier(R"(frontier at its --mem ceiling after (\d+) states)");
+  const std::regex visited(R"(visited set at its --mem ceiling: (\d+) states)");
+  const std::regex hint(R"(--mem >= ([0-9]+[KMG]?))");
+  ExploreOptions opt;
+  opt.mem = MemBudget::parse("16K");
+  std::size_t last = 0;
+  bool saw_visited = false;
+  for (int rerun = 0;; ++rerun) {
+    ASSERT_LT(rerun, 32) << "hints never reached a fitting budget";
+    std::string what;
+    try {
+      const auto r = explore_cas(opt);
+      EXPECT_TRUE(r.complete);
+      EXPECT_EQ(r.states_visited, 103147u);
+      EXPECT_LE(r.frontier_bytes, opt.mem.total / 8);
+      EXPECT_GT(rerun, 0) << "16K should not fit the space";
+      break;
+    } catch (const ContractError& e) {
+      what = e.what();
+    }
+    std::smatch f, h;
+    const bool at_frontier = std::regex_search(what, f, frontier);
+    ASSERT_TRUE(at_frontier || std::regex_search(what, f, visited)) << what;
+    ASSERT_TRUE(std::regex_search(what, h, hint)) << what;
+    if (rerun == 0) {
+      EXPECT_TRUE(at_frontier) << what;
+      EXPECT_EQ(f[1], "5") << what;
+      EXPECT_EQ(h[1], "34K") << what;
+    }
+    saw_visited |= !at_frontier;
+    const std::size_t when = 2 * std::stoull(f[1]) + (at_frontier ? 0 : 1);
+    EXPECT_GT(when, last) << what;
+    last = when;
+    const MemBudget next = MemBudget::parse(h[1]);
+    EXPECT_GT(next.total, opt.mem.total) << what;
+    opt.mem = next;
+  }
+  EXPECT_TRUE(saw_visited) << "the visited set's ceiling never fired";
+}
+
+TEST(FrontierSearch, ParallelCeilingThrowsInsteadOfAborting) {
+  // A ceiling hit inside a pool worker surfaces on the calling thread as
+  // the same catchable ContractError a sequential run throws. 16K trips
+  // the frontier share early; 200K gets further before a ceiling fires.
+  for (const char* mem : {"16K", "200K"}) {
+    ExploreOptions opt;
+    opt.threads = 4;
+    opt.mem = MemBudget::parse(mem);
+    EXPECT_THROW(explore_cas(opt), ContractError) << mem;
+    try {
+      explore_cas(opt);
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("rerun with --mem >= "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A budget the space fits completes with the sequential counters, each
+  // structure inside its share.
+  ExploreOptions opt;
+  opt.threads = 4;
+  opt.mem = MemBudget::parse("64M");
+  const auto p = explore_cas(opt);
+  EXPECT_TRUE(p.complete);
+  EXPECT_EQ(p.states_visited, 103147u);
+  EXPECT_LE(p.dedupe_bytes, opt.mem.total / 2);
+  EXPECT_LE(p.frontier_bytes, opt.mem.total / 8);
 }
 
 }  // namespace

@@ -323,17 +323,16 @@ TEST(Reduction, ParallelReducedMatchesSequentialReduced) {
 }
 
 TEST(Reduction, BudgetedReducedMatchesUnbudgeted) {
-  // The --mem contract composes with the reductions: a frontier budget
-  // tight enough to force spilling (sleep sets ride through the spill
-  // file) must reproduce the reduced run's semantic counters exactly.
+  // The --mem contract composes with the reductions: a budget the reduced
+  // space fits reproduces the reduced run's semantic counters exactly.
   const World w = abd_world();
   ExploreOptions unbudgeted = reduced();
   unbudgeted.reorder = true;
   ExploreOptions budgeted = unbudgeted;
-  budgeted.frontier_budget_bytes = 4096;
+  budgeted.mem = MemBudget::parse("64M");
   const auto u = explore_terminals(w, unbudgeted);
   const auto b = explore_terminals(w, budgeted);
-  EXPECT_GT(b.result.spill_batches, 0u);
+  ASSERT_TRUE(b.result.complete);
   EXPECT_EQ(u.result.states_visited, b.result.states_visited);
   EXPECT_EQ(u.result.terminal_states, b.result.terminal_states);
   EXPECT_EQ(u.result.transitions, b.result.transitions);
@@ -341,11 +340,11 @@ TEST(Reduction, BudgetedReducedMatchesUnbudgeted) {
   EXPECT_EQ(u.result.sleep_blocked, b.result.sleep_blocked);
   EXPECT_EQ(u.result.ok, b.result.ok);
   EXPECT_EQ(u.terminals, b.terminals);
-  // A FRONTIER budget spills nodes but keeps the plain-hash side table,
-  // so symmetry_merged stays metered and identical; only a VISITED
-  // budget (--mem) drops the meter to zero.
+  EXPECT_LE(b.result.frontier_bytes, budgeted.mem.total / 8);
+  // The plain-hash side table behind symmetry_merged is unmetered, so a
+  // budgeted run drops it and reports zero.
   EXPECT_GT(u.result.symmetry_merged, 0u);
-  EXPECT_EQ(b.result.symmetry_merged, u.result.symmetry_merged);
+  EXPECT_EQ(b.result.symmetry_merged, 0u);
 }
 
 }  // namespace
