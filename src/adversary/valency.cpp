@@ -37,13 +37,15 @@ class ValencyExplorer {
         return;  // branch decided; no need to go deeper
       }
     }
-    for (const ChannelId chan : w.deliverable_channels()) {
+    // Each branch delivers into its own copy, never into `w`, so the
+    // channels can be enumerated in place.
+    w.for_each_deliverable([&](ChannelId chan, std::size_t) {
       for (const std::size_t index : w.deliverable_indices(chan)) {
         World next = w;
         next.deliver(chan, index);
         walk(next);
       }
-    }
+    });
   }
 
   std::set<Value> take() && { return std::move(values_); }

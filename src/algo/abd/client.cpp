@@ -69,7 +69,8 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("abd.writer got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("abd.writer got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
@@ -89,14 +90,7 @@ StateBits Writer::state_size() const {
           2 * Tag::kBits + 64 * 3};
 }
 
-Bytes Writer::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
-}
-
-void Writer::encode_state_relabeled(const NodeRelabeling& rank,
-                                    BufWriter& w) const {
+void Writer::write_state(BufWriter& w, const NodeRelabeling& rank) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   w.u64(swmr_seq_);
@@ -166,7 +160,8 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("abd.reader got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("abd.reader got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Reader::ignores(NodeId from, const MessagePayload& msg) const {
@@ -183,14 +178,7 @@ StateBits Reader::state_size() const {
   return {static_cast<double>(best_value_->size()) * 8.0, Tag::kBits + 64 * 2};
 }
 
-Bytes Reader::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
-}
-
-void Reader::encode_state_relabeled(const NodeRelabeling& rank,
-                                    BufWriter& w) const {
+void Reader::write_state(BufWriter& w, const NodeRelabeling& rank) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   best_tag_.encode(w);

@@ -31,7 +31,7 @@ class Writer final : public CloneableProcess<Writer> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void write_state(BufWriter& w, const NodeRelabeling& rank) const override;
   std::string name() const override { return "abd.writer"; }
 
   // The pending value sits behind a shared slab block (set once at invoke):
@@ -43,10 +43,9 @@ class Writer final : public CloneableProcess<Writer> {
   bool ignores(NodeId from, const MessagePayload& msg) const override;
 
   // Quorum state references servers only through the replied_ set (mapped
-  // below) and counts; server identity is otherwise irrelevant to ABD.
+  // in write_state) and counts; server identity is otherwise irrelevant to
+  // ABD.
   Symmetry symmetry() const override { return Symmetry::kMapsIds; }
-  void encode_state_relabeled(const NodeRelabeling& rank,
-                              BufWriter& w) const override;
 
   bool idle() const { return phase_ == Phase::kIdle; }
   std::uint64_t current_op() const { return op_id_; }
@@ -88,7 +87,7 @@ class Reader final : public CloneableProcess<Reader> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void write_state(BufWriter& w, const NodeRelabeling& rank) const override;
   std::string name() const override { return "abd.reader"; }
 
   // The best-so-far value sits behind a shared slab block (replaced
@@ -101,8 +100,6 @@ class Reader final : public CloneableProcess<Reader> {
   bool ignores(NodeId from, const MessagePayload& msg) const override;
 
   Symmetry symmetry() const override { return Symmetry::kMapsIds; }
-  void encode_state_relabeled(const NodeRelabeling& rank,
-                              BufWriter& w) const override;
 
   bool idle() const { return phase_ == Phase::kIdle; }
   std::uint64_t current_op() const { return op_id_; }

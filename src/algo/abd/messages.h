@@ -26,7 +26,7 @@ struct QueryReq final : MessagePayload {
 
   QueryReq(std::uint64_t r, bool wv) : rid(r), want_value(wv) {}
 
-  std::string type_name() const override { return "abd.query_req"; }
+  std::string_view type_name() const override { return "abd.query_req"; }
   StateBits size_bits() const override { return {0, 64 + 8}; }
 
   void encode_content(BufWriter& w) const override {
@@ -45,7 +45,7 @@ struct QueryResp final : MessagePayload {
   QueryResp(std::uint64_t r, Tag t, Value v)
       : rid(r), tag(t), value(std::move(v)) {}
 
-  std::string type_name() const override { return "abd.query_resp"; }
+  std::string_view type_name() const override { return "abd.query_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -68,7 +68,7 @@ struct StoreReq final : MessagePayload {
   StoreReq(std::uint64_t r, Tag t, Value v)
       : rid(r), tag(t), value(std::move(v)) {}
 
-  std::string type_name() const override { return "abd.store_req"; }
+  std::string_view type_name() const override { return "abd.store_req"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -87,7 +87,7 @@ struct StoreAck final : MessagePayload {
 
   explicit StoreAck(std::uint64_t r) : rid(r) {}
 
-  std::string type_name() const override { return "abd.store_ack"; }
+  std::string_view type_name() const override { return "abd.store_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {

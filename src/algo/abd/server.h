@@ -24,11 +24,9 @@ class Server final : public CloneableProcess<Server> {
     return {static_cast<double>(value_->size()) * 8.0, Tag::kBits};
   }
 
-  Bytes encode_state() const override {
-    BufWriter w;
+  void write_state(BufWriter& w, const NodeRelabeling&) const override {
     tag_.encode(w);
     w.bytes(*value_);
-    return std::move(w).take();
   }
 
   std::string name() const override { return "abd.server"; }

@@ -104,7 +104,8 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("cas.writer got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("cas.writer got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
@@ -134,14 +135,7 @@ StateBits Writer::state_size() const {
   return bits;
 }
 
-Bytes Writer::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
-}
-
-void Writer::encode_state_relabeled(const NodeRelabeling& rank,
-                                    BufWriter& w) const {
+void Writer::write_state(BufWriter& w, const NodeRelabeling& rank) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   tag_.encode(w);
@@ -246,7 +240,8 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     maybe_complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("cas.reader got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("cas.reader got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Reader::ignores(NodeId from, const MessagePayload& msg) const {
@@ -269,14 +264,7 @@ StateBits Reader::state_size() const {
   return bits;
 }
 
-Bytes Reader::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
-}
-
-void Reader::encode_state_relabeled(const NodeRelabeling& rank,
-                                    BufWriter& w) const {
+void Reader::write_state(BufWriter& w, const NodeRelabeling& rank) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   target_.encode(w);

@@ -34,7 +34,7 @@ class Writer final : public CloneableProcess<Writer> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void write_state(BufWriter& w, const NodeRelabeling& rank) const override;
   std::string name() const override { return "cas.writer"; }
 
   // The pending value and shard list live behind shared slab blocks
@@ -54,8 +54,6 @@ class Writer final : public CloneableProcess<Writer> {
   Symmetry symmetry() const override {
     return codec_->k() == 1 ? Symmetry::kMapsIds : Symmetry::kNone;
   }
-  void encode_state_relabeled(const NodeRelabeling& rank,
-                              BufWriter& w) const override;
 
   bool idle() const { return phase_ == Phase::kIdle; }
   // Phase the write is currently in, for adversarial drivers that park
@@ -100,7 +98,7 @@ class Reader final : public CloneableProcess<Reader> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void write_state(BufWriter& w, const NodeRelabeling& rank) const override;
   std::string name() const override { return "cas.reader"; }
 
   // Collected shards live behind shared slab blocks (each written once on
@@ -113,12 +111,10 @@ class Reader final : public CloneableProcess<Reader> {
   bool ignores(NodeId from, const MessagePayload& msg) const override;
 
   // Same k=1 rationale as the writer; shards_ keys (server ids) and the
-  // replied_ set are mapped in encode_state_relabeled.
+  // replied_ set are mapped in write_state.
   Symmetry symmetry() const override {
     return codec_->k() == 1 ? Symmetry::kMapsIds : Symmetry::kNone;
   }
-  void encode_state_relabeled(const NodeRelabeling& rank,
-                              BufWriter& w) const override;
 
   bool idle() const { return phase_ == Phase::kIdle; }
   std::size_t restarts() const { return restarts_; }

@@ -25,7 +25,7 @@ struct QueryReq final : MessagePayload {
 
   explicit QueryReq(std::uint64_t r) : rid(r) {}
 
-  std::string type_name() const override { return "cas.query_req"; }
+  std::string_view type_name() const override { return "cas.query_req"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -40,7 +40,7 @@ struct QueryResp final : MessagePayload {
 
   QueryResp(std::uint64_t r, Tag t) : rid(r), tag(t) {}
 
-  std::string type_name() const override { return "cas.query_resp"; }
+  std::string_view type_name() const override { return "cas.query_resp"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -62,7 +62,7 @@ struct HashAnnounce final : MessagePayload {
   HashAnnounce(std::uint64_t r, Tag t, std::uint64_t h)
       : rid(r), tag(t), shard_hash(h) {}
 
-  std::string type_name() const override { return "cas.hash_announce"; }
+  std::string_view type_name() const override { return "cas.hash_announce"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits + 64}; }
   bool value_dependent() const override { return true; }
   bool value_bulk() const override { return false; }
@@ -80,7 +80,7 @@ struct HashAck final : MessagePayload {
 
   HashAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
 
-  std::string type_name() const override { return "cas.hash_ack"; }
+  std::string_view type_name() const override { return "cas.hash_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -100,7 +100,7 @@ struct PreWriteReq final : MessagePayload {
   PreWriteReq(std::uint64_t r, Tag t, Bytes s)
       : rid(r), tag(t), shard(std::move(s)) {}
 
-  std::string type_name() const override { return "cas.pre_write_req"; }
+  std::string_view type_name() const override { return "cas.pre_write_req"; }
   StateBits size_bits() const override {
     return {static_cast<double>(shard.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -119,7 +119,7 @@ struct PreWriteAck final : MessagePayload {
 
   PreWriteAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
 
-  std::string type_name() const override { return "cas.pre_write_ack"; }
+  std::string_view type_name() const override { return "cas.pre_write_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -135,7 +135,7 @@ struct FinalizeReq final : MessagePayload {
 
   FinalizeReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
 
-  std::string type_name() const override { return "cas.finalize_req"; }
+  std::string_view type_name() const override { return "cas.finalize_req"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -150,7 +150,7 @@ struct FinalizeAck final : MessagePayload {
 
   FinalizeAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
 
-  std::string type_name() const override { return "cas.finalize_ack"; }
+  std::string_view type_name() const override { return "cas.finalize_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -167,7 +167,7 @@ struct ReadFinReq final : MessagePayload {
 
   ReadFinReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
 
-  std::string type_name() const override { return "cas.read_fin_req"; }
+  std::string_view type_name() const override { return "cas.read_fin_req"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -188,7 +188,7 @@ struct ReadFinResp final : MessagePayload {
   ReadFinResp(std::uint64_t r, Tag t, bool has, bool gc, Bytes s)
       : rid(r), tag(t), has_shard(has), gced(gc), shard(std::move(s)) {}
 
-  std::string type_name() const override { return "cas.read_fin_resp"; }
+  std::string_view type_name() const override { return "cas.read_fin_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(shard.size()) * 8.0, 64 + Tag::kBits + 2};
   }

@@ -60,7 +60,8 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     handle_read_fin(ctx, from, *rf);
     return;
   }
-  MEMU_UNREACHABLE("cas.server got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("cas.server got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 void Server::handle_read_fin(Context& ctx, NodeId from, const ReadFinReq& req) {
@@ -136,8 +137,7 @@ StateBits Server::state_size() const {
   return bits;
 }
 
-Bytes Server::encode_state() const {
-  BufWriter w;
+void Server::write_state(BufWriter& w, const NodeRelabeling&) const {
   gc_watermark_.encode(w);
   w.u64(store_.size());
   for (const auto& [tag, entry] : store_) {
@@ -160,7 +160,6 @@ Bytes Server::encode_state() const {
     tag.encode(w);
     w.u64(hash);
   }
-  return std::move(w).take();
 }
 
 std::size_t Server::stored_versions() const {

@@ -32,7 +32,7 @@ class Server final : public CloneableProcess<Server> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void write_state(BufWriter& w, const NodeRelabeling& rank) const override;
   std::string name() const override { return "cas.server"; }
   bool is_server() const override { return true; }
 
@@ -46,8 +46,8 @@ class Server final : public CloneableProcess<Server> {
   }
 
   // State embeds CLIENT ids only (waiting_ readers), which the symmetry
-  // relabeling maps identically, so the state is id-free and the default
-  // encode_state_relabeled stays faithful. Interchangeability of the stored
+  // relabeling maps identically, so the state is id-free and write_state
+  // can ignore the relabeling. Interchangeability of the stored
   // shards themselves is the clients' k=1 gate (see cas::Writer::symmetry).
   Symmetry symmetry() const override { return Symmetry::kIdFree; }
 

@@ -54,7 +54,8 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
                                         hit ? rep_value_ : Value{}));
     return;
   }
-  MEMU_UNREACHABLE("ldr.server got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("ldr.server got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 // ---- Writer -----------------------------------------------------------------
@@ -148,7 +149,8 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("ldr.writer got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("ldr.writer got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 StateBits Writer::state_size() const {
@@ -157,8 +159,7 @@ StateBits Writer::state_size() const {
               32.0 * static_cast<double>(chosen_.size())};
 }
 
-Bytes Writer::encode_state() const {
-  BufWriter w;
+void Writer::write_state(BufWriter& w, const NodeRelabeling&) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   tag_.encode(w);
@@ -168,7 +169,6 @@ Bytes Writer::encode_state() const {
   for (NodeId n : chosen_) w.u32(n.value);
   w.u64(replied_.size());
   for (NodeId n : replied_) w.u32(n.value);
-  return std::move(w).take();
 }
 
 // ---- Reader -----------------------------------------------------------------
@@ -234,7 +234,8 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
                 gr->value, 0});
     return;
   }
-  MEMU_UNREACHABLE("ldr.reader got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("ldr.reader got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 StateBits Reader::state_size() const {
@@ -242,14 +243,12 @@ StateBits Reader::state_size() const {
                  32.0 * static_cast<double>(locations_.size())};
 }
 
-Bytes Reader::encode_state() const {
-  BufWriter w;
+void Reader::write_state(BufWriter& w, const NodeRelabeling&) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   target_.encode(w);
   w.u64(locations_.size());
   for (NodeId n : locations_) w.u32(n.value);
-  return std::move(w).take();
 }
 
 // ---- System ------------------------------------------------------------------

@@ -45,7 +45,7 @@ namespace memu::ldr {
 struct DirQueryReq final : MessagePayload {
   std::uint64_t rid = 0;
   explicit DirQueryReq(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "ldr.dir_query_req"; }
+  std::string_view type_name() const override { return "ldr.dir_query_req"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -59,7 +59,7 @@ struct DirQueryResp final : MessagePayload {
   std::vector<NodeId> locations;
   DirQueryResp(std::uint64_t r, Tag t, std::vector<NodeId> locs)
       : rid(r), tag(t), locations(std::move(locs)) {}
-  std::string type_name() const override { return "ldr.dir_query_resp"; }
+  std::string_view type_name() const override { return "ldr.dir_query_resp"; }
   StateBits size_bits() const override {
     return {0, 64 + Tag::kBits + 32.0 * static_cast<double>(locations.size())};
   }
@@ -78,7 +78,7 @@ struct DirUpdateReq final : MessagePayload {
   std::vector<NodeId> locations;
   DirUpdateReq(std::uint64_t r, Tag t, std::vector<NodeId> locs)
       : rid(r), tag(t), locations(std::move(locs)) {}
-  std::string type_name() const override { return "ldr.dir_update_req"; }
+  std::string_view type_name() const override { return "ldr.dir_update_req"; }
   StateBits size_bits() const override {
     return {0, 64 + Tag::kBits + 32.0 * static_cast<double>(locations.size())};
   }
@@ -94,7 +94,7 @@ struct DirUpdateReq final : MessagePayload {
 struct DirUpdateAck final : MessagePayload {
   std::uint64_t rid = 0;
   explicit DirUpdateAck(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "ldr.dir_update_ack"; }
+  std::string_view type_name() const override { return "ldr.dir_update_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -105,7 +105,7 @@ struct DirUpdateAck final : MessagePayload {
 struct RepReserveReq final : MessagePayload {
   std::uint64_t rid = 0;
   explicit RepReserveReq(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "ldr.rep_reserve_req"; }
+  std::string_view type_name() const override { return "ldr.rep_reserve_req"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -116,7 +116,7 @@ struct RepReserveReq final : MessagePayload {
 struct RepReserveResp final : MessagePayload {
   std::uint64_t rid = 0;
   explicit RepReserveResp(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "ldr.rep_reserve_resp"; }
+  std::string_view type_name() const override { return "ldr.rep_reserve_resp"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -130,7 +130,7 @@ struct RepPutReq final : MessagePayload {
   Value value;
   RepPutReq(std::uint64_t r, Tag t, Value v)
       : rid(r), tag(t), value(std::move(v)) {}
-  std::string type_name() const override { return "ldr.rep_put_req"; }
+  std::string_view type_name() const override { return "ldr.rep_put_req"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -146,7 +146,7 @@ struct RepPutReq final : MessagePayload {
 struct RepPutAck final : MessagePayload {
   std::uint64_t rid = 0;
   explicit RepPutAck(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "ldr.rep_put_ack"; }
+  std::string_view type_name() const override { return "ldr.rep_put_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -160,7 +160,7 @@ struct RepPutAck final : MessagePayload {
 struct RepReleaseReq final : MessagePayload {
   Tag tag;
   explicit RepReleaseReq(Tag t) : tag(t) {}
-  std::string type_name() const override { return "ldr.rep_release_req"; }
+  std::string_view type_name() const override { return "ldr.rep_release_req"; }
   StateBits size_bits() const override { return {0, Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -172,7 +172,7 @@ struct RepGetReq final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;  // want this tag or newer
   RepGetReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string type_name() const override { return "ldr.rep_get_req"; }
+  std::string_view type_name() const override { return "ldr.rep_get_req"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -188,7 +188,7 @@ struct RepGetResp final : MessagePayload {
   Value value;
   RepGetResp(std::uint64_t r, Tag t, bool h, Value v)
       : rid(r), tag(t), hit(h), value(std::move(v)) {}
-  std::string type_name() const override { return "ldr.rep_get_resp"; }
+  std::string_view type_name() const override { return "ldr.rep_get_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits + 1};
   }
@@ -231,8 +231,7 @@ class Server final : public CloneableProcess<Server> {
     return bits;
   }
 
-  Bytes encode_state() const override {
-    BufWriter w;
+  void write_state(BufWriter& w, const NodeRelabeling&) const override {
     w.boolean(is_replica_);
     dir_tag_.encode(w);
     w.u64(dir_locations_.size());
@@ -240,7 +239,6 @@ class Server final : public CloneableProcess<Server> {
     rep_tag_.encode(w);
     w.boolean(rep_has_value_);
     w.bytes(rep_value_);
-    return std::move(w).take();
   }
 
   std::string name() const override { return "ldr.server"; }
@@ -276,7 +274,7 @@ class Writer final : public CloneableProcess<Writer> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void write_state(BufWriter& w, const NodeRelabeling& rank) const override;
   std::string name() const override { return "ldr.writer"; }
 
   enum class Phase : std::uint8_t {
@@ -311,7 +309,7 @@ class Reader final : public CloneableProcess<Reader> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void write_state(BufWriter& w, const NodeRelabeling& rank) const override;
   std::string name() const override { return "ldr.reader"; }
   bool idle() const { return phase_ == Phase::kIdle; }
   std::size_t restarts() const { return restarts_; }

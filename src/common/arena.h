@@ -399,6 +399,9 @@ class SlabRef {
   }
   SlabRef(SlabRef&& o) noexcept : obj_(o.obj_) { o.obj_ = nullptr; }
   SlabRef& operator=(const SlabRef& o) {
+    // Re-assigning the block already held (a scratch World assigned the
+    // same parent again) leaves the count as it is: no atomic round trip.
+    if (obj_ == o.obj_) return *this;
     SlabRef copy(o);
     std::swap(obj_, copy.obj_);
     return *this;

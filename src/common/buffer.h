@@ -7,10 +7,12 @@
 // serialize to equal byte strings.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -20,6 +22,12 @@ namespace memu {
 using Bytes = std::vector<std::uint8_t>;
 
 // Appends primitive values to a growing byte vector in little-endian order.
+// Multi-byte integers are copied in their native representation, which is
+// little-endian on every supported target (checked below), so the bytes
+// match a shift-per-byte encoding exactly.
+static_assert(std::endian::native == std::endian::little,
+              "BufWriter copies integers in native byte order");
+
 class BufWriter {
  public:
   BufWriter() = default;
@@ -32,13 +40,9 @@ class BufWriter {
 
   void u8(std::uint8_t v) { out_.push_back(v); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { append_native(v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u64(std::uint64_t v) { append_native(v); }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
 
@@ -48,14 +52,7 @@ class BufWriter {
     out_.insert(out_.end(), data.begin(), data.end());
   }
 
-  // Raw append, no length prefix: for splicing pre-encoded blocks whose
-  // framing the caller owns (Process::encode_state_relabeled's default
-  // forwards whole encode_state() outputs through this).
-  void raw(std::span<const std::uint8_t> data) {
-    out_.insert(out_.end(), data.begin(), data.end());
-  }
-
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
     out_.insert(out_.end(), s.begin(), s.end());
   }
@@ -65,6 +62,13 @@ class BufWriter {
   std::size_t size() const { return out_.size(); }
 
  private:
+  template <class T>
+  void append_native(T v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(T));
+    std::memcpy(out_.data() + at, &v, sizeof(T));
+  }
+
   Bytes out_;
 };
 

@@ -18,19 +18,50 @@ namespace memu::engine {
 
 namespace {
 
-// A frontier entry: the parent's World plus the one step that leads here.
-// The node's own World is not stored; popping it copies the parent (COW —
-// pointer bumps) and delivers path.back() (the root, with an empty path,
-// is its own parent and delivers nothing). `path` is the full delivery
-// sequence from the initial state, kept as the replayable counterexample.
-// Parents are immutable once published: workers copy them, never mutate
-// them, so sharing one across threads is safe.
-struct Node {
-  std::shared_ptr<const World> parent;
+// An expanded state, shared by all of its children: its World and the
+// delivery sequence from the initial state to it (the prefix of every
+// child's replayable counterexample), stored once here rather than once
+// per child. Immutable once published: workers copy the World, never
+// mutate it, so sharing one across threads is safe.
+struct Parent {
+  World world;
   std::vector<ExploreStep> path;
+};
+
+// A frontier entry: its parent plus the one step that leads here. The
+// node's own World is not stored; popping it assigns the parent's World
+// into the worker's scratch World (COW — pointer bumps into warm vectors)
+// and delivers `step`. The root is its own parent and delivers nothing.
+struct Node {
+  std::shared_ptr<const Parent> parent;
+  ExploreStep step{{}, kNoIndex};  // kNoIndex: the root
   // Sleep set (engine/dpor.h): steps whose interleavings an earlier
   // sibling branch already covers. Always empty when reduction is off.
   std::vector<ExploreStep> sleep;
+
+  bool is_root() const { return step.index == kNoIndex; }
+  std::size_t depth() const {
+    return is_root() ? 0 : parent->path.size() + 1;
+  }
+  // The delivery sequence from the initial state to this node.
+  std::vector<ExploreStep> path() const {
+    std::vector<ExploreStep> out;
+    out.reserve(depth());
+    out.insert(out.end(), parent->path.begin(), parent->path.end());
+    if (!is_root()) out.push_back(step);
+    return out;
+  }
+};
+
+// One worker's buffers, reused across every node it visits so the visit
+// allocates nothing in steady state: the World each node materializes
+// into, the steps enumerated from it, the sleep-set accumulator, and the
+// children it emits.
+struct Scratch {
+  World world;
+  std::vector<ExploreStep> steps;
+  std::vector<ExploreStep> acc;
+  std::vector<Node> children;
 };
 
 class Search {
@@ -40,7 +71,8 @@ class Search {
       : opt_(opt),
         invariant_(invariant),
         terminal_(terminal),
-        visited_({opt.exact_dedupe, auto_shard_count(opt.threads), opt.mem}) {}
+        visited_({opt.exact_dedupe, auto_shard_count(opt.threads), opt.mem}),
+        scratch_(std::max<std::size_t>(opt.threads, 1)) {}
 
   ExploreResult run(const World& initial) {
     sleep_on_ = opt_.reduction.sleep_sets;
@@ -57,7 +89,8 @@ class Search {
       plain_seen_ = std::make_unique<VisitedSet>(
           VisitedSet::Options{false, auto_shard_count(opt_.threads)});
     }
-    Node root{std::make_shared<const World>(initial), {}, {}};
+    Node root;  // the default step marks the root
+    root.parent = std::make_shared<const Parent>(Parent{initial, {}});
     if (opt_.threads <= 1) {
       push_bytes(root);
       frontier_.push_back(std::move(root));
@@ -94,14 +127,14 @@ class Search {
   }
 
  private:
-  // Frontier memory accounting: the node struct plus its path and sleep-set
-  // storage.
+  // Frontier memory accounting: the node struct plus its sleep-set
+  // storage. The parent record (World and path) is shared by all of its
+  // children and counts as slack, like the parent World always has.
   // Deliberately based on size(), not capacity(), so the accounting — and
   // therefore where the ceiling fires — is identical across allocators and
   // stdlib growth policies.
   static std::size_t node_bytes(const Node& n) {
-    return sizeof(Node) +
-           (n.path.size() + n.sleep.size()) * sizeof(ExploreStep);
+    return sizeof(Node) + n.sleep.size() * sizeof(ExploreStep);
   }
 
   // Under a bounded --mem the frontier may hold an eighth of it; the push
@@ -126,14 +159,13 @@ class Search {
 
   void pop_bytes(const Node& n) { frontier_bytes_.fetch_sub(node_bytes(n)); }
 
-  // Records the first violation and aborts the search.
-  void record_violation(const std::string& why,
-                        const std::vector<ExploreStep>& path) {
+  // Records the first violation, found at `node`, and aborts the search.
+  void record_violation(const std::string& why, const Node& node) {
     std::lock_guard<std::mutex> lock(violation_mu_);
     if (ok_) {
       ok_ = false;
       violation_ = why;
-      violation_path_ = path;
+      violation_path_ = node.path();
     }
     aborted_.store(true);
   }
@@ -215,54 +247,71 @@ class Search {
   }
 
   // Visits one frontier node: reconstitution, dedupe, bounds, invariant,
-  // terminal, and child generation. Children are passed to `emit` in
-  // deterministic (channel, index) order; the caller decides where they go.
+  // terminal, and child generation, in the worker's scratch buffers.
+  // Children are passed to `emit` in deterministic (channel, index) order;
+  // the caller decides where they go.
   template <class Emit>
-  void visit(const Node& node, Emit&& emit) {
+  void visit(const Node& node, Scratch& scratch, Emit&& emit) {
     // Entry bookkeeping. The recursive DFS incremented `transitions` once
     // per child call; counting at entry (non-root nodes only) yields the
     // same totals in the same order, including under aborts.
-    if (!node.path.empty()) transitions_.fetch_add(1);
+    if (!node.is_root()) transitions_.fetch_add(1);
 
-    // Materialize: COW copy of the parent plus its one step. Delivery is
+    // Materialize: COW copy of the parent plus its one step, assigned into
+    // the scratch World so its vectors keep their capacity. Delivery is
     // deterministic, so this World is state-identical (and canonical-
     // encoding byte-identical) to one built by replaying the whole path.
-    World world = *node.parent;
-    if (!node.path.empty()) {
-      const ExploreStep& step = node.path.back();
-      world.deliver(step.chan, step.index);
-    }
+    World& world = scratch.world;
+    world = node.parent->world;
+    if (!node.is_root()) world.deliver(node.step.chan, node.step.index);
 
     if (!admit(world)) return;
     states_visited_.fetch_add(1);
 
     if (invariant_) {
       if (const auto why = invariant_(world); why.has_value()) {
-        record_violation("invariant: " + *why, node.path);
+        record_violation("invariant: " + *why, node);
         return;
       }
     }
 
-    const std::vector<ChannelId> chans = world.deliverable_channels();
-    if (chans.empty()) {
+    std::vector<ExploreStep>& steps = scratch.steps;
+    steps.clear();
+    world.for_each_deliverable([&](ChannelId chan, std::size_t first) {
+      // FIFO: the first allowed index (may be > 0 under value/bulk
+      // blocks). Non-FIFO: branch over every deliverable position.
+      // Redundant branches (identical payloads whose deliveries lead to
+      // identical states) merge in the visited set — payload-level merging
+      // here would be unsound for non-adjacent duplicates, whose remaining
+      // queue orders differ.
+      if (!opt_.reorder) {
+        steps.push_back({chan, first});
+        return;
+      }
+      for (const std::size_t index : world.deliverable_indices(chan))
+        steps.push_back({chan, index});
+    });
+    if (steps.empty()) {
       terminal_states_.fetch_add(1);
       if (terminal_) {
         if (const auto why = terminal_(world); why.has_value())
-          record_violation("terminal: " + *why, node.path);
+          record_violation("terminal: " + *why, node);
       }
       return;
     }
-    if (node.path.size() >= opt_.max_depth) {
+    if (node.depth() >= opt_.max_depth) {
       complete_.store(false);
       depth_cut_.fetch_add(1);
       return;
     }
 
-    // This node becomes its children's parent. The root's World is already
-    // shared; any other is wrapped once and shared by every child.
-    const std::shared_ptr<const World> parent =
-        node.path.empty() ? node.parent
-                          : std::make_shared<const World>(std::move(world));
+    // This node becomes its children's parent: the root's record is
+    // already shared; any other state moves the scratch World into a fresh
+    // record with its path, shared by every child.
+    const std::shared_ptr<const Parent> parent =
+        node.is_root() ? node.parent
+                       : std::make_shared<const Parent>(
+                             Parent{std::move(world), node.path()});
 
     // Sleep-set filtering (engine/dpor.h): an enumerated step found in the
     // node's sleep set is skipped — every interleaving it starts is
@@ -272,48 +321,20 @@ class Search {
     // (dependent steps wake up). A node whose steps are ALL asleep emits
     // nothing and simply retires — it is not terminal (its channels are
     // non-empty), just redundant.
-    std::vector<ExploreStep> acc;  // inherited sleep + earlier emitted steps
-    if (sleep_on_) acc = node.sleep;
-    const auto emit_step = [&](ChannelId chan, std::size_t index) {
+    std::vector<ExploreStep>& acc = scratch.acc;  // inherited + emitted
+    if (sleep_on_) acc.assign(node.sleep.begin(), node.sleep.end());
+    for (const ExploreStep& step : steps) {
       if (!sleep_on_) {
-        emit(make_child(parent, node.path, chan, index));
-        return;
-      }
-      const ExploreStep step{chan, index};
-      if (dpor::sleeps(node.sleep, step)) {
-        sleep_blocked_.fetch_add(1);
-        return;
-      }
-      Node child = make_child(parent, node.path, chan, index);
-      child.sleep = dpor::child_sleep(acc, step, server_mask_);
-      acc.push_back(step);
-      emit(std::move(child));
-    };
-    for (const ChannelId chan : chans) {
-      if (!opt_.reorder) {
-        // First allowed index (may be > 0 under value/bulk blocks).
-        const std::size_t index = parent->first_deliverable_index(chan);
-        MEMU_CHECK(index != kNoIndex);
-        emit_step(chan, index);
+        emit(Node{parent, step, {}});
         continue;
       }
-      // Non-FIFO: branch over every deliverable position. Redundant
-      // branches (identical payloads whose deliveries lead to identical
-      // states) merge in the visited set — payload-level merging here
-      // would be unsound for non-adjacent duplicates, whose remaining
-      // queue orders differ.
-      for (const std::size_t index : parent->deliverable_indices(chan)) {
-        emit_step(chan, index);
+      if (dpor::sleeps(node.sleep, step)) {
+        sleep_blocked_.fetch_add(1);
+        continue;
       }
+      emit(Node{parent, step, dpor::child_sleep(acc, step, server_mask_)});
+      acc.push_back(step);
     }
-  }
-
-  static Node make_child(const std::shared_ptr<const World>& parent,
-                         const std::vector<ExploreStep>& path, ChannelId chan,
-                         std::size_t index) {
-    Node child{parent, path, {}};
-    child.path.push_back({chan, index});
-    return child;
   }
 
   // Sequential mode: LIFO frontier, children pushed in reverse generation
@@ -321,13 +342,15 @@ class Search {
   // counter and the first counterexample match the seed explorer, at any
   // --mem the run fits.
   void run_sequential() {
-    std::vector<Node> children;
+    Scratch& scratch = scratch_[0];
+    std::vector<Node>& children = scratch.children;
     while (!frontier_.empty() && !aborted_.load()) {
       const Node node = std::move(frontier_.back());
       frontier_.pop_back();
       pop_bytes(node);
       children.clear();
-      visit(node, [&](Node&& child) { children.push_back(std::move(child)); });
+      visit(node, scratch,
+            [&](Node&& child) { children.push_back(std::move(child)); });
       for (auto it = children.rbegin(); it != children.rend(); ++it) {
         push_bytes(*it);
         frontier_.push_back(std::move(*it));
@@ -360,10 +383,10 @@ class Search {
             return;
           }
           pop_bytes(node);
-          // One child buffer per worker thread, reused across visits.
-          static thread_local std::vector<Node> children;
+          Scratch& scratch = scratch_[id];
+          std::vector<Node>& children = scratch.children;
           children.clear();
-          visit(node,
+          visit(node, scratch,
                 [&](Node&& child) { children.push_back(std::move(child)); });
           for (const Node& child : children) push_bytes(child);
           pool.submit(id, children);
@@ -376,7 +399,8 @@ class Search {
   const StateCheck& invariant_;
   const StateCheck& terminal_;
   VisitedSet visited_;
-  std::vector<Node> frontier_;  // sequential mode only
+  std::vector<Scratch> scratch_;  // one per worker; [0] in sequential mode
+  std::vector<Node> frontier_;    // sequential mode only
 
   // --- partial-order reduction ---------------------------------------------
   bool sleep_on_ = false;

@@ -8,9 +8,11 @@
 // stealing in parallel mode (owners pop LIFO from their own deque and
 // batch-push children locally; idle workers steal the shallowest node from
 // a random victim; termination is a single in-flight node counter).
-// A frontier node holds its parent's World (shared, COW) plus the one
-// ExploreStep that leads to it, and is materialized when popped by copying
-// the parent and delivering that step. Deduplication runs
+// A frontier node holds a shared parent record (the parent's World and its
+// delivery path, stored once for all of its children) plus the one
+// ExploreStep that leads to it, and is materialized when popped by
+// assigning the parent's World into a per-worker scratch World (COW) and
+// delivering that step. Deduplication runs
 // through engine::VisitedSet — keyed on World::state_hash(), the 64-bit
 // incremental fingerprint maintained through every mutation, so the default
 // mode performs zero canonical encodings per visited state; opt-in exact
@@ -116,9 +118,10 @@ struct ExploreResult {
   std::size_t dedupe_bytes = 0;
   std::size_t dedupe_entries = 0;  // states retained by the visited set
   bool exact_dedupe = false;       // mode behind dedupe_bytes (see above)
-  // Peak bytes of frontier nodes (node structs + paths + sleep sets;
-  // shared parent Worlds are slack, not metered here). Never more than
-  // mem.total / 8 on a budgeted run that completes.
+  // Peak bytes of frontier nodes (node structs + sleep sets; the shared
+  // parent records — each expanded state's World and path — are slack,
+  // not metered here). Never more than mem.total / 8 on a budgeted run
+  // that completes.
   std::size_t frontier_bytes = 0;
   // Paths cut by max_depth. Like truncated, any nonzero value means the
   // run did NOT cover the space (complete is false) — a depth-limited run

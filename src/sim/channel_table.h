@@ -268,8 +268,7 @@ class ChannelTable {
     // The payload fingerprint is computed exactly once per send — queue
     // hash folds and the World's incremental state hash reuse it for the
     // message's whole in-flight lifetime (including across COW copies).
-    if (msg.payload_fp == 0)
-      msg.payload_fp = fingerprint64(msg.payload->encode());
+    if (msg.payload_fp == 0) msg.payload_fp = msg.payload->fingerprint();
     const std::size_t slot = slot_of(chan);
     MsgQueue& q = slots_[slot];
     if (q.empty()) {

@@ -9,10 +9,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <string_view>
 
 #include "common/bits.h"
 #include "common/buffer.h"
+#include "common/hash.h"
 #include "common/ids.h"
 
 namespace memu {
@@ -22,8 +23,10 @@ class MessagePayload {
  public:
   virtual ~MessagePayload() = default;
 
-  // Human-readable message type, e.g. "abd.write_store".
-  virtual std::string type_name() const = 0;
+  // Human-readable message type, e.g. "abd.write_store". A view of a
+  // string literal: fingerprinting a message names its type without
+  // allocating.
+  virtual std::string_view type_name() const = 0;
 
   // Size of this message, split into value and metadata bits.
   virtual StateBits size_bits() const = 0;
@@ -46,12 +49,28 @@ class MessagePayload {
   // markers; any payload with fields must override.
   virtual void encode_content(BufWriter& w) const { (void)w; }
 
-  // Full canonical encoding (type + content).
-  Bytes encode() const {
-    BufWriter w;
+  // Full canonical encoding (type + content), appended to `w`.
+  void encode_into(BufWriter& w) const {
     w.str(type_name());
     encode_content(w);
+  }
+
+  // The same encoding as a fresh buffer.
+  Bytes encode() const {
+    BufWriter w;
+    encode_into(w);
     return std::move(w).take();
+  }
+
+  // fingerprint64(encode()), encoded through one reused per-thread buffer
+  // instead of a fresh Bytes — ChannelTable::push runs this once per send.
+  std::uint64_t fingerprint() const {
+    thread_local Bytes scratch;
+    BufWriter w(std::move(scratch));
+    encode_into(w);
+    const std::uint64_t fp = fingerprint64(w.data());
+    scratch = std::move(w).take();
+    return fp;
   }
 };
 

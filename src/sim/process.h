@@ -71,8 +71,8 @@ struct Invocation {
 // Maps a node id to its canonical id. The map — when present — permutes
 // SERVER ids within each role group and is the identity on every other id,
 // so a process whose state embeds only client ids can relabel through it
-// as a no-op. A default-constructed NodeRelabeling is the identity (used
-// to express encode_state() in terms of encode_state_relabeled()).
+// as a no-op. A default-constructed NodeRelabeling is the identity (what
+// encode_state() passes to Process::write_state()).
 class NodeRelabeling {
  public:
   NodeRelabeling() = default;
@@ -155,12 +155,27 @@ class Process {
     return false;
   }
 
-  // Canonical encoding of the state; equal states encode equally. Used by
-  // the adversary harness to compare server-state vectors across executions,
-  // and fingerprinted into World::state_hash() — so it must cover ALL state
-  // that distinguishes this process from a copy (anything clone_into()
-  // copies), or the explorer would merge genuinely distinct world states.
-  virtual Bytes encode_state() const = 0;
+  // Canonical encoding of the state, written into `w`; equal states encode
+  // equally. Used by the adversary harness to compare server-state vectors
+  // across executions, and fingerprinted into World::state_hash() — so it
+  // must cover ALL state that distinguishes this process from a copy
+  // (anything clone_into() copies), or the explorer would merge genuinely
+  // distinct world states.
+  //
+  // A Symmetry::kMapsIds process (see symmetry() below) writes every
+  // embedded SERVER id mapped through `rank` and sorts id-keyed
+  // collections by mapped id (encode_relabeled_ids), so two states equal
+  // up to a server relabeling encode byte-equally. Every other process
+  // ignores `rank`. Under the identity relabeling (a default
+  // NodeRelabeling) this is the plain encoding.
+  virtual void write_state(BufWriter& w, const NodeRelabeling& rank) const = 0;
+
+  // write_state() under the identity, as a fresh buffer.
+  Bytes encode_state() const {
+    BufWriter w;
+    write_state(w, NodeRelabeling{});
+    return std::move(w).take();
+  }
 
   virtual std::string name() const = 0;
 
@@ -184,11 +199,9 @@ class Process {
   //              relabeling is the identity on them). encode_state() is
   //              then its own relabeled encoding, so the symmetry key
   //              reuses the fingerprint World::state_hash() already settled
-  //              for it and never re-encodes it. Such a process must keep
-  //              the default encode_state_relabeled().
-  //   kMapsIds — the state embeds server ids, and encode_state_relabeled()
-  //              maps every one of them. Re-encoded under each candidate
-  //              relabeling.
+  //              for it and never re-encodes it.
+  //   kMapsIds — the state embeds server ids, and write_state() maps every
+  //              one of them. Re-encoded under each candidate relabeling.
   // Either opt-in also certifies that the process treats interchangeable
   // servers interchangeably: a CAS client with a k >= 2 codec assigns a
   // DIFFERENT coded element per server, so it must stay kNone; with k == 1
@@ -196,15 +209,6 @@ class Process {
   // irrelevant.
   enum class Symmetry : std::uint8_t { kNone, kIdFree, kMapsIds };
   virtual Symmetry symmetry() const { return Symmetry::kNone; }
-
-  // Writes the same state encode_state() covers, with every embedded node
-  // id mapped through `rank` and id-keyed collections re-sorted by mapped
-  // id (so two relabel-equal states encode byte-equally). Must be byte-
-  // identical to encode_state() under the identity relabeling.
-  virtual void encode_state_relabeled(const NodeRelabeling& /*rank*/,
-                                      BufWriter& w) const {
-    w.raw(encode_state());
-  }
 
   NodeId id() const { return id_; }
   void set_id(NodeId id) { id_ = id; }

@@ -47,7 +47,7 @@ void fill_canonical_map(const World& w, const Groups& g,
       const Process& p = w.process(nid);
       if (p.symmetry() == Process::Symmetry::kMapsIds) {
         BufWriter sw(std::move(scratch));
-        p.encode_state_relabeled(collapsed, sw);
+        p.write_state(sw, collapsed);
         sig = fold(sig, fingerprint64(sw.data()));
         scratch = std::move(sw).take();
       } else {

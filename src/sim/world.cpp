@@ -22,31 +22,28 @@ std::uint64_t Context::next_op_id() { return world_.next_op_id(); }
 
 // ---- World ------------------------------------------------------------------
 
-World::World(const World& other)
-    : processes_(other.processes_),  // shared; detached on first mutation
-      channels_(other.channels_),
-      crashed_(other.crashed_),
-      frozen_(other.frozen_),
-      value_blocked_(other.value_blocked_),
-      bulk_blocked_(other.bulk_blocked_),
-      partition_(other.partition_),
-      oplog_(other.oplog_),
-      tracing_(other.tracing_),
-      trace_(other.trace_),
-      step_count_(other.step_count_),
-      next_op_id_(other.next_op_id_),
-      sets_hash_(other.sets_hash_),
-      procs_hash_(other.procs_hash_),
-      proc_fp_(other.proc_fp_),
-      proc_dirty_(other.proc_dirty_),
-      any_proc_dirty_(other.any_proc_dirty_) {
-  cowstats::note_world_copy();
-}
+World::World(const World& other) { *this = other; }
 
 World& World::operator=(const World& other) {
   if (this == &other) return *this;
-  World copy(other);
-  *this = std::move(copy);
+  processes_ = other.processes_;
+  channels_ = other.channels_;
+  crashed_ = other.crashed_;
+  frozen_ = other.frozen_;
+  value_blocked_ = other.value_blocked_;
+  bulk_blocked_ = other.bulk_blocked_;
+  partition_ = other.partition_;
+  oplog_ = other.oplog_;
+  tracing_ = other.tracing_;
+  trace_ = other.trace_;
+  step_count_ = other.step_count_;
+  next_op_id_ = other.next_op_id_;
+  sets_hash_ = other.sets_hash_;
+  procs_hash_ = other.procs_hash_;
+  proc_fp_ = other.proc_fp_;
+  proc_dirty_ = other.proc_dirty_;
+  any_proc_dirty_ = other.any_proc_dirty_;
+  cowstats::note_world_copy();
   return *this;
 }
 
@@ -148,10 +145,9 @@ std::size_t World::first_deliverable_index(ChannelId chan) const {
 
 std::vector<ChannelId> World::deliverable_channels() const {
   std::vector<ChannelId> out;
-  channels_.for_each_nonempty(
-      [&](ChannelId chan, const ChannelTable::Queue& queue) {
-        if (first_allowed_index(chan, queue) != kNoIndex) out.push_back(chan);
-      });
+  for_each_deliverable([&out](ChannelId chan, std::size_t) {
+    out.push_back(chan);
+  });
   return out;
 }
 
@@ -226,7 +222,7 @@ void World::deliver(ChannelId chan, std::size_t index) {
   ++step_count_;
   const bool dropped = crashed_.contains(chan.dst);
   if (tracing_) {
-    trace_.record({step_count_, chan, msg.payload->type_name(),
+    trace_.record({step_count_, chan, std::string(msg.payload->type_name()),
                    msg.payload->size_bits(), dropped});
   }
   if (dropped) return;  // dropped at a crashed node
@@ -366,7 +362,7 @@ void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
   Bytes scratch;
   for (const std::uint32_t original : inverse) {
     BufWriter proc(std::move(scratch));  // clear, keep capacity across procs
-    processes_[original]->encode_state_relabeled(rank, proc);
+    processes_[original]->write_state(proc, rank);
     w.bytes(proc.data());
     scratch = std::move(proc).take();
   }
@@ -418,11 +414,15 @@ void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
 
 void World::flush_proc_hashes() const {
   if (!any_proc_dirty_) return;
+  thread_local Bytes scratch;  // one buffer for every re-encoded process
   for (std::size_t i = 0; i < proc_dirty_.size(); ++i) {
     if (!proc_dirty_[i]) continue;
     proc_dirty_[i] = 0;
     // Swap the stale component for the fresh one.
-    const std::uint64_t fp = fingerprint64(processes_[i]->encode_state());
+    BufWriter w(std::move(scratch));
+    processes_[i]->write_state(w, NodeRelabeling{});
+    const std::uint64_t fp = fingerprint64(w.data());
+    scratch = std::move(w).take();
     procs_hash_ ^= statehash::component(statehash::kProcSeed, i, proc_fp_[i]) ^
                    statehash::component(statehash::kProcSeed, i, fp);
     proc_fp_[i] = fp;
@@ -474,7 +474,7 @@ std::uint64_t World::relabeled_state_hash(
     std::uint64_t fp = proc_fp_[i];
     if (processes_[i]->symmetry() == Process::Symmetry::kMapsIds) {
       BufWriter w(std::move(scratch));
-      processes_[i]->encode_state_relabeled(rank, w);
+      processes_[i]->write_state(w, rank);
       fp = fingerprint64(w.data());
       scratch = std::move(w).take();
     }

@@ -41,7 +41,10 @@ class World {
   // Logically a deep copy; physically shares process, channel, and oplog
   // blocks with `other` until either side mutates them (message payloads
   // are immutable and always shared). Crash/freeze sets, trace, and
-  // counters are copied eagerly — they are flat and cheap.
+  // counters are copied eagerly — they are flat and cheap. Assignment
+  // copies member by member, so the target's vectors keep their capacity:
+  // a World assigned over and over (the explorer's per-worker scratch
+  // World) stops allocating once it has held the largest state.
   World(const World& other);
   World& operator=(const World& other);
   World(World&&) = default;
@@ -148,6 +151,19 @@ class World {
   // (dst not crashed; neither endpoint frozen). Deterministic order.
   std::vector<ChannelId> deliverable_channels() const;
 
+  // Calls fn(chan, first_index) for each channel deliverable_channels()
+  // lists, in the same order, where first_index is what
+  // first_deliverable_index(chan) returns — without building the vector
+  // or looking the queue up twice. `fn` must not mutate this World.
+  template <class Fn>
+  void for_each_deliverable(Fn&& fn) const {
+    channels_.for_each_nonempty(
+        [&](ChannelId chan, const ChannelTable::Queue& queue) {
+          const std::size_t index = first_allowed_index(chan, queue);
+          if (index != kNoIndex) fn(chan, index);
+        });
+  }
+
   // Whether any message is deliverable.
   bool has_deliverable() const;
 
@@ -156,6 +172,11 @@ class World {
 
   // Total number of in-flight messages (including blocked ones).
   std::size_t in_flight() const;
+
+  // Read-only view of the channel table: queued messages with the
+  // fingerprints cached at enqueue (tests check those against fresh
+  // encodings).
+  const ChannelTable& channels() const { return channels_; }
 
   // Non-empty channels and their depths, in canonical (src, dst) order —
   // including channels whose delivery is currently blocked. The fuzz
@@ -175,8 +196,8 @@ class World {
   void deliver_next_allowed(ChannelId chan);
 
   // First index on `chan` whose delivery the current crash/freeze/block
-  // state permits, or kNoIndex. The FIFO fast path of the exploration
-  // engine (avoids materializing deliverable_indices()).
+  // state permits, or kNoIndex (for_each_deliverable reports the same
+  // index without a second lookup).
   std::size_t first_deliverable_index(ChannelId chan) const;
 
   // Every index on `chan` whose delivery the current freeze/block state
@@ -259,12 +280,12 @@ class World {
 
   // encode_canonical() with every node id mapped through `map` (a full
   // permutation of 0..process_count()-1): processes appear in mapped-id
-  // order and serialize via encode_state_relabeled(); channels re-sort by
-  // mapped (src, dst); failure sets list sorted mapped ids; oplog client
-  // ids map through. Byte-identical to encode_canonical() under the
-  // identity permutation (given faithful encode_state_relabeled
-  // overrides) — the dedupe key of the explorer's symmetry reduction
-  // (sim/symmetry.h). Counted as a canonical encoding in cowstats.
+  // order and serialize via Process::write_state() under the map; channels
+  // re-sort by mapped (src, dst); failure sets list sorted mapped ids;
+  // oplog client ids map through. Byte-identical to encode_canonical()
+  // under the identity permutation — the dedupe key of the explorer's
+  // symmetry reduction (sim/symmetry.h). Counted as a canonical encoding
+  // in cowstats.
   void encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
                                   Bytes& out) const;
 

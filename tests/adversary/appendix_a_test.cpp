@@ -30,7 +30,7 @@ Value xor_of(const Value& a, const Value& b) {
 struct Subtract final : MessagePayload {
   Value value;
   explicit Subtract(Value v) : value(std::move(v)) {}
-  std::string type_name() const override { return "xor.subtract"; }
+  std::string_view type_name() const override { return "xor.subtract"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 0};
   }
@@ -51,10 +51,8 @@ class XorServer final : public CloneableProcess<XorServer> {
   StateBits state_size() const override {
     return {static_cast<double>(cell_.size()) * 8.0, 0};
   }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void write_state(BufWriter& w, const NodeRelabeling&) const override {
     w.bytes(cell_);
-    return std::move(w).take();
   }
   std::string name() const override { return "xor.server"; }
   bool is_server() const override { return true; }

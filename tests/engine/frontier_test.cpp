@@ -18,7 +18,7 @@ namespace {
 struct Mark final : MessagePayload {
   std::uint64_t id;
   explicit Mark(std::uint64_t i) : id(i) {}
-  std::string type_name() const override { return "test.mark"; }
+  std::string_view type_name() const override { return "test.mark"; }
   StateBits size_bits() const override { return {0, 64}; }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };
@@ -29,10 +29,8 @@ class MarkSink final : public CloneableProcess<MarkSink> {
     received_ |= 1ull << dynamic_cast<const Mark&>(msg).id;
   }
   StateBits state_size() const override { return {0, 64}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void write_state(BufWriter& w, const NodeRelabeling&) const override {
     w.u64(received_);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.mark_sink"; }
   bool is_server() const override { return true; }
@@ -50,7 +48,7 @@ class Reflector final : public CloneableProcess<Reflector> {
     ctx.send(from, make_msg<Mark>(dynamic_cast<const Mark&>(msg).id));
   }
   StateBits state_size() const override { return {0, 0}; }
-  Bytes encode_state() const override { return {}; }
+  void write_state(BufWriter&, const NodeRelabeling&) const override {}
   std::string name() const override { return "test.reflector"; }
   bool is_server() const override { return true; }
 };
@@ -415,7 +413,7 @@ TEST(FrontierSearch, VisitedSizingHintGetsPastTheFailingSize) {
 
 TEST(FrontierSearch, FrontierSizingHintGetsPastTheFailingSize) {
   // --mem 16K gives the frontier a 2K share, which CAS N=3 passes while
-  // expanding its fifth state — long before the visited set's first
+  // expanding its eighth state (36 nodes of 56 B) — long before the visited set's first
   // doubling. The hint names a larger --mem, and following the hints
   // always makes progress: each rerun completes or fails later, at more
   // states. A visited-set failure at N states is later than a frontier
@@ -447,8 +445,8 @@ TEST(FrontierSearch, FrontierSizingHintGetsPastTheFailingSize) {
     ASSERT_TRUE(std::regex_search(what, h, hint)) << what;
     if (rerun == 0) {
       EXPECT_TRUE(at_frontier) << what;
-      EXPECT_EQ(f[1], "5") << what;
-      EXPECT_EQ(h[1], "34K") << what;
+      EXPECT_EQ(f[1], "8") << what;
+      EXPECT_EQ(h[1], "33K") << what;
     }
     saw_visited |= !at_frontier;
     const std::size_t when = 2 * std::stoull(f[1]) + (at_frontier ? 0 : 1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+
 #include "algo/abd/system.h"
 #include "consistency/checker.h"
 #include "engine/scheduler.h"
@@ -14,7 +17,7 @@ namespace {
 struct Mark final : MessagePayload {
   std::uint64_t id;
   explicit Mark(std::uint64_t i) : id(i) {}
-  std::string type_name() const override { return "test.mark"; }
+  std::string_view type_name() const override { return "test.mark"; }
   StateBits size_bits() const override { return {0, 64}; }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };
@@ -25,10 +28,8 @@ class MarkSink final : public CloneableProcess<MarkSink> {
     received_ |= 1ull << dynamic_cast<const Mark&>(msg).id;
   }
   StateBits state_size() const override { return {0, 64}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void write_state(BufWriter& w, const NodeRelabeling&) const override {
     w.u64(received_);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.mark_sink"; }
   bool is_server() const override { return true; }
@@ -188,28 +189,47 @@ TEST(Explorer, FindsNewOldInversionOfRegularReads) {
   EXPECT_TRUE(res2.ok) << res2.violation;
 }
 
-TEST(Explorer, ViolationPathReplaysToTheViolation) {
-  // The counterexample the explorer returns must be replayable: applying
-  // the recorded deliveries to a fresh initial world reproduces the
-  // violating state.
-  const std::size_t kValueBytes = 12;
-  const Value v1 = unique_value(1, 1, kValueBytes);
+// ---- counterexample paths --------------------------------------------------
+// Every reported path must replay to its violation. The sequential
+// explorer's first counterexample is a function of its DFS order alone,
+// so its exact delivery sequence is pinned too: a change to how the engine
+// stores paths or enumerates channels must report the same steps. A
+// parallel run may report a different violation first.
 
-  auto build = [&] {
+using StepTriples = std::vector<std::array<std::uint32_t, 3>>;  // src dst index
+
+StepTriples triples(const std::vector<ExploreStep>& path) {
+  StepTriples out;
+  for (const ExploreStep& s : path)
+    out.push_back({s.chan.src.value, s.chan.dst.value,
+                   static_cast<std::uint32_t>(s.index)});
+  return out;
+}
+
+World replay_path(World w, const std::vector<ExploreStep>& path) {
+  for (const ExploreStep& s : path) w.deliver(s.chan, s.index);
+  return w;
+}
+
+// ABD N = 3, f = 1, one-phase reads, write v1 || read: the new-old
+// inversion of FindsNewOldInversionOfRegularReads.
+struct Inversion {
+  Value v1 = unique_value(1, 1, 12);
+  abd::System sys;
+
+  Inversion() {
     abd::Options opt;
     opt.n_servers = 3;
     opt.f = 1;
     opt.single_writer = true;
     opt.read_write_back = false;
-    opt.value_size = kValueBytes;
-    abd::System sys = abd::make_system(opt);
+    opt.value_size = 12;
+    sys = abd::make_system(opt);
     sys.world.invoke(sys.writers[0], {OpType::kWrite, v1});
     sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
-    return sys;
-  };
+  }
 
-  abd::System sys = build();
-  auto predicate = [&sys, v1](const World& w) -> std::optional<std::string> {
+  std::optional<std::string> operator()(const World& w) const {
     bool saw_new = false;
     for (const auto& e : w.oplog().events())
       if (e.kind == OpEvent::Kind::kResponse && e.type == OpType::kRead &&
@@ -223,32 +243,87 @@ TEST(Explorer, ViolationPathReplaysToTheViolation) {
         ++stale;
     if (stale >= 2) return "inversion state";
     return std::nullopt;
-  };
-  const auto res =
-      engine::frontier_search(sys.world, ExploreOptions{}, predicate, {});
+  }
+};
+
+// ABD N = 3, f = 1 with two servers crashed: write || read can never
+// finish, so the first quiescent state fails the terminal check.
+abd::System stuck_system() {
+  abd::Options opt;
+  opt.n_servers = 3;
+  opt.f = 1;
+  opt.single_writer = true;
+  opt.value_size = 12;
+  abd::System sys = abd::make_system(opt);
+  sys.world.crash(sys.servers[1]);
+  sys.world.crash(sys.servers[2]);
+  sys.world.invoke(sys.writers[0],
+                   {OpType::kWrite, unique_value(1, 1, opt.value_size)});
+  sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
+  return sys;
+}
+
+std::optional<std::string> stuck_check(const World& w) {
+  if (w.oplog().responses_since(0) < 2) return "operation stuck";
+  return std::nullopt;
+}
+
+TEST(Explorer, ViolationPathReplaysToTheViolation) {
+  // The counterexample the explorer returns must be replayable: applying
+  // the recorded deliveries to a fresh initial world reproduces the
+  // violating state.
+  const Inversion inv;
+  const auto res = engine::frontier_search(inv.sys.world, ExploreOptions{},
+                                           std::cref(inv), {});
   ASSERT_FALSE(res.ok);
   ASSERT_FALSE(res.violation_path.empty());
+  const Inversion fresh;
+  EXPECT_TRUE(fresh(replay_path(fresh.sys.world, res.violation_path)));
+}
 
-  // Replay on a fresh world.
-  abd::System replay = build();
-  for (const auto& step : res.violation_path)
-    replay.world.deliver(step.chan, step.index);
-  // The predicate must fire at the replayed state (adjusting the captured
-  // servers reference to the replayed system).
-  auto replay_predicate = [&replay, v1](const World& w) {
-    bool saw_new = false;
-    for (const auto& e : w.oplog().events())
-      if (e.kind == OpEvent::Kind::kResponse && e.type == OpType::kRead &&
-          e.value == v1)
-        saw_new = true;
-    std::size_t stale = 0;
-    for (const NodeId s : replay.servers)
-      if (dynamic_cast<const abd::Server&>(w.process(s)).tag() ==
-          Tag::initial())
-        ++stale;
-    return saw_new && stale >= 2;
-  };
-  EXPECT_TRUE(replay_predicate(replay.world));
+TEST(Explorer, SequentialInvariantViolationPathIsPinned) {
+  const Inversion inv;
+  const auto res = engine::frontier_search(
+      inv.sys.world, ExploreOptions{}, std::cref(inv), {});
+  ASSERT_FALSE(res.ok);
+  EXPECT_EQ(res.violation, "invariant: inversion state");
+  // The write reaches server 0 only; the read then hears from servers 0
+  // (new value) and 1 (old), leaving servers 1 and 2 a stale quorum.
+  const StepTriples pinned = {{3, 0, 0}, {0, 3, 0}, {4, 0, 0},
+                              {0, 4, 0}, {4, 1, 0}, {1, 4, 0}};
+  EXPECT_EQ(triples(res.violation_path), pinned);
+}
+
+TEST(Explorer, SequentialTerminalViolationPathIsPinned) {
+  const abd::System sys = stuck_system();
+  const auto res =
+      engine::frontier_search(sys.world, ExploreOptions{}, {}, stuck_check);
+  ASSERT_FALSE(res.ok);
+  EXPECT_EQ(res.violation, "terminal: operation stuck");
+  // Only server 0 is up: the write and the read each get one reply.
+  const StepTriples pinned = {{3, 0, 0}, {0, 3, 0}, {4, 0, 0}, {0, 4, 0}};
+  EXPECT_EQ(triples(res.violation_path), pinned);
+}
+
+TEST(Explorer, ParallelViolationPathsReplayToTheViolation) {
+  ExploreOptions opt;
+  opt.threads = 4;
+  for (int run = 0; run < 3; ++run) {
+    const Inversion inv;
+    const auto res =
+        engine::frontier_search(inv.sys.world, opt, std::cref(inv), {});
+    ASSERT_FALSE(res.ok);
+    EXPECT_TRUE(inv(replay_path(inv.sys.world, res.violation_path)))
+        << "invariant path does not replay, run " << run;
+
+    const abd::System sys = stuck_system();
+    const auto term =
+        engine::frontier_search(sys.world, opt, {}, stuck_check);
+    ASSERT_FALSE(term.ok);
+    const World end = replay_path(sys.world, term.violation_path);
+    EXPECT_FALSE(end.has_deliverable()) << "terminal path stops early";
+    EXPECT_TRUE(stuck_check(end)) << "terminal path does not replay";
+  }
 }
 
 TEST(Explorer, DeterministicAcrossRuns) {

@@ -11,7 +11,7 @@ namespace {
 struct Token final : MessagePayload {
   std::uint64_t hops;
   explicit Token(std::uint64_t h) : hops(h) {}
-  std::string type_name() const override { return "test.token"; }
+  std::string_view type_name() const override { return "test.token"; }
   StateBits size_bits() const override { return {0, 64}; }
 };
 
@@ -27,10 +27,8 @@ class RingNode final : public CloneableProcess<RingNode> {
   }
 
   StateBits state_size() const override { return {0, 64}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void write_state(BufWriter& w, const NodeRelabeling&) const override {
     w.u64(seen_);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.ring_node"; }
   bool is_server() const override { return true; }

@@ -23,7 +23,7 @@ namespace {
 struct Item final : MessagePayload {
   std::uint64_t id;
   explicit Item(std::uint64_t i) : id(i) {}
-  std::string type_name() const override { return "test.item"; }
+  std::string_view type_name() const override { return "test.item"; }
   StateBits size_bits() const override { return {0, 64}; }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };
@@ -34,10 +34,8 @@ struct Sink final : CloneableProcess<Sink> {
     sum = sum * 31 + dynamic_cast<const Item&>(m).id;
   }
   StateBits state_size() const override { return {0, 64}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void write_state(BufWriter& w, const NodeRelabeling&) const override {
     w.u64(sum);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.sink"; }
   bool is_server() const override { return true; }

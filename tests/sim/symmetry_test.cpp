@@ -85,8 +85,8 @@ TEST(Symmetry, CanonicalMapIsIdentityOnClientsAndPermutesServers) {
 }
 
 TEST(Symmetry, RelabeledEncodingUnderIdentityMatchesCanonicalEncoding) {
-  // The byte-identity contract encode_state_relabeled() implementations
-  // must honor, checked through an evolved state (queues, statuses, and
+  // Under the identity relabeling write_state() must write the plain
+  // encoding, checked through an evolved state (queues, statuses, and
   // oplog all populated).
   abd::System sys = abd_system();
   sys.world.deliver({sys.writers[0], sys.servers[0]});
