@@ -103,20 +103,20 @@ CriticalPointInfo find_critical_pair(
   if (!write_and_quiesce(sut, v1)) return info;  // found = false
 
   // Valency decision: deterministic single-schedule probe, or the exact
-  // existential form over all extension schedules (Definition 4.3).
+  // existential form over all extension schedules (Definition 4.3). An
+  // exact decision keeps the point's value set, so the flip point's
+  // 2-valency check reads it instead of searching the same point again.
+  std::set<Value> exact_values;
   const auto one_valent = [&](const World& w) {
     if (probe.exact) {
-      return probe_read_all_values(w, sut.writer, sut.reader, probe)
-          .contains(v1);
+      exact_values = probe_read_all_values(w, sut.writer, sut.reader, probe);
+      return exact_values.contains(v1);
     }
     const auto val = probe_read(w, sut.writer, sut.reader, probe);
     return val.has_value() && *val == v1;
   };
   const auto two_valent = [&](const World& w) {
-    if (probe.exact) {
-      return probe_read_all_values(w, sut.writer, sut.reader, probe)
-          .contains(v2);
-    }
+    if (probe.exact) return exact_values.contains(v2);
     const auto val = probe_read(w, sut.writer, sut.reader, probe);
     return val.has_value() && *val == v2;
   };

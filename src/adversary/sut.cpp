@@ -148,7 +148,8 @@ Bytes live_state_vector(const World& w) {
   for (const NodeId id : w.server_ids()) {
     if (w.is_crashed(id)) continue;
     out.u32(id.value);
-    out.bytes(w.process(id).encode_state());
+    const Process& p = w.process(id);
+    out.prefixed([&p](BufWriter& b) { p.write_state(b, NodeRelabeling{}); });
   }
   return std::move(out).take();
 }

@@ -3,59 +3,12 @@
 #include <string>
 #include <utility>
 
+#include "engine/frontier.h"
 #include "engine/scheduler.h"
-#include "engine/visited.h"
 
 namespace memu::adversary {
 
 namespace {
-
-// DFS over all delivery schedules of the probe extension; a branch ends
-// when the read responds (its value is collected) or quiesces.
-class ValencyExplorer {
- public:
-  ValencyExplorer(std::size_t base_events, std::size_t max_states)
-      : base_events_(base_events),
-        max_states_(max_states),
-        // Exact dedupe: this probe is the ground truth the deterministic
-        // probe is validated against, so no fingerprint-collision risk.
-        visited_({/*exact=*/true, /*shards=*/1}) {}
-
-  void walk(const World& w) {
-    if (!visited_.try_insert(w.canonical_encoding())) return;
-    MEMU_CHECK_MSG(visited_.size() <= max_states_,
-                   "exact valency probe exceeded its state budget");
-
-    // Did the read respond in this state? Indexed access near the log's
-    // end is O(1) per event on the chunked oplog; flattening via events()
-    // would copy the whole history per visited state.
-    const OpLog& log = w.oplog();
-    for (std::size_t i = base_events_; i < log.size(); ++i) {
-      if (log[i].kind == OpEvent::Kind::kResponse &&
-          log[i].type == OpType::kRead) {
-        values_.insert(log[i].value);
-        return;  // branch decided; no need to go deeper
-      }
-    }
-    // Each branch delivers into its own copy, never into `w`, so the
-    // channels can be enumerated in place.
-    w.for_each_deliverable([&](ChannelId chan, std::size_t) {
-      for (const std::size_t index : w.deliverable_indices(chan)) {
-        World next = w;
-        next.deliver(chan, index);
-        walk(next);
-      }
-    });
-  }
-
-  std::set<Value> take() && { return std::move(values_); }
-
- private:
-  std::size_t base_events_;
-  std::size_t max_states_;
-  engine::VisitedSet visited_;
-  std::set<Value> values_;
-};
 
 // Delivers every pending server-to-server message (Definition 5.3 lets
 // the inter-server channels act before the read is invoked). Const access
@@ -76,20 +29,38 @@ void flush_gossip(World& w) {
   }
 }
 
+// A COW fork of `at` (the probe never disturbs the real execution) with
+// the writer frozen, gossip flushed if asked, and a read invoked;
+// `base_events` is the oplog size before the read.
+World start_read(const World& at, NodeId writer, NodeId reader,
+                 const ProbeOptions& opt, std::size_t& base_events) {
+  World w = at;
+  w.freeze(writer);
+  if (opt.flush_gossip) flush_gossip(w);
+  base_events = w.oplog().size();
+  w.invoke(reader, Invocation{OpType::kRead, {}});
+  return w;
+}
+
+// The value of the read response logged since `base_events`, or nullptr.
+// Indexed access near the log's end is O(1) per event on the chunked
+// oplog; flattening via events() would copy the whole history.
+const Value* read_response(const World& w, std::size_t base_events) {
+  const OpLog& log = w.oplog();
+  for (std::size_t i = base_events; i < log.size(); ++i) {
+    if (log[i].kind == OpEvent::Kind::kResponse &&
+        log[i].type == OpType::kRead)
+      return &log[i].value;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::optional<Value> probe_read(const World& at, NodeId writer, NodeId reader,
                                 const ProbeOptions& opt) {
-  // COW fork: pointer bumps now, detaches only for what the probe's own
-  // steps touch — the probe never disturbs the real execution.
-  World w = at;
-  w.freeze(writer);
-
-  if (opt.flush_gossip) flush_gossip(w);
-
-  const std::size_t base_events = w.oplog().size();
-  w.invoke(reader, Invocation{OpType::kRead, {}});
-
+  std::size_t base_events = 0;
+  World w = start_read(at, writer, reader, opt, base_events);
   Scheduler sched(Scheduler::Policy::kRoundRobin);
   const bool done = sched.run_until(
       w,
@@ -97,29 +68,43 @@ std::optional<Value> probe_read(const World& at, NodeId writer, NodeId reader,
         return x.oplog().responses_since(base_events) >= 1;
       },
       opt.max_steps);
-  if (!done) return std::nullopt;
-
-  const OpLog& log = w.oplog();
-  for (std::size_t i = base_events; i < log.size(); ++i) {
-    if (log[i].kind == OpEvent::Kind::kResponse &&
-        log[i].type == OpType::kRead)
-      return log[i].value;
-  }
-  return std::nullopt;
+  const Value* value = done ? read_response(w, base_events) : nullptr;
+  if (value == nullptr) return std::nullopt;
+  return *value;
 }
 
 std::set<Value> probe_read_all_values(const World& at, NodeId writer,
                                       NodeId reader, const ProbeOptions& opt,
                                       std::size_t max_states) {
-  World w = at;
-  w.freeze(writer);
-  if (opt.flush_gossip) flush_gossip(w);
-  const std::size_t base_events = w.oplog().size();
-  w.invoke(reader, Invocation{OpType::kRead, {}});
+  std::size_t base_events = 0;
+  const World w = start_read(at, writer, reader, opt, base_events);
 
-  ValencyExplorer explorer(base_events, max_states);
-  explorer.walk(w);
-  return std::move(explorer).take();
+  ExploreOptions explore;
+  explore.reorder = true;  // the paper's channels are not FIFO
+  // Exact dedupe: this probe is the ground truth the deterministic probe
+  // is validated against, so no fingerprint-collision risk.
+  explore.exact_dedupe = true;
+  explore.max_states = max_states;
+  // Never the bound that cuts: every state on an expanded path is a
+  // distinct admitted state, so a path of max_states deliveries would need
+  // max_states + 1 of them, past the state budget.
+  explore.max_depth = max_states;
+  // Sleep sets keep the value set (engine/frontier.h): a delivery to the
+  // reader produces the response, and any step to the reader is dependent
+  // with that delivery and wakes it.
+  explore.reduction.sleep_sets = true;
+
+  // A branch ends when the read responds (a leaf: its value is collected)
+  // or quiesces.
+  std::set<Value> values;
+  const ExploreResult r = engine::frontier_search(
+      w, explore, {}, {}, [&values, base_events](const World& x) {
+        const Value* value = read_response(x, base_events);
+        if (value != nullptr) values.insert(*value);
+        return value != nullptr;
+      });
+  MEMU_CHECK_MSG(r.complete, "exact valency probe exceeded its state budget");
+  return values;
 }
 
 }  // namespace memu::adversary

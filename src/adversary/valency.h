@@ -40,11 +40,12 @@ std::optional<Value> probe_read(const World& at, NodeId writer, NodeId reader,
 
 // The EXACT valency set: every value some schedule of the extension can
 // make the solo read return (writer frozen, read invoked at `at`). Decides
-// Definition 4.3's existential quantifier by exhaustive exploration with
-// canonical-state dedup — feasible for small configurations, and the
-// ground truth against which the deterministic probe_read is validated.
-// `max_states` bounds the exploration; exceeding it is a contract error
-// (an undecided probe must not silently pass as decided).
+// Definition 4.3's existential quantifier by one engine::frontier_search
+// over every delivery schedule (exact dedupe, sleep sets; a state where
+// the read has responded is a leaf) — feasible for small configurations,
+// and the ground truth against which the deterministic probe_read is
+// validated. `max_states` bounds the exploration; exceeding it is a
+// contract error (an undecided probe must not silently pass as decided).
 std::set<Value> probe_read_all_values(const World& at, NodeId writer,
                                       NodeId reader,
                                       const ProbeOptions& opt = {},

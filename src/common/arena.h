@@ -238,8 +238,6 @@ class SlabPool {
   // thread, remote stack otherwise. Defined after the lease accessors.
   static void dealloc(void* payload);
 
-  std::size_t pages_allocated() const { return pages_; }
-
  private:
   struct Bump {
     std::uint8_t* cur = nullptr;
@@ -258,10 +256,9 @@ class SlabPool {
     const std::size_t stride = sizeof(SlotHeader) + class_bytes(ci);
     Bump& b = bump_[ci];
     if (b.cur == nullptr || b.cur + stride > b.end) {
-      worldmem::reserve(kPageBytes);
+      worldmem::reserve(kPageBytes);  // cached forever, never freed
       auto* page = static_cast<std::uint8_t*>(
           ::operator new(kPageBytes, std::align_val_t{16}));
-      ++pages_;
       b.cur = page;
       b.end = page + kPageBytes;
     }
@@ -299,7 +296,6 @@ class SlabPool {
   void* freelist_[slabdetail::kNumClasses] = {};
   std::atomic<void*> remote_[slabdetail::kNumClasses] = {};
   Bump bump_[slabdetail::kNumClasses];
-  std::size_t pages_ = 0;  // pages are cached forever, never freed
 };
 
 namespace slabdetail {

@@ -57,6 +57,19 @@ class BufWriter {
     out_.insert(out_.end(), s.begin(), s.end());
   }
 
+  // Length-prefixed field streamed in place: `fill(*this)` appends the
+  // content after a u64 placeholder, which is then back-patched with the
+  // content's length. Byte-identical to bytes() of the same content,
+  // without building that content in a buffer of its own first.
+  template <class Fill>
+  void prefixed(Fill&& fill) {
+    const std::size_t at = out_.size();
+    u64(0);
+    fill(*this);
+    const std::uint64_t length = out_.size() - at - sizeof(std::uint64_t);
+    std::memcpy(out_.data() + at, &length, sizeof length);
+  }
+
   const Bytes& data() const& { return out_; }
   Bytes take() && { return std::move(out_); }
   std::size_t size() const { return out_.size(); }

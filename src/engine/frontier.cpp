@@ -67,10 +67,11 @@ struct Scratch {
 class Search {
  public:
   Search(const ExploreOptions& opt, const StateCheck& invariant,
-         const StateCheck& terminal)
+         const StateCheck& terminal, const LeafCheck& leaf)
       : opt_(opt),
         invariant_(invariant),
         terminal_(terminal),
+        leaf_(leaf),
         visited_({opt.exact_dedupe, auto_shard_count(opt.threads), opt.mem}),
         scratch_(std::max<std::size_t>(opt.threads, 1)) {}
 
@@ -247,7 +248,7 @@ class Search {
   }
 
   // Visits one frontier node: reconstitution, dedupe, bounds, invariant,
-  // terminal, and child generation, in the worker's scratch buffers.
+  // leaf, terminal, and child generation, in the worker's scratch buffers.
   // Children are passed to `emit` in deterministic (channel, index) order;
   // the caller decides where they go.
   template <class Emit>
@@ -274,6 +275,7 @@ class Search {
         return;
       }
     }
+    if (leaf_ && leaf_(world)) return;  // admitted and counted, not expanded
 
     std::vector<ExploreStep>& steps = scratch.steps;
     steps.clear();
@@ -398,6 +400,7 @@ class Search {
   const ExploreOptions& opt_;
   const StateCheck& invariant_;
   const StateCheck& terminal_;
+  const LeafCheck& leaf_;
   VisitedSet visited_;
   std::vector<Scratch> scratch_;  // one per worker; [0] in sequential mode
   std::vector<Node> frontier_;    // sequential mode only
@@ -436,8 +439,9 @@ class Search {
 
 ExploreResult frontier_search(const World& initial, const ExploreOptions& opt,
                               const StateCheck& invariant,
-                              const StateCheck& terminal) {
-  Search search(opt, invariant, terminal);
+                              const StateCheck& terminal,
+                              const LeafCheck& leaf) {
+  Search search(opt, invariant, terminal, leaf);
   return search.run(initial);
 }
 

@@ -159,15 +159,27 @@ struct ExploreResult {
 
 // Returns a violation description, or nullopt if the state is fine.
 using StateCheck = std::function<std::optional<std::string>(const World&)>;
+// True when the search should stop at the state (see frontier_search).
+using LeafCheck = std::function<bool(const World&)>;
 
 namespace engine {
 
 // Explores every state reachable from `initial` under the options.
 // `invariant` runs at every state (pass {} to skip); `terminal` runs at
 // quiescent states.
+//
+// `leaf` (optional) runs after `invariant`, before child generation. A
+// state it accepts is admitted and counted in states_visited but not
+// expanded: not terminal, and `terminal` is not run on it. It runs
+// concurrently when threads > 1. Under sleep sets what the caller collects
+// at leaves is kept if the leaf predicate stays true, with the same
+// value, under any step that commutes with the step that made it true. A
+// read response does: a delivery to the reader produces it, and any step
+// to the reader is dependent with that delivery and wakes it (dpor.h).
 ExploreResult frontier_search(const World& initial, const ExploreOptions& opt,
                               const StateCheck& invariant,
-                              const StateCheck& terminal);
+                              const StateCheck& terminal,
+                              const LeafCheck& leaf = {});
 
 }  // namespace engine
 }  // namespace memu

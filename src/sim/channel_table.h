@@ -311,7 +311,7 @@ class ChannelTable {
     for_each_nonempty([&h](ChannelId chan, const Queue& q) {
       std::uint64_t fold = statehash::kQueueFoldSeed;
       for (const Message& m : q)
-        fold = mix64(fold ^ fingerprint64(m.payload->encode()));
+        fold = mix64(fold ^ m.payload->fingerprint());
       h ^= mix64(statehash::chan_key(chan.src.value, chan.dst.value) ^ fold);
     });
     return h;

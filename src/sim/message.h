@@ -55,15 +55,8 @@ class MessagePayload {
     encode_content(w);
   }
 
-  // The same encoding as a fresh buffer.
-  Bytes encode() const {
-    BufWriter w;
-    encode_into(w);
-    return std::move(w).take();
-  }
-
-  // fingerprint64(encode()), encoded through one reused per-thread buffer
-  // instead of a fresh Bytes — ChannelTable::push runs this once per send.
+  // fingerprint64 of the encode_into() bytes, encoded through one reused
+  // per-thread buffer — ChannelTable::push runs this once per send.
   std::uint64_t fingerprint() const {
     thread_local Bytes scratch;
     BufWriter w(std::move(scratch));
@@ -82,7 +75,7 @@ using MessagePtr = std::shared_ptr<const MessagePayload>;
 // the channel message blocks are sized in.
 struct Message {
   MessagePtr payload;
-  // Fingerprint of payload->encode(), computed once at enqueue
+  // payload->fingerprint(), computed once at enqueue
   // (ChannelTable::push) and carried with the message ever after — the
   // World's incremental state hash folds queues over these instead of
   // re-encoding payloads. 0 means "not yet computed" (a zero fingerprint

@@ -83,7 +83,6 @@ class NodeRelabeling {
     if (map_ == nullptr || id.value >= map_->size()) return id.value;
     return (*map_)[id.value];
   }
-  bool is_identity() const { return map_ == nullptr; }
 
  private:
   const std::vector<std::uint32_t>* map_ = nullptr;  // id -> canonical id

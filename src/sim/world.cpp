@@ -319,14 +319,16 @@ void World::encode_canonical(Bytes& out) const {
 void World::encode_canonical_into(BufWriter& w) const {
   cowstats::note_canonical_encoding();
   w.u64(processes_.size());
-  for (const auto& p : processes_) w.bytes(p->encode_state());
+  for (const auto& p : processes_)
+    w.prefixed([&p](BufWriter& b) { p->write_state(b, NodeRelabeling{}); });
   w.u64(channels_.nonempty_count());
   channels_.for_each_nonempty(
       [&](ChannelId chan, const ChannelTable::Queue& queue) {
         w.u32(chan.src.value);
         w.u32(chan.dst.value);
         w.u64(queue.size());
-        for (const auto& msg : queue) w.bytes(msg.payload->encode());
+        for (const auto& msg : queue)
+          w.prefixed([&msg](BufWriter& b) { msg.payload->encode_into(b); });
       });
   const auto encode_set = [&w](const NodeSet& s) {
     w.u64(s.size());
@@ -359,13 +361,9 @@ void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
   std::vector<std::uint32_t> inverse(map.size());
   for (std::uint32_t i = 0; i < map.size(); ++i) inverse[map[i]] = i;
   w.u64(processes_.size());
-  Bytes scratch;
-  for (const std::uint32_t original : inverse) {
-    BufWriter proc(std::move(scratch));  // clear, keep capacity across procs
-    processes_[original]->write_state(proc, rank);
-    w.bytes(proc.data());
-    scratch = std::move(proc).take();
-  }
+  for (const std::uint32_t original : inverse)
+    w.prefixed(
+        [&](BufWriter& b) { processes_[original]->write_state(b, rank); });
   // Channels re-sorted by mapped endpoints (for_each_nonempty yields
   // original (src, dst) order, which the permutation may scramble).
   struct Slot {
@@ -386,7 +384,8 @@ void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
     w.u32(s.src);
     w.u32(s.dst);
     w.u64(s.queue->size());
-    for (const auto& msg : *s.queue) w.bytes(msg.payload->encode());
+    for (const auto& msg : *s.queue)
+      w.prefixed([&msg](BufWriter& b) { msg.payload->encode_into(b); });
   }
   const auto encode_set = [&](const NodeSet& s) {
     std::vector<std::uint32_t> ids;

@@ -75,7 +75,6 @@ class World {
   // remain deliverable (they were already on the channel).
   void crash(NodeId id);
   bool is_crashed(NodeId id) const { return crashed_.contains(id); }
-  std::size_t crashed_count() const { return crashed_.size(); }
 
   // Un-crash a node. Its process state is whatever it was at crash time;
   // messages dropped while crashed stay lost (equivalent to channel loss to
@@ -131,9 +130,6 @@ class World {
   void partition_add(NodeId id) {
     toggle(partition_.insert(id), statehash::kPartitionSeed, id);
   }
-  void partition_remove(NodeId id) {
-    toggle(partition_.erase(id), statehash::kPartitionSeed, id);
-  }
   void heal_partition() {
     partition_.for_each([this](NodeId id) {
       sets_hash_ ^= statehash::member(statehash::kPartitionSeed, id.value);
@@ -141,7 +137,6 @@ class World {
     partition_ = NodeSet{};
   }
   bool in_partition(NodeId id) const { return partition_.contains(id); }
-  std::size_t partition_size() const { return partition_.size(); }
 
   // --- channels ------------------------------------------------------------
 
@@ -242,7 +237,6 @@ class World {
 
   // Delivery tracing (off by default; cheap enough to leave on in tests).
   void enable_trace() { tracing_ = true; }
-  void disable_trace() { tracing_ = false; }
   const Trace& trace() const { return trace_; }
 
   std::uint64_t next_op_id() { return next_op_id_++; }
@@ -263,7 +257,7 @@ class World {
   StateBits channel_bits() const;
 
   // Canonical encoding of the complete logical state: process states,
-  // channel contents (payloads via MessagePayload::encode), failure /
+  // channel contents (payloads via MessagePayload::encode_into), failure /
   // freeze / value-block sets, and the oplog WITHOUT absolute step stamps
   // (event order alone carries the precedence information). Two Worlds with
   // equal encodings behave identically under identical future schedules —

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <regex>
 #include <string>
 
@@ -101,6 +102,55 @@ TEST(FrontierSearch, MaxStatesRejectionsAreTruncatedNotDeduped) {
   EXPECT_EQ(res.deduped, 0u);
   EXPECT_EQ(res.truncated, 2u);
   EXPECT_EQ(res.transitions, 3u);
+  expect_accounting_identity(res);
+}
+
+TEST(FrontierSearch, LeafStatesAreAdmittedNotExpanded) {
+  // Diamond: two independent messages, to b and to c. The leaf is "b has
+  // its message": the left branch and the quiescent bottom. Both are
+  // admitted and counted; the left branch's step to the bottom is never
+  // generated (the bottom is reached once, from the right branch, so
+  // nothing merges); the bottom is neither terminal nor checked.
+  World w;
+  const NodeId a = w.add_process(std::make_unique<MarkSink>());
+  const NodeId b = w.add_process(std::make_unique<MarkSink>());
+  const NodeId c = w.add_process(std::make_unique<MarkSink>());
+  w.enqueue({a, b}, make_msg<Mark>(0));
+  w.enqueue({a, c}, make_msg<Mark>(1));
+
+  std::size_t leaves = 0;
+  const LeafCheck leaf = [&](const World& x) {
+    const std::vector<ChannelId> chans = x.deliverable_channels();
+    const bool is_leaf =
+        std::find(chans.begin(), chans.end(), ChannelId{a, b}) == chans.end();
+    leaves += is_leaf ? 1 : 0;
+    return is_leaf;
+  };
+  std::size_t terminal_calls = 0;
+  const StateCheck terminal = [&](const World&) -> std::optional<std::string> {
+    ++terminal_calls;
+    return std::nullopt;
+  };
+
+  const auto plain = engine::frontier_search(w, ExploreOptions{}, {}, terminal);
+  EXPECT_EQ(plain.states_visited, 4u);
+  EXPECT_EQ(plain.terminal_states, 1u);
+  EXPECT_EQ(plain.transitions, 4u);
+  EXPECT_EQ(plain.deduped, 1u);
+  EXPECT_EQ(terminal_calls, 1u);
+
+  terminal_calls = 0;
+  const auto res =
+      engine::frontier_search(w, ExploreOptions{}, {}, terminal, leaf);
+  EXPECT_TRUE(res.complete);
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.states_visited, 4u);
+  EXPECT_EQ(res.dedupe_entries, 4u);
+  EXPECT_EQ(leaves, 2u);
+  EXPECT_EQ(res.terminal_states, 0u);
+  EXPECT_EQ(terminal_calls, 0u);
+  EXPECT_EQ(res.transitions, 3u);
+  EXPECT_EQ(res.deduped, 0u);
   expect_accounting_identity(res);
 }
 

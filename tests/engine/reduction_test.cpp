@@ -17,11 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "adversary/sut.h"
+#include "algo/abd/client.h"
 #include "algo/abd/system.h"
 #include "common/hash.h"
 #include "algo/cas/system.h"
 #include "algo/ldr/ldr.h"
 #include "engine/frontier.h"
+#include "engine/scheduler.h"
 #include "sim/symmetry.h"
 #include "sim/world.h"
 
@@ -291,6 +294,81 @@ TEST(Reduction, SleepSetsAloneKeepTheVisitedStateSetIdentical) {
   // Accounting identity holds with blocked children never emitted.
   EXPECT_EQ(s.result.transitions, (s.result.states_visited - 1) +
                                       s.result.deduped + s.result.truncated);
+}
+
+// The exact-valency probe's search (adversary::probe_read_all_values),
+// run with sleep sets on or off: the writer frozen, a read invoked, every
+// delivery schedule explored in exact mode, and each state where the read
+// has responded a leaf whose value is collected.
+struct LeafValues {
+  std::set<Value> values;
+  ExploreResult result;
+};
+
+LeafValues read_leaf_values(const adversary::Sut& sut, bool sleep_sets) {
+  World w = sut.world;
+  w.freeze(sut.writer);
+  const std::size_t base = w.oplog().size();
+  w.invoke(sut.reader, {OpType::kRead, {}});
+  ExploreOptions opt;
+  opt.reorder = true;
+  opt.exact_dedupe = true;
+  opt.reduction.sleep_sets = sleep_sets;
+  LeafValues out;
+  out.result = engine::frontier_search(w, opt, {}, {}, [&](const World& x) {
+    const OpLog& log = x.oplog();
+    for (std::size_t i = base; i < log.size(); ++i) {
+      if (log[i].kind == OpEvent::Kind::kResponse &&
+          log[i].type == OpType::kRead) {
+        out.values.insert(log[i].value);
+        return true;
+      }
+    }
+    return false;
+  });
+  return out;
+}
+
+TEST(Reduction, SleepSetsKeepLeafValues) {
+  // A read response is a leaf that stays true, with the same value, under
+  // every step commuting with the delivery that produced it — so sleep
+  // sets keep the collected value set (engine/frontier.h). Checked at two
+  // bivalent points, where either value is reachable.
+  // ABD N=5 f=1, the store delivered to exactly one server (the point of
+  // ExactValency.PartialWriteCanBeBivalent).
+  adversary::Sut abd_point = adversary::abd_sut_factory(5, 1, 12)();
+  const Value v1 = enum_value(1, 12);
+  abd_point.world.invoke(abd_point.writer, {OpType::kWrite, v1});
+  const auto& writer = dynamic_cast<const abd::Writer&>(
+      abd_point.world.process(abd_point.writer));
+  Scheduler abd_sched;
+  ASSERT_TRUE(abd_sched.run_until(
+      abd_point.world,
+      [&](const World&) { return writer.phase() == abd::Writer::Phase::kStore; },
+      100000));
+  abd_point.world.deliver({abd_point.writer, abd_point.servers[0]});
+
+  // CAS N=4 f=1 k=2, 17 round-robin deliveries into a second write.
+  adversary::Sut cas_point =
+      adversary::cas_sut_factory(4, 1, 2, 14, std::nullopt)();
+  Scheduler cas_sched;
+  cas_point.world.invoke(cas_point.writer,
+                         {OpType::kWrite, enum_value(1, 14)});
+  ASSERT_TRUE(cas_sched.run_until_responses(cas_point.world, 1, 100000));
+  ASSERT_TRUE(cas_sched.drain(cas_point.world, 100000));
+  cas_point.world.invoke(cas_point.writer,
+                         {OpType::kWrite, enum_value(2, 14)});
+  for (int i = 0; i < 17; ++i) ASSERT_TRUE(cas_sched.step(cas_point.world));
+
+  for (const adversary::Sut* point : {&abd_point, &cas_point}) {
+    const LeafValues plain = read_leaf_values(*point, false);
+    const LeafValues sleep = read_leaf_values(*point, true);
+    ASSERT_TRUE(plain.result.complete);
+    ASSERT_TRUE(sleep.result.complete);
+    EXPECT_EQ(plain.values.size(), 2u);
+    EXPECT_EQ(sleep.values, plain.values);
+    EXPECT_LE(sleep.result.transitions, plain.result.transitions);
+  }
 }
 
 TEST(Reduction, ParallelReducedMatchesSequentialReduced) {

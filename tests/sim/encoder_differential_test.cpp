@@ -2,10 +2,10 @@
 // ones. The state hash settles each process's fingerprint by writing its
 // state into a reused buffer (Process::write_state), and each message's
 // by encoding it into another (MessagePayload::fingerprint); the oracles
-// below re-encode through the allocating encode_state() / encode() and
-// recompute_state_hash(). An exploration of every algorithm family runs
-// the comparison at every state it reaches, so any byte the streamed path
-// writes differently fails here.
+// below re-encode each process through the allocating encode_state(), each
+// message into a fresh buffer of its own, and recompute_state_hash(). An
+// exploration of every algorithm family runs the comparison at every state
+// it reaches, so any byte the streamed path writes differently fails here.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -24,6 +24,13 @@ namespace {
 
 constexpr std::size_t kValueBytes = 12;
 
+// The payload's canonical encoding in a fresh buffer (no reused scratch).
+Bytes encoded(const MessagePayload& payload) {
+  BufWriter w;
+  payload.encode_into(w);
+  return std::move(w).take();
+}
+
 std::optional<std::string> streamed_matches_oracle(const World& w) {
   std::ostringstream why;
   if (w.state_hash() != w.recompute_state_hash())
@@ -38,7 +45,7 @@ std::optional<std::string> streamed_matches_oracle(const World& w) {
       [&](ChannelId chan, const ChannelTable::Queue& queue) {
         for (std::size_t i = 0; i < queue.size(); ++i) {
           const Message& m = queue[i];
-          if (m.payload_fp != fingerprint64(m.payload->encode()))
+          if (m.payload_fp != fingerprint64(encoded(*m.payload)))
             why << chan << "[" << i << "] payload_fp differs; ";
         }
       });
