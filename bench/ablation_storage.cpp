@@ -10,11 +10,12 @@
 #include <iostream>
 #include <optional>
 
-#include "algo/abd/system.h"
 #include "algo/cas/system.h"
 #include "algo/ldr/ldr.h"
+#include "algo/registry.h"
 #include "common/table.h"
 #include "engine/scheduler.h"
+#include "sweep/measure.h"
 #include "workload/driver.h"
 #include "workload/park.h"
 
@@ -30,16 +31,15 @@ void accounting_granularity() {
   for (const std::size_t value_size : {16u, 120u, 1024u, 8192u}) {
     const double B = 8.0 * static_cast<double>(value_size);
 
-    abd::Options aopt;
-    aopt.value_size = value_size;
-    abd::System asys = abd::make_system(aopt);
-    const auto arep = workload::park_active_writes(asys, 1, value_size);
+    const algo::Family& abd = algo::family("abd");
+    algo::Deployment asys =
+        abd.build({.n_servers = 5, .f = 2, .value_size = value_size});
+    const auto arep = workload::park_active_writes(asys, abd, 1, value_size);
 
-    cas::Options copt;
-    copt.value_size = value_size;
-    copt.n_writers = 1;
-    cas::System csys = cas::make_system(copt);
-    const auto crep = workload::park_active_writes(csys, 1, value_size);
+    const algo::Family& cas = algo::family("cas");
+    algo::Deployment csys =
+        cas.build({.n_servers = 5, .f = 1, .k = 3, .value_size = value_size});
+    const auto crep = workload::park_active_writes(csys, cas, 1, value_size);
 
     t.row()
         .cell(static_cast<std::size_t>(B))
@@ -139,19 +139,10 @@ void code_dimension() {
                "(N=9, f=2 => k <= 5) ---\n";
   Table t({"k", "peak_total/B", "model_(nu+1)N/k"}, 16);
   const std::size_t value_size = 120;
-  const double B = 8.0 * value_size;
   for (std::size_t k = 1; k <= 5; ++k) {
-    cas::Options opt;
-    opt.n_servers = 9;
-    opt.f = 2;
-    opt.k = k;
-    opt.n_writers = 2;
-    opt.value_size = value_size;
-    cas::System sys = cas::make_system(opt);
-    const auto rep = workload::park_active_writes(sys, 2, value_size);
     t.row()
         .cell(k)
-        .cell(rep.normalized_peak_total(B))
+        .cell(sweep::parked_cas(9, 2, k, 2, std::nullopt, value_size))
         .cell(3.0 * 9.0 / static_cast<double>(k));
   }
   t.print();

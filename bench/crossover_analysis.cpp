@@ -7,11 +7,9 @@
 #include <cmath>
 #include <iostream>
 
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
 #include "bounds/bounds.h"
 #include "common/table.h"
-#include "workload/park.h"
+#include "sweep/measure.h"
 
 namespace {
 
@@ -51,30 +49,12 @@ int main() {
   std::cout << "\n=== Measured crossover on the simulator (N=9, f=2, "
                "k=N-2f=5, B=960) ===\n\n";
   constexpr std::size_t kValueSize = 120;
-  constexpr double kB = 8.0 * kValueSize;
   Table m({"nu", "abd_measured", "cas_measured", "cheaper"}, 14);
   std::size_t measured_crossover = 0;
   for (std::size_t nu = 1; nu <= 8; ++nu) {
-    abd::Options aopt;
-    aopt.n_servers = 9;
-    aopt.f = 2;
-    aopt.n_writers = nu;
-    aopt.value_size = kValueSize;
-    abd::System asys = abd::make_system(aopt);
-    const double abd_cost =
-        workload::park_active_writes(asys, nu, kValueSize)
-            .normalized_peak_total(kB);
-
-    cas::Options copt;
-    copt.n_servers = 9;
-    copt.f = 2;
-    copt.k = 5;
-    copt.n_writers = nu;
-    copt.value_size = kValueSize;
-    cas::System csys = cas::make_system(copt);
+    const double abd_cost = sweep::parked_abd(9, 2, nu, kValueSize);
     const double cas_cost =
-        workload::park_active_writes(csys, nu, kValueSize)
-            .normalized_peak_total(kB);
+        sweep::parked_cas(9, 2, 5, nu, std::nullopt, kValueSize);
 
     if (measured_crossover == 0 && cas_cost >= abd_cost)
       measured_crossover = nu;

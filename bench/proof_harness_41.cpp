@@ -115,7 +115,7 @@ int main() {
                "injectivity ===\n\n";
   run_case("ABD   N=5 f=2        ", abd_sut_factory(5, 2, 16), 5);
   run_case("ABD   N=7 f=3        ", abd_sut_factory(7, 3, 16), 4);
-  run_case("ABD   N=5 f=2 (SWMR) ", abd_swmr_sut_factory(5, 2, 16), 5);
+  run_case("ABD   N=5 f=2 (SWMR) ", sut_factory("abd-swmr", 5, 2, 0, 16), 5);
   run_case("CAS   N=5 f=1 k=3    ", cas_sut_factory(5, 1, 3, 18, {}), 5);
   run_case("CAS   N=7 f=2 k=3    ", cas_sut_factory(7, 2, 3, 18, {}), 4);
   run_case("CASGC N=5 f=1 k=3 d=1",

@@ -109,24 +109,24 @@ int main() {
   std::cout << "=== Theorem 6.5 proof harness: staged delivery of parked "
                "value-dependent messages ===\n\n";
 
-  run_case("ABD N=5 f=2 nu=2      ", abd_mw_factory(5, 2, 2, 18), 4, 2);
-  run_case("ABD N=5 f=2 nu=3      ", abd_mw_factory(5, 2, 3, 18), 3, 3);
-  run_case("ABD N=7 f=3 nu=2      ", abd_mw_factory(7, 3, 2, 18), 4, 2);
-  run_case("CAS N=5 f=1 k=3 nu=2  ", cas_mw_factory(5, 1, 3, 2, 18), 4, 2);
-  run_case("CAS N=7 f=2 k=3 nu=2  ", cas_mw_factory(7, 2, 3, 2, 18), 3, 2);
-  run_case("CAS N=7 f=2 k=3 nu=3  ", cas_mw_factory(7, 2, 3, 3, 18), 3, 3);
-  run_case("STRIP N=5 f=1 nu=2    ", strip_mw_factory(5, 1, 2, 18), 3, 2);
-  run_case("STRIP N=7 f=2 nu=3    ", strip_mw_factory(7, 2, 3, 18), 3, 3);
-  run_case("LDR N=5 f=2 nu=2      ", ldr_mw_factory(5, 2, 2, 18), 3, 2);
+  run_case("ABD N=5 f=2 nu=2      ", mw_factory("abd", 5, 2, 0, 2, 18), 4, 2);
+  run_case("ABD N=5 f=2 nu=3      ", mw_factory("abd", 5, 2, 0, 3, 18), 3, 3);
+  run_case("ABD N=7 f=3 nu=2      ", mw_factory("abd", 7, 3, 0, 2, 18), 4, 2);
+  run_case("CAS N=5 f=1 k=3 nu=2  ", mw_factory("cas", 5, 1, 3, 2, 18), 4, 2);
+  run_case("CAS N=7 f=2 k=3 nu=2  ", mw_factory("cas", 7, 2, 3, 2, 18), 3, 2);
+  run_case("CAS N=7 f=2 k=3 nu=3  ", mw_factory("cas", 7, 2, 3, 3, 18), 3, 3);
+  run_case("STRIP N=5 f=1 nu=2    ", mw_factory("strip", 5, 1, 0, 2, 18), 3, 2);
+  run_case("STRIP N=7 f=2 nu=3    ", mw_factory("strip", 7, 2, 0, 3, 18), 3, 3);
+  run_case("LDR N=5 f=2 nu=2      ", mw_factory("ldr", 5, 2, 0, 2, 18), 3, 2);
 
   std::cout << "\n--- Section 6.5 CONJECTURE: algorithms with a second, "
                "o(log|V|)-sized (hash) value-dependent phase, probed with "
                "bulk-only blocking ---\n";
-  run_case("CAS+hash N=5 f=1 k=3 nu=2", cas_hash_mw_factory(5, 1, 3, 2, 18),
+  run_case("CAS+hash N=5 f=1 k=3 nu=2", mw_factory("cas-hash", 5, 1, 3, 2, 18),
            4, 2);
-  run_case("CAS+hash N=7 f=2 k=3 nu=2", cas_hash_mw_factory(7, 2, 3, 2, 18),
+  run_case("CAS+hash N=7 f=2 k=3 nu=2", mw_factory("cas-hash", 7, 2, 3, 2, 18),
            3, 2);
-  run_case("CAS+hash N=7 f=2 k=3 nu=3", cas_hash_mw_factory(7, 2, 3, 3, 18),
+  run_case("CAS+hash N=7 f=2 k=3 nu=3", mw_factory("cas-hash", 7, 2, 3, 3, 18),
            3, 3);
 
   std::cout

@@ -9,41 +9,29 @@
 //   $ ./coded_storage
 #include <iostream>
 
-#include "algo/cas/system.h"
+#include "algo/registry.h"
 #include "common/table.h"
 #include "engine/scheduler.h"
+#include "sweep/measure.h"
 #include "workload/driver.h"
-#include "workload/park.h"
 
 namespace {
 
 // Peak normalized value storage with nu parked (forever-active) writes.
 double parked_storage(std::size_t nu, std::optional<std::size_t> delta,
                       std::size_t value_size) {
-  memu::cas::Options opt;
-  opt.n_servers = 6;
-  opt.f = 1;
-  opt.k = 4;  // k <= N - 2f
-  opt.n_writers = nu;
-  opt.value_size = value_size;
-  opt.delta = delta;
-  memu::cas::System sys = memu::cas::make_system(opt);
-  const auto rep = memu::workload::park_active_writes(sys, nu, value_size);
-  return rep.normalized_peak_total(8.0 * static_cast<double>(value_size));
+  return memu::sweep::parked_cas(/*n=*/6, /*f=*/1, /*k=*/4, nu, delta,
+                                 value_size);  // k <= N - 2f
 }
 
 // Final normalized value storage after `writes` sequential completed writes.
 double sequential_storage(std::size_t writes,
                           std::optional<std::size_t> delta,
                           std::size_t value_size) {
-  memu::cas::Options opt;
-  opt.n_servers = 6;
-  opt.f = 1;
-  opt.k = 4;
-  opt.n_writers = 1;
-  opt.value_size = value_size;
-  opt.delta = delta;
-  memu::cas::System sys = memu::cas::make_system(opt);
+  memu::algo::Deployment sys =
+      memu::algo::family(delta.has_value() ? "casgc" : "cas")
+          .build({.n_servers = 6, .f = 1, .k = 4, .value_size = value_size,
+                  .delta = delta});
 
   memu::workload::Options wopt;
   wopt.writes_per_writer = writes;

@@ -4,40 +4,40 @@
 //       Print every storage bound of the paper for these parameters.
 //
 //   memu run <algo> [--n N] [--f F] [--k K] [--writers W] [--readers R]
-//            [--ops-per-client Q] [--value-bytes B] [--seed S] [--reorder]
-//            [--crash i[,j,...]]
+//            [--delta D] [--ops-per-client Q] [--value-bytes B] [--seed S]
+//            [--reorder] [--crash i[,j,...]]
 //       Drive a workload on a simulated deployment; print storage costs,
-//       latency, and the consistency verdict.
-//       algos: abd | abd-swmr | abd-regular | cas | casgc | cas-hash |
-//              gossip | ldr | strip
+//       latency, and the consistency verdict. --k, --writers and --delta
+//       are refused for a family that does not read them.
 //
-//   memu verify <b1|41|51> <abd|cas|gossip|ldr> [--domain M]
+//   memu verify <b1|41|51> <algo> [--domain M]
 //       Execute the corresponding lower-bound proof construction.
 //
-//   memu verify 65 <abd|cas|cas-hash> [--nu V] [--domain M]
-//       Execute the Theorem 6.5 staged-delivery construction.
+//   memu verify 65 <algo> [--nu V] [--domain M]
+//       Execute the Theorem 6.5 staged-delivery construction (families
+//       with nu writers and a single value-dependent writer phase).
 //
-//   memu explore <abd|cas> [--n N] [--reorder]
+//   memu explore <algo> [--n N] [--reorder]
 //       [--reduce|--sleep-sets|--symmetry] [--max-states N] [--mem 64M]
-//       Exhaustively model-check a small configuration. --reduce enables
-//       both partial-order reductions (sleep sets + server symmetry);
-//       the individual flags enable one at a time. --mem applies the hard
-//       memory budget: a ceiling on visited-set growth (half of it) and on
-//       the frontier (an eighth); a run that passes either fails with a
-//       --mem sizing hint.
+//       Exhaustively model-check one write racing one read against the
+//       property the family promises. --reduce enables both partial-order
+//       reductions (sleep sets + server symmetry); the individual flags
+//       enable one at a time. --mem applies the hard memory budget: a
+//       ceiling on visited-set growth (half of it) and on the frontier (an
+//       eighth); a run that passes either fails with a --mem sizing hint.
+//
+// <algo> is any name of the algorithm registry (src/algo/registry.h); the
+// usage text lists them.
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/harness.h"
 #include "adversary/theorem65.h"
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
-#include "algo/gossip/gossip.h"
-#include "algo/ldr/ldr.h"
-#include "algo/strip/strip.h"
+#include "algo/registry.h"
 #include "bounds/bounds.h"
 #include "common/cli.h"
 #include "common/env.h"
@@ -54,15 +54,14 @@ using cli::Args;
 int usage() {
   std::cerr << "usage: memu bounds <N> <f> [nu_max]\n"
             << "       memu run <algo> [--n N] [--f F] [--k K] [--writers W]"
-            << " [--readers R]\n"
+            << " [--readers R] [--delta D]\n"
             << "                [--ops-per-client Q] [--value-bytes B]"
             << " [--seed S] [--reorder] [--crash i,j,...]\n"
             << "       memu verify <b1|41|51|65> <algo> [--domain M] [--nu V]\n"
-            << "       memu explore <abd|cas> [--n N] [--reorder]"
+            << "       memu explore <algo> [--n N] [--reorder]"
             << " [--reduce|--sleep-sets|--symmetry]\n"
             << "                [--max-states N] [--mem <bytes|512M|4G>]\n"
-            << "algos: abd abd-swmr abd-regular cas casgc cas-hash gossip"
-            << " ldr strip\n";
+            << "algos: " << algo::family_names() << '\n';
   return 2;
 }
 
@@ -90,86 +89,36 @@ int cmd_bounds(const Args& a) {
   return 0;
 }
 
-struct RunHandles {
-  World* world = nullptr;
-  std::vector<NodeId> servers, writers, readers;
-};
+// The memu run flags that set a Spec field only some families read.
+constexpr std::pair<const char*, algo::Field> kFieldFlags[] = {
+    {"k", algo::kK}, {"writers", algo::kWriters}, {"delta", algo::kDelta}};
 
 int cmd_run(const Args& a) {
   if (a.positional.size() < 2) return usage();
-  const std::string algo = a.positional[1];
-  const std::size_t n = a.num("n", 5);
-  const std::size_t f = a.num("f", algo.rfind("cas", 0) == 0 ? 1 : 2);
-  const std::size_t k = a.num("k", 0);
-  const std::size_t writers = a.num("writers", algo == "abd-swmr" ||
-                                                       algo == "gossip"
-                                                   ? 1
-                                                   : 2);
-  const std::size_t readers = a.num("readers", 2);
-  const std::size_t quota = a.num("ops-per-client", 4);
-  const std::size_t value_bytes = a.num("value-bytes", 120);
-  const std::uint64_t seed = a.num("seed", 1);
-
-  // Build the system; keep the concrete object alive via locals.
-  abd::System asys;
-  cas::System csys;
-  gossip::System gsys;
-  ldr::System lsys;
-  strip::System ssys;
-  RunHandles h;
-
-  if (algo == "abd" || algo == "abd-swmr" || algo == "abd-regular") {
-    abd::Options o;
-    o.n_servers = n;
-    o.f = f;
-    o.n_writers = writers;
-    o.n_readers = readers;
-    o.value_size = value_bytes;
-    o.single_writer = algo == "abd-swmr";
-    o.read_write_back = algo != "abd-regular";
-    asys = abd::make_system(o);
-    h = {&asys.world, asys.servers, asys.writers, asys.readers};
-  } else if (algo == "cas" || algo == "casgc" || algo == "cas-hash") {
-    cas::Options o;
-    o.n_servers = n;
-    o.f = f;
-    o.k = k;
-    o.n_writers = writers;
-    o.n_readers = readers;
-    o.value_size = value_bytes;
-    if (algo == "casgc") o.delta = a.num("delta", 1);
-    o.hash_phase = algo == "cas-hash";
-    csys = cas::make_system(o);
-    h = {&csys.world, csys.servers, csys.writers, csys.readers};
-  } else if (algo == "gossip") {
-    gossip::Options o;
-    o.n_servers = n;
-    o.f = f;
-    o.n_readers = readers;
-    o.value_size = value_bytes;
-    gsys = gossip::make_system(o);
-    h = {&gsys.world, gsys.servers, {gsys.writer}, gsys.readers};
-  } else if (algo == "ldr") {
-    ldr::Options o;
-    o.n_servers = n;
-    o.f = f;
-    o.n_writers = writers;
-    o.n_readers = readers;
-    o.value_size = value_bytes;
-    lsys = ldr::make_system(o);
-    h = {&lsys.world, lsys.servers, lsys.writers, lsys.readers};
-  } else if (algo == "strip") {
-    strip::Options o;
-    o.n_servers = n;
-    o.f = f;
-    o.n_writers = writers;
-    o.n_readers = readers;
-    o.value_size = value_bytes;
-    ssys = strip::make_system(o);
-    h = {&ssys.world, ssys.servers, ssys.writers, ssys.readers};
-  } else {
-    return usage();
+  const algo::Family* fam = algo::find(a.positional[1]);
+  if (fam == nullptr) return usage();
+  for (const auto& [flag, field] : kFieldFlags) {
+    if (!a.has(flag) || fam->reads_field(field)) continue;
+    std::cerr << "memu run: " << fam->name << " does not read --" << flag
+              << "; the families that do:";
+    for (const algo::Family& other : algo::families())
+      if (other.reads_field(field)) std::cerr << ' ' << other.name;
+    std::cerr << '\n';
+    return 2;
   }
+
+  algo::Spec spec;
+  spec.n_servers = a.num("n", 5);
+  // Coded families need N >= 2f + k: they default to f = 1.
+  spec.f = a.num("f", fam->reads_field(algo::kK) ? 1 : 2);
+  spec.k = a.num("k", 0);
+  spec.n_writers = a.num("writers", fam->reads_field(algo::kWriters) ? 2 : 1);
+  spec.n_readers = a.num("readers", 2);
+  spec.value_size = a.num("value-bytes", 120);
+  if (a.has("delta")) spec.delta = a.num("delta", 0);
+  const std::size_t quota = a.num("ops-per-client", 4);
+  const std::uint64_t seed = a.num("seed", 1);
+  algo::Deployment sys = fam->build(spec);
 
   // Optional crash set.
   if (a.has("crash")) {
@@ -177,11 +126,11 @@ int cmd_run(const Args& a) {
     std::string tok;
     while (std::getline(ss, tok, ',')) {
       const std::size_t idx = std::stoull(tok);
-      if (idx >= h.servers.size()) {
+      if (idx >= sys.servers.size()) {
         std::cerr << "crash index out of range\n";
         return 2;
       }
-      h.world->crash(h.servers[idx]);
+      sys.world.crash(sys.servers[idx]);
       std::cout << "crashed server " << idx << '\n';
     }
   }
@@ -189,14 +138,15 @@ int cmd_run(const Args& a) {
   workload::Options wopt;
   wopt.writes_per_writer = quota;
   wopt.reads_per_reader = quota;
-  wopt.value_size = value_bytes;
+  wopt.value_size = spec.value_size;
   wopt.seed = seed;
   wopt.policy = a.has("reorder") ? Scheduler::Policy::kRandomReorder
                                  : Scheduler::Policy::kRandom;
-  const auto res = workload::run(*h.world, h.writers, h.readers, wopt);
+  const auto res = workload::run(sys.world, sys.writers, sys.readers, wopt);
 
-  const double B = 8.0 * static_cast<double>(value_bytes);
-  std::cout << algo << " N=" << n << " f=" << f << " B=" << B << " bits\n"
+  const double B = 8.0 * static_cast<double>(spec.value_size);
+  std::cout << fam->name << " N=" << spec.n_servers << " f=" << spec.f
+            << " B=" << B << " bits\n"
             << "  completed:        " << (res.completed ? "yes" : "NO")
             << " (" << res.steps << " deliveries)\n"
             << "  peak total store: " << res.storage.peak_total.total()
@@ -216,7 +166,7 @@ int cmd_run(const Args& a) {
                      static_cast<double>(res.op_latency_steps.size())
               << ", max " << worst << '\n';
   }
-  const Value v0 = enum_value(0, value_bytes);
+  const Value v0 = enum_value(0, spec.value_size);
   if (res.history.size() <= 40) {
     const auto atomic = check_atomic(res.history, v0);
     std::cout << "  atomicity:        " << (atomic.ok ? "PASS" : "FAIL")
@@ -236,22 +186,29 @@ int cmd_run(const Args& a) {
 int cmd_verify(const Args& a) {
   if (a.positional.size() < 3) return usage();
   const std::string which = a.positional[1];
-  const std::string algo = a.positional[2];
+  const algo::Family* fam = algo::find(a.positional[2]);
+  if (fam == nullptr || (which != "b1" && which != "41" && which != "51" &&
+                         which != "65"))
+    return usage();
   const std::size_t domain = a.num("domain", 4);
+  // N = 5; coded families need N >= 2f + k, so they run at f = 1 (k = 3).
+  const std::size_t f = fam->reads_field(algo::kK) ? 1 : 2;
 
   if (which == "65") {
+    const char* why = fam->in_value_phase == nullptr
+                          ? "its writer has no single value-dependent phase"
+                      : !fam->reads_field(algo::kWriters)
+                          ? "it deploys one writer, the theorem parks nu"
+                          : nullptr;
+    if (why != nullptr) {
+      std::cerr << "memu verify: theorem 6.5 does not apply to " << fam->name
+                << ": " << why << '\n';
+      return 2;
+    }
     const std::size_t nu = a.num("nu", 2);
-    adversary::MwSutFactory factory;
-    if (algo == "abd")
-      factory = adversary::abd_mw_factory(5, 2, nu, 18);
-    else if (algo == "cas")
-      factory = adversary::cas_mw_factory(5, 1, 3, nu, 18);
-    else if (algo == "cas-hash")
-      factory = adversary::cas_hash_mw_factory(5, 1, 3, nu, 18);
-    else
-      return usage();
-    const auto r = adversary::verify_staged_injectivity(factory, domain, nu);
-    std::cout << "theorem 6.5 on " << algo << ": tuples=" << r.tuples
+    const auto r = adversary::verify_staged_injectivity(
+        adversary::mw_factory(fam->name, 5, f, 0, nu, 18), domain, nu);
+    std::cout << "theorem 6.5 on " << fam->name << ": tuples=" << r.tuples
               << " staged=" << (r.all_completed ? "yes" : "NO")
               << " injective=" << (r.injective ? "yes" : "NO")
               << " (paper single-point map: "
@@ -260,74 +217,39 @@ int cmd_verify(const Args& a) {
     return r.injective ? 0 : 1;
   }
 
-  adversary::SutFactory factory;
-  if (algo == "abd")
-    factory = adversary::abd_sut_factory(5, 2, 16);
-  else if (algo == "cas")
-    factory = adversary::cas_sut_factory(5, 1, 3, 18, {});
-  else if (algo == "gossip")
-    factory = adversary::gossip_sut_factory(5, 2, 16);
-  else if (algo == "ldr")
-    factory = adversary::ldr_sut_factory(5, 1, 16);
-  else
-    return usage();
-
+  const adversary::SutFactory factory =
+      adversary::sut_factory(fam->name, 5, f, 0, 18);
   if (which == "b1") {
     const auto r = adversary::verify_singleton_injectivity(factory, domain);
-    std::cout << "theorem B.1 on " << algo << ": |V|=" << r.domain
+    std::cout << "theorem B.1 on " << fam->name << ": |V|=" << r.domain
               << " injective=" << (r.injective ? "yes" : "NO")
               << " probes=" << (r.probes_consistent ? "ok" : "BAD") << '\n';
     return r.injective ? 0 : 1;
   }
-  if (which == "41" || which == "51") {
-    adversary::ProbeOptions probe;
-    probe.flush_gossip = which == "51";
-    const auto r = adversary::verify_pair_injectivity(factory, domain, probe);
-    std::cout << "theorem " << (which == "51" ? "5.1" : "4.1") << " on "
-              << algo << ": pairs=" << r.pairs
-              << " injective=" << (r.injective ? "yes" : "NO")
-              << " certificate=" << r.certificate_log2
-              << " >= " << r.bound_log2 << '\n';
-    return r.injective ? 0 : 1;
-  }
-  return usage();
+  adversary::ProbeOptions probe;
+  probe.flush_gossip = which == "51";
+  const auto r = adversary::verify_pair_injectivity(factory, domain, probe);
+  std::cout << "theorem " << (which == "51" ? "5.1" : "4.1") << " on "
+            << fam->name << ": pairs=" << r.pairs
+            << " injective=" << (r.injective ? "yes" : "NO")
+            << " certificate=" << r.certificate_log2 << " >= " << r.bound_log2
+            << '\n';
+  return r.injective ? 0 : 1;
 }
 
 int cmd_explore(const Args& a) {
   if (a.positional.size() < 2) return usage();
-  const std::string algo = a.positional[1];
+  const algo::Family* fam = algo::find(a.positional[1]);
+  if (fam == nullptr) return usage();
   const Value v0 = enum_value(0, 12);
 
-  World* world = nullptr;
-  abd::System asys;
-  cas::System csys;
+  // One writer racing one reader on N servers, f = 1; coded families run
+  // with k = 1.
   const std::size_t n = a.num("n", 3);
-  if (algo == "abd") {
-    abd::Options o;
-    o.n_servers = n;
-    o.f = 1;
-    o.single_writer = true;
-    o.value_size = 12;
-    asys = abd::make_system(o);
-    asys.world.invoke(asys.writers[0],
-                      {OpType::kWrite, unique_value(1, 1, 12)});
-    asys.world.invoke(asys.readers[0], {OpType::kRead, {}});
-    world = &asys.world;
-  } else if (algo == "cas") {
-    cas::Options o;
-    o.n_servers = n;
-    o.f = 1;
-    o.k = 1;
-    o.n_writers = 1;
-    o.value_size = 12;
-    csys = cas::make_system(o);
-    csys.world.invoke(csys.writers[0],
-                      {OpType::kWrite, unique_value(1, 1, 12)});
-    csys.world.invoke(csys.readers[0], {OpType::kRead, {}});
-    world = &csys.world;
-  } else {
-    return usage();
-  }
+  algo::Deployment sys =
+      fam->build({.n_servers = n, .f = 1, .k = 1, .value_size = 12});
+  sys.world.invoke(sys.writers[0], {OpType::kWrite, unique_value(1, 1, 12)});
+  sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
 
   ExploreOptions opt;
   opt.reorder = a.has("reorder");
@@ -336,18 +258,22 @@ int cmd_explore(const Args& a) {
   opt.max_states = a.num("max-states", 2'000'000);
   if (a.has("mem")) opt.mem = MemBudget::parse(a.flags.at("mem"));
   const auto res = engine::frontier_search(
-      *world, opt, {},
+      sys.world, opt, {},
       [&](const World& w) -> std::optional<std::string> {
         if (w.oplog().responses_since(0) < 2) return "operation stuck";
-        const auto verdict = check_atomic(History::from_oplog(w.oplog()), v0);
+        const auto verdict = run_check(
+            fam->promises, History::from_oplog(w.oplog()), v0);
         if (!verdict.ok) return verdict.violation;
         return std::nullopt;
       });
-  std::cout << "explored " << algo << " (write || read, N=" << n << ", f=1"
-            << (opt.reorder ? ", non-FIFO" : ", FIFO") << "): states="
-            << res.states_visited << " terminals=" << res.terminal_states
+  std::cout << "explored " << fam->name << " (write || read, N=" << n
+            << ", f=1" << (opt.reorder ? ", non-FIFO" : ", FIFO")
+            << "): states=" << res.states_visited
+            << " terminals=" << res.terminal_states
             << " complete=" << (res.complete ? "yes" : "NO") << " -> "
-            << (res.ok ? "VERIFIED atomic+live" : "VIOLATION: " + res.violation)
+            << (res.ok ? "VERIFIED " + check_kind_name(fam->promises) +
+                             "+live"
+                       : "VIOLATION: " + res.violation)
             << '\n';
   if (opt.reduction.sleep_sets || opt.reduction.symmetry) {
     std::cout << "reduction: sleep_sets="

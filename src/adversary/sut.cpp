@@ -1,146 +1,52 @@
 #include "adversary/sut.h"
 
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
-#include "algo/gossip/gossip.h"
-#include "algo/ldr/ldr.h"
-#include "algo/strip/strip.h"
-
 namespace memu::adversary {
 
-SutFactory abd_sut_factory(std::size_t n, std::size_t f,
-                           std::size_t value_size) {
-  return [=] {
-    abd::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = 1;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    abd::System sys = abd::make_system(opt);
+SutFactory sut_factory(std::string_view algo, std::size_t n, std::size_t f,
+                       std::size_t k, std::size_t value_size,
+                       std::optional<std::size_t> delta) {
+  const algo::Family& fam = algo::family(algo);
+  const algo::Spec spec{
+      .n_servers = n, .f = f, .k = k, .value_size = value_size, .delta = delta};
+  return [&fam, spec] {
+    algo::Deployment d = fam.build(spec);
     Sut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writer = sys.writers[0];
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "abd";
+    sut.world = std::move(d.world);
+    sut.servers = std::move(d.servers);
+    sut.writer = d.writers[0];
+    sut.reader = d.readers[0];
+    sut.f = spec.f;
+    sut.value_size = spec.value_size;
+    sut.algorithm = fam.name;
     return sut;
   };
 }
 
-SutFactory abd_swmr_sut_factory(std::size_t n, std::size_t f,
-                                std::size_t value_size) {
-  return [=] {
-    abd::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = 1;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    opt.single_writer = true;
-    abd::System sys = abd::make_system(opt);
-    Sut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writer = sys.writers[0];
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "abd-swmr";
-    return sut;
-  };
+SutFactory abd_sut_factory(std::size_t n, std::size_t f,
+                           std::size_t value_size) {
+  return sut_factory("abd", n, f, 0, value_size);
 }
 
 SutFactory cas_sut_factory(std::size_t n, std::size_t f, std::size_t k,
                            std::size_t value_size,
                            std::optional<std::size_t> delta) {
-  return [=] {
-    cas::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.k = k;
-    opt.n_writers = 1;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    opt.delta = delta;
-    cas::System sys = cas::make_system(opt);
-    Sut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writer = sys.writers[0];
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = delta.has_value() ? "casgc" : "cas";
-    return sut;
-  };
+  return sut_factory(delta.has_value() ? "casgc" : "cas", n, f, k, value_size,
+                     delta);
 }
 
 SutFactory gossip_sut_factory(std::size_t n, std::size_t f,
                               std::size_t value_size) {
-  return [=] {
-    gossip::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    gossip::System sys = gossip::make_system(opt);
-    Sut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writer = sys.writer;
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "gossip";
-    return sut;
-  };
+  return sut_factory("gossip", n, f, 0, value_size);
 }
 
 SutFactory ldr_sut_factory(std::size_t n, std::size_t f,
                            std::size_t value_size) {
-  return [=] {
-    ldr::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = 1;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    ldr::System sys = ldr::make_system(opt);
-    Sut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writer = sys.writers[0];
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "ldr";
-    return sut;
-  };
+  return sut_factory("ldr", n, f, 0, value_size);
 }
 
 SutFactory strip_sut_factory(std::size_t n, std::size_t f,
                              std::size_t value_size) {
-  return [=] {
-    strip::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = 1;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    strip::System sys = strip::make_system(opt);
-    Sut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writer = sys.writers[0];
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "strip";
-    return sut;
-  };
+  return sut_factory("strip", n, f, 0, value_size);
 }
 
 Bytes live_state_vector(const World& w) {

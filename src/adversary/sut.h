@@ -11,8 +11,10 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "algo/registry.h"
 #include "sim/world.h"
 
 namespace memu::adversary {
@@ -29,13 +31,19 @@ struct Sut {
 
 using SutFactory = std::function<Sut()>;
 
+// Any registered family (algo/registry.h) with one writer and one reader.
+// k (code dimension; 0 = N - 2f) and delta (retention bound) are read only
+// by the families that read them. The name is resolved here, once, not on
+// every build.
+SutFactory sut_factory(std::string_view algo, std::size_t n, std::size_t f,
+                       std::size_t k, std::size_t value_size,
+                       std::optional<std::size_t> delta = std::nullopt);
+
+// The per-family shorthands below are sut_factory calls.
+
 // ABD with a single (two-phase MWMR-protocol) writer and one reader.
 SutFactory abd_sut_factory(std::size_t n, std::size_t f,
                            std::size_t value_size);
-
-// ABD with the one-phase SWMR writer.
-SutFactory abd_swmr_sut_factory(std::size_t n, std::size_t f,
-                                std::size_t value_size);
 
 // CAS with one writer and one reader; k = 0 means N - 2f. delta: CASGC
 // garbage-collection bound (nullopt = plain CAS).

@@ -5,155 +5,31 @@
 #include <set>
 
 #include "adversary/sut.h"
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
-#include "algo/ldr/ldr.h"
-#include "algo/strip/strip.h"
 #include "common/check.h"
 #include "engine/scheduler.h"
 
 namespace memu::adversary {
 
-namespace {
-
-constexpr std::uint64_t kRunCap = 500000;
-
-// ---- factories ---------------------------------------------------------------
-
-MwSut from_abd(abd::System&& sys, std::size_t f, std::size_t value_size) {
-  MwSut sut;
-  sut.world = std::move(sys.world);
-  sut.servers = std::move(sys.servers);
-  sut.writers = std::move(sys.writers);
-  sut.reader = sys.readers[0];
-  sut.f = f;
-  sut.value_size = value_size;
-  sut.algorithm = "abd";
-  sut.in_value_phase = [](const World& w, NodeId writer) {
-    return dynamic_cast<const abd::Writer&>(w.process(writer)).phase() ==
-           abd::Writer::Phase::kStore;
-  };
-  return sut;
-}
-
-MwSut from_cas(cas::System&& sys, std::size_t f, std::size_t value_size) {
-  MwSut sut;
-  sut.world = std::move(sys.world);
-  sut.servers = std::move(sys.servers);
-  sut.writers = std::move(sys.writers);
-  sut.reader = sys.readers[0];
-  sut.f = f;
-  sut.value_size = value_size;
-  sut.algorithm = "cas";
-  sut.in_value_phase = [](const World& w, NodeId writer) {
-    return dynamic_cast<const cas::Writer&>(w.process(writer)).phase() ==
-           cas::Writer::Phase::kPreWrite;
-  };
-  return sut;
-}
-
-}  // namespace
-
-MwSutFactory abd_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
-                            std::size_t value_size) {
-  return [=] {
-    abd::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    return from_abd(abd::make_system(opt), f, value_size);
-  };
-}
-
-MwSutFactory cas_mw_factory(std::size_t n, std::size_t f, std::size_t k,
-                            std::size_t nu, std::size_t value_size) {
-  return [=] {
-    cas::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.k = k;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    return from_cas(cas::make_system(opt), f, value_size);
-  };
-}
-
-MwSutFactory cas_hash_mw_factory(std::size_t n, std::size_t f, std::size_t k,
-                                 std::size_t nu, std::size_t value_size) {
-  return [=] {
-    cas::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.k = k;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    opt.hash_phase = true;
-    MwSut sut = from_cas(cas::make_system(opt), f, value_size);
-    sut.algorithm = "cas-hash";
-    sut.bulk_probes = true;
-    return sut;
-  };
-}
-
-MwSutFactory strip_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
-                              std::size_t value_size) {
-  return [=] {
-    strip::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    strip::System sys = strip::make_system(opt);
-    MwSut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writers = std::move(sys.writers);
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "strip";
-    sut.in_value_phase = [](const World& w, NodeId writer) {
-      return dynamic_cast<const strip::Writer&>(w.process(writer)).phase() ==
-             strip::Writer::Phase::kStore;
-    };
-    return sut;
-  };
-}
-
-MwSutFactory ldr_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
-                            std::size_t value_size) {
-  return [=] {
-    ldr::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    ldr::System sys = ldr::make_system(opt);
-    MwSut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writers = std::move(sys.writers);
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "ldr";
-    sut.in_value_phase = [](const World& w, NodeId writer) {
-      return dynamic_cast<const ldr::Writer&>(w.process(writer)).phase() ==
-             ldr::Writer::Phase::kPut;
-    };
-    return sut;
+MwSutFactory mw_factory(std::string_view algo, std::size_t n, std::size_t f,
+                        std::size_t k, std::size_t nu, std::size_t value_size) {
+  const algo::Family& fam = algo::family(algo);
+  MEMU_CHECK_MSG(fam.in_value_phase != nullptr,
+                 fam.name << " has no single value-dependent writer phase");
+  const algo::Spec spec{.n_servers = n,
+                        .f = f,
+                        .k = k,
+                        .n_writers = nu,
+                        .value_size = value_size};
+  return [&fam, spec] {
+    return MwSut{fam.build(spec), spec.f, spec.value_size, &fam};
   };
 }
 
 namespace {
 
 // ---- staged-execution machinery -----------------------------------------------
+
+constexpr std::uint64_t kRunCap = 500000;
 
 struct Staging {
   MwSut sut;               // the world at P_0 (all writers parked, frozen)
@@ -185,7 +61,9 @@ std::optional<Staging> park(const MwSutFactory& factory,
     sut.world.invoke(sut.writers[i], Invocation{OpType::kWrite, values[i]});
     const bool ok = sched.run_until(
         sut.world,
-        [&](const World& w) { return sut.in_value_phase(w, sut.writers[i]); },
+        [&](const World& w) {
+          return sut.family->in_value_phase(w, sut.writers[i]);
+        },
         kRunCap);
     if (!ok) return std::nullopt;
     sut.world.freeze(sut.writers[i]);
@@ -199,7 +77,7 @@ std::optional<Staging> park(const MwSutFactory& factory,
 // unfreezing the writer; manual delivery only, so nothing else moves).
 void deliver_writer_to_server(World& w, NodeId writer, NodeId server) {
   w.unfreeze(writer);
-  while (w.channel_depth({writer, server}) > 0) w.deliver({writer, server});
+  w.drain_channel({writer, server});
   w.freeze(writer);
 }
 
@@ -237,7 +115,7 @@ std::optional<Value> directed_probe(const Staging& st, const World& at,
   for (std::size_t wi = 0; wi < st.sut.writers.size(); ++wi) {
     if (wi == candidate) {
       w.unfreeze(st.sut.writers[wi]);
-      if (st.sut.bulk_probes)
+      if (st.sut.family->bulk_probes)
         w.bulk_block(st.sut.writers[wi]);  // o(log|V|) hashes may flow
       else
         w.value_block(st.sut.writers[wi]);
@@ -250,7 +128,7 @@ std::optional<Value> directed_probe(const Staging& st, const World& at,
   // the read after any amount of such progress.
   sched.drain(w, kRunCap);
   const std::size_t base = w.oplog().size();
-  w.invoke(st.sut.reader, Invocation{OpType::kRead, {}});
+  w.invoke(st.sut.readers[0], Invocation{OpType::kRead, {}});
   const bool done = sched.run_until(
       w,
       [base](const World& x) { return x.oplog().responses_since(base) >= 1; },

@@ -32,60 +32,36 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <string_view>
 #include <vector>
 
+#include "algo/registry.h"
 #include "registers/value.h"
 #include "sim/world.h"
 
 namespace memu::adversary {
 
-// Multi-writer system-under-test: nu write clients, one reader.
-struct MwSut {
-  World world;
-  std::vector<NodeId> servers;
-  std::vector<NodeId> writers;
-  NodeId reader;
+// Multi-writer system-under-test: nu write clients, one reader
+// (readers[0]).
+struct MwSut : algo::Deployment {
   std::size_t f = 0;
   std::size_t value_size = 16;
-  std::string algorithm;
-  // True when `writer` has just entered its value-dependent phase (its
-  // value messages are on the channels).
-  std::function<bool(const World&, NodeId writer)> in_value_phase;
-  // Use bulk-blocking probes instead of value-blocking ones: the Section
-  // 6.5 conjecture's relaxation of Assumption 3(b), for algorithms with a
-  // second, o(log|V|)-sized value-dependent (hash) phase whose messages may
-  // keep flowing.
-  bool bulk_probes = false;
+  // The family: its value-dependent writer phase, where each writer is
+  // parked, and whether probes bulk-block (algo::Family::bulk_probes).
+  const algo::Family* family = nullptr;
 };
 
 using MwSutFactory = std::function<MwSut()>;
 
-// ABD (MWMR) with nu writers: value phase = store.
-MwSutFactory abd_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
-                            std::size_t value_size);
-
-// CAS with nu writers: value phase = pre-write. k = 0 means N - 2f.
-MwSutFactory cas_mw_factory(std::size_t n, std::size_t f, std::size_t k,
-                            std::size_t nu, std::size_t value_size);
-
-// CAS with the hash-announce phase (two value-dependent phases, one bulk):
-// the algorithm class of the paper's Section 6.5 conjecture. Uses
-// bulk-blocking probes.
-MwSutFactory cas_hash_mw_factory(std::size_t n, std::size_t f, std::size_t k,
-                                 std::size_t nu, std::size_t value_size);
-
-// StripStore with nu writers: value phase = the full-value store. Shows the
-// construction on an algorithm whose bulk phase ships FULL values rather
-// than coded elements.
-MwSutFactory strip_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
-                              std::size_t value_size);
-
-// LDR with nu writers: value phase = the put to the chosen f + 1 replicas.
-// Shows the construction on an algorithm whose value messages target a
-// write-chosen SUBSET of the servers.
-MwSutFactory ldr_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
-                            std::size_t value_size);
+// Any registered family (algo/registry.h) with nu writers and one reader.
+// k is the code dimension of the coded families (0 = N - 2f); the others
+// ignore it. The name is resolved here, once, not on every build; a family
+// without a value-dependent writer phase (algo::Family::in_value_phase)
+// fails here too. E.g. mw_factory("cas-hash", 5, 1, 3, 2, 18) is CAS with
+// its hash-announce phase — the algorithm class of the paper's Section 6.5
+// conjecture, probed with bulk-blocking probes.
+MwSutFactory mw_factory(std::string_view algo, std::size_t n, std::size_t f,
+                        std::size_t k, std::size_t nu, std::size_t value_size);
 
 struct StagedExecution {
   bool parked = false;     // all writers reached their value phase

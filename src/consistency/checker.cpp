@@ -283,4 +283,29 @@ CheckResult check_weakly_regular(const History& h, const Value& initial) {
   return CheckResult::pass();
 }
 
+CheckResult run_check(CheckKind kind, const History& h, const Value& initial) {
+  switch (kind) {
+    case CheckKind::kAtomic: return check_atomic(h, initial);
+    case CheckKind::kRegularSwsr: return check_regular_swsr(h, initial);
+    case CheckKind::kWeaklyRegular: return check_weakly_regular(h, initial);
+  }
+  MEMU_UNREACHABLE("unknown check kind");
+}
+
+std::string check_kind_name(CheckKind k) {
+  switch (k) {
+    case CheckKind::kAtomic: return "atomic";
+    case CheckKind::kRegularSwsr: return "regular-swsr";
+    case CheckKind::kWeaklyRegular: return "weakly-regular";
+  }
+  MEMU_UNREACHABLE("unknown check kind");
+}
+
+CheckKind check_kind_from_name(const std::string& name) {
+  if (name == "atomic") return CheckKind::kAtomic;
+  if (name == "regular-swsr") return CheckKind::kRegularSwsr;
+  if (name == "weakly-regular") return CheckKind::kWeaklyRegular;
+  MEMU_CHECK_MSG(false, "unknown check kind '" << name << "'");
+}
+
 }  // namespace memu

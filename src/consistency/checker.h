@@ -16,6 +16,7 @@
 // everything.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -70,5 +71,17 @@ CheckResult check_regular_swsr(const History& h, const Value& initial);
 // checking linearizability where reads impose the only obligations but
 // *each read individually* may choose its own serialization witness.
 CheckResult check_weakly_regular(const History& h, const Value& initial);
+
+// The three properties above, as a value: what a family promises
+// (algo/registry.h) and what a fuzz campaign asserts (fuzz/plan.h).
+enum class CheckKind : std::uint8_t { kAtomic, kRegularSwsr, kWeaklyRegular };
+
+// Runs the checker `kind` names.
+CheckResult run_check(CheckKind kind, const History& h, const Value& initial);
+
+// "atomic", "regular-swsr", "weakly-regular": the names fuzz traces and
+// the CLIs use. check_kind_from_name CHECK-fails on any other name.
+std::string check_kind_name(CheckKind k);
+CheckKind check_kind_from_name(const std::string& name);
 
 }  // namespace memu

@@ -1,13 +1,8 @@
 #include "fuzz/campaign.h"
 
 #include <map>
-#include <stdexcept>
 #include <utility>
 
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
-#include "algo/ldr/ldr.h"
-#include "algo/strip/strip.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "engine/scheduler.h"
@@ -28,63 +23,10 @@ std::uint64_t injection_seed_for(std::uint64_t walk_seed) {
 }
 
 FuzzSystem make_fuzz_system(const SystemSpec& spec) {
-  FuzzSystem out;
-  if (spec.algo == "abd" || spec.algo == "abd-regular") {
-    abd::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    o.read_write_back = spec.algo == "abd";
-    auto sys = abd::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else if (spec.algo == "cas") {
-    cas::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.k = spec.k == 0 ? spec.n_servers - 2 * spec.f : spec.k;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    auto sys = cas::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else if (spec.algo == "ldr") {
-    ldr::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    auto sys = ldr::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else if (spec.algo == "strip") {
-    strip::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    auto sys = strip::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else {
-    throw std::runtime_error("unknown algo '" + spec.algo +
-                             "' (want abd | abd-regular | cas | ldr | strip)");
-  }
-  out.initial = enum_value(0, spec.value_size);
-  return out;
+  const algo::Family& fam = algo::family(spec.algo);
+  return {fam.build({spec.n_servers, spec.f, spec.k, spec.n_writers,
+                     spec.n_readers, spec.value_size}),
+          enum_value(0, spec.value_size)};
 }
 
 namespace {
@@ -113,15 +55,6 @@ const FuzzSystem& prototype_system(const SystemSpec& spec) {
     cowstats::note_fuzz_system_reuse();
   }
   return cache.sys;
-}
-
-CheckResult run_check(CheckKind kind, const History& h, const Value& initial) {
-  switch (kind) {
-    case CheckKind::kAtomic: return check_atomic(h, initial);
-    case CheckKind::kRegularSwsr: return check_regular_swsr(h, initial);
-    case CheckKind::kWeaklyRegular: return check_weakly_regular(h, initial);
-  }
-  MEMU_UNREACHABLE("unknown check kind");
 }
 
 struct ClientState {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/registry.h"
 #include "consistency/checker.h"
 #include "fuzz/injector.h"
 #include "fuzz/plan.h"
@@ -40,17 +41,13 @@
 namespace memu::fuzz {
 
 // A constructed system ready to walk.
-struct FuzzSystem {
-  World world;
-  std::vector<NodeId> servers;
-  std::vector<NodeId> writers;
-  std::vector<NodeId> readers;
+struct FuzzSystem : algo::Deployment {
   Value initial;  // v0, what the checker assumes precedes everything
 };
 
-// Builds the system named by spec.algo: abd, abd-regular (one-phase reads,
-// regular-only — the intentional violation generator when checked atomic),
-// cas, ldr, or strip. Throws std::runtime_error on an unknown name.
+// Builds the registered family spec.algo (algo/registry.h). abd-regular,
+// checked atomic, is the intentional violation generator. Throws
+// std::runtime_error naming every registered family on an unknown name.
 FuzzSystem make_fuzz_system(const SystemSpec& spec);
 
 // Outcome of one walk.

@@ -12,35 +12,26 @@
 #include <cstdint>
 #include <string>
 
+#include "algo/registry.h"
 #include "common/arena.h"
+#include "consistency/checker.h"
 
 namespace memu::fuzz {
 
-// Which consistency property a campaign asserts on each walk's history.
-// kAtomic on a regular-only system (algo "abd-regular") is the intentional
-// mismatch the tests use to manufacture real, replayable violations.
-enum class CheckKind : std::uint8_t { kAtomic, kRegularSwsr, kWeaklyRegular };
-
-std::string check_kind_name(CheckKind k);
-CheckKind check_kind_from_name(const std::string& name);
-
-// The system a campaign runs against. Mirrors the per-algorithm Options
-// structs; only the fields the fuzzer varies are exposed.
+// The system a campaign runs against: a registered family and the fields
+// of algo::Spec the fuzzer varies.
 struct SystemSpec {
-  std::string algo = "abd";  // abd | abd-regular | cas | ldr | strip
+  std::string algo = "abd";  // any name algo::family_names() lists
   std::size_t n_servers = 5;
   std::size_t f = 2;
-  std::size_t k = 0;  // cas code dimension; 0 = max (n - 2f)
+  std::size_t k = 0;  // code dimension; 0 = max (n - 2f)
   std::size_t n_writers = 2;
   std::size_t n_readers = 2;
   std::size_t value_size = 16;  // bytes
 
-  // The property this algorithm promises (atomic for abd/cas/strip,
-  // SWSR-regular for ldr and abd-regular).
-  CheckKind default_check() const {
-    if (algo == "ldr" || algo == "abd-regular") return CheckKind::kRegularSwsr;
-    return CheckKind::kAtomic;
-  }
+  // The property the family promises. Throws std::runtime_error on an
+  // unregistered name.
+  CheckKind default_check() const { return algo::family(algo).promises; }
 
   friend bool operator==(const SystemSpec&, const SystemSpec&) = default;
 };
@@ -93,6 +84,9 @@ struct FuzzPlan {
   std::uint64_t max_steps = 20'000;  // deliveries per walk
   std::size_t writes_per_writer = 3;
   std::size_t reads_per_reader = 3;
+  // The property asserted on each walk's history. kAtomic on a
+  // regular-only system (algo "abd-regular") is the intentional mismatch
+  // the tests use to manufacture real, replayable violations.
   CheckKind check = CheckKind::kAtomic;
   FaultMix mix = FaultMix::standard();
   bool minimize = true;  // shrink each violating walk's trace before reporting

@@ -185,6 +185,12 @@ class World {
   // a contract violation, since deliverable_channels() excludes it.
   void deliver(ChannelId chan, std::size_t index = 0);
 
+  // Delivers every message queued on `chan`, oldest first, including any
+  // the deliveries themselves enqueue on it.
+  void drain_channel(ChannelId chan) {
+    while (channels_.depth(chan) > 0) deliver(chan);
+  }
+
   // Delivers the oldest message on `chan` whose delivery the current
   // freeze/value-block state permits (for a value-blocked source, the
   // oldest value-independent message). Contract violation if none.

@@ -1,30 +1,30 @@
-// Adversarial "parked writes" drivers.
+// Adversarial "parked writes" driver.
 //
 // The worst-case storage of erasure-coded algorithms is attained when nu
 // write operations are concurrently active: each has pushed its coded
 // elements to the servers but has not finished (Section 2.3 of the paper).
-// These helpers construct exactly that execution: each writer is run up to
-// its final phase and then frozen, so its write stays active forever.
+// This helper constructs exactly that execution: each writer is run up to
+// its value-dependent phase and then frozen, so its write stays active
+// forever.
 #pragma once
 
 #include <cstddef>
 
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
+#include "algo/registry.h"
 #include "storage/meter.h"
 
 namespace memu::workload {
 
-// Parks `nu` concurrent CAS writes (one per writer client; the system must
-// have at least nu writers). Every server ends up holding the coded element
-// of each parked write plus all finalized versions. Returns the storage
-// report observed across the whole construction.
-StorageReport park_active_writes(cas::System& sys, std::size_t nu,
-                                 std::size_t value_size);
-
-// Same construction for ABD: writers are parked in their store phase. The
-// measured point: replication storage does NOT grow with nu.
-StorageReport park_active_writes(abd::System& sys, std::size_t nu,
+// Parks `nu` concurrent writes on `sys`, a deployment of `family` with at
+// least nu writer clients: each writer is driven to the family's
+// value-dependent phase, its payload is delivered to every server, and it
+// is frozen there. For CAS every server ends up holding the coded element
+// of each parked write plus all finalized versions; for ABD replication
+// storage does NOT grow with nu. Returns the storage report observed
+// across the whole construction. The family must have a value-phase
+// predicate.
+StorageReport park_active_writes(algo::Deployment& sys,
+                                 const algo::Family& family, std::size_t nu,
                                  std::size_t value_size);
 
 }  // namespace memu::workload

@@ -90,8 +90,8 @@ TEST(TheoremB1, EmpiricalCountingArgumentHolds) {
 }
 
 TEST(TheoremB1, SwmrAbdAlsoInjective) {
-  const auto report =
-      verify_singleton_injectivity(abd_swmr_sut_factory(5, 2, kValueSize), 5);
+  const auto report = verify_singleton_injectivity(
+      sut_factory("abd-swmr", 5, 2, 0, kValueSize), 5);
   EXPECT_TRUE(report.injective);
   EXPECT_TRUE(report.probes_consistent);
 }
@@ -156,7 +156,7 @@ TEST(Theorem41, PairInjectivityForAbd) {
 
 TEST(Theorem41, PairInjectivityForSwmrAbd) {
   const auto report =
-      verify_pair_injectivity(abd_swmr_sut_factory(5, 2, kValueSize), 3);
+      verify_pair_injectivity(sut_factory("abd-swmr", 5, 2, 0, kValueSize), 3);
   EXPECT_TRUE(report.injective);
   EXPECT_TRUE(report.all_consistent);
 }

@@ -17,7 +17,7 @@ TEST(Theorem65, SingleWriterDegeneratesToSingleton) {
   // nu = 1: the construction reduces to "deliver the value to a prefix and
   // find the smallest prefix from which it is readable".
   const auto ex =
-      run_staged_execution(abd_mw_factory(5, 2, 1, kValueSize),
+      run_staged_execution(mw_factory("abd", 5, 2, 0, 1, kValueSize),
                            values_of({1}));
   EXPECT_TRUE(ex.parked);
   EXPECT_TRUE(ex.completed);
@@ -33,8 +33,8 @@ TEST(Theorem65, AbdTwoWriterStagesAreTight) {
   // pick the tag-dominant writer (an ABD read returns the max tag, so only
   // its value is recoverable when both stores landed); stage 2's analysis
   // point reduces stage 1's prefix, isolating the other writer at a = 1.
-  const auto ex = run_staged_execution(abd_mw_factory(5, 2, 2, kValueSize),
-                                       values_of({1, 2}));
+  const auto ex = run_staged_execution(
+      mw_factory("abd", 5, 2, 0, 2, kValueSize), values_of({1, 2}));
   ASSERT_TRUE(ex.completed);
   ASSERT_EQ(ex.a.size(), 2u);
   EXPECT_EQ(ex.a[0], 1u);
@@ -49,8 +49,8 @@ TEST(Theorem65, CasFirstStageNeedsAQuorum) {
   // nu = 2 on CAS(N=5, f=1, k=3): a value is recoverable only once its
   // writer can finalize, i.e. after its coded elements reach a quorum of
   // ceil((N + k)/2) = 4 servers — a genuinely larger prefix than ABD's 1.
-  const auto ex = run_staged_execution(cas_mw_factory(5, 1, 3, 2, kValueSize),
-                                       values_of({1, 2}));
+  const auto ex = run_staged_execution(
+      mw_factory("cas", 5, 1, 3, 2, kValueSize), values_of({1, 2}));
   ASSERT_TRUE(ex.parked);
   ASSERT_TRUE(ex.completed);
   ASSERT_EQ(ex.a.size(), 2u);
@@ -62,10 +62,10 @@ TEST(Theorem65, CasFirstStageNeedsAQuorum) {
 }
 
 TEST(Theorem65, DeterministicAcrossRuns) {
-  const auto a = run_staged_execution(cas_mw_factory(5, 1, 3, 2, kValueSize),
-                                      values_of({1, 2}));
-  const auto b = run_staged_execution(cas_mw_factory(5, 1, 3, 2, kValueSize),
-                                      values_of({1, 2}));
+  const auto a = run_staged_execution(
+      mw_factory("cas", 5, 1, 3, 2, kValueSize), values_of({1, 2}));
+  const auto b = run_staged_execution(
+      mw_factory("cas", 5, 1, 3, 2, kValueSize), values_of({1, 2}));
   ASSERT_TRUE(a.completed);
   ASSERT_TRUE(b.completed);
   EXPECT_EQ(a.signature, b.signature);
@@ -74,8 +74,8 @@ TEST(Theorem65, DeterministicAcrossRuns) {
 }
 
 TEST(Theorem65, TupleInjectivityOnAbd) {
-  const auto report =
-      verify_staged_injectivity(abd_mw_factory(5, 2, 2, kValueSize), 3, 2);
+  const auto report = verify_staged_injectivity(
+      mw_factory("abd", 5, 2, 0, 2, kValueSize), 3, 2);
   EXPECT_EQ(report.tuples, 6u);  // 3 * 2 ordered tuples
   EXPECT_TRUE(report.all_parked);
   EXPECT_TRUE(report.all_completed);
@@ -86,8 +86,8 @@ TEST(Theorem65, TupleInjectivityOnAbd) {
 }
 
 TEST(Theorem65, TupleInjectivityOnCas) {
-  const auto report =
-      verify_staged_injectivity(cas_mw_factory(5, 1, 3, 2, kValueSize), 3, 2);
+  const auto report = verify_staged_injectivity(
+      mw_factory("cas", 5, 1, 3, 2, kValueSize), 3, 2);
   EXPECT_TRUE(report.all_completed);
   EXPECT_TRUE(report.injective);
   // CAS servers accrete coded elements (nothing is overwritten), so the
@@ -100,8 +100,8 @@ TEST(Theorem65, SinglePointMapFailsForOverwritingStorage) {
   // Instructive negative result: ABD servers keep only the tag-dominant
   // value, so the final point alone cannot distinguish tuples that differ
   // in an overwritten component — the robust multi-point map is required.
-  const auto report =
-      verify_staged_injectivity(abd_mw_factory(5, 2, 2, kValueSize), 3, 2);
+  const auto report = verify_staged_injectivity(
+      mw_factory("abd", 5, 2, 0, 2, kValueSize), 3, 2);
   EXPECT_TRUE(report.all_completed);
   EXPECT_TRUE(report.injective);                // multi-point: injective
   EXPECT_FALSE(report.single_point_injective);  // final point only: not
@@ -110,8 +110,8 @@ TEST(Theorem65, SinglePointMapFailsForOverwritingStorage) {
 
 TEST(Theorem65, ThreeWritersOnAbd) {
   // nu = 3 <= f + 1 with f = 2: live = N - f + nu - 1 = N.
-  const auto report =
-      verify_staged_injectivity(abd_mw_factory(5, 2, 3, kValueSize), 3, 3);
+  const auto report = verify_staged_injectivity(
+      mw_factory("abd", 5, 2, 0, 3, kValueSize), 3, 3);
   EXPECT_EQ(report.tuples, 6u);
   EXPECT_TRUE(report.all_completed);
   EXPECT_TRUE(report.a_monotone);
@@ -122,16 +122,16 @@ TEST(Theorem65, StripStoreFullValuePhaseAlsoStages) {
   // StripStore's bulk phase ships FULL values; a value-blocked writer can
   // still commit (metadata), so a value is recoverable once its store
   // reached the N - f quorum — mirroring CAS with k = N - f.
-  const auto report =
-      verify_staged_injectivity(strip_mw_factory(5, 1, 2, kValueSize), 3, 2);
+  const auto report = verify_staged_injectivity(
+      mw_factory("strip", 5, 1, 0, 2, kValueSize), 3, 2);
   EXPECT_TRUE(report.all_parked);
   EXPECT_TRUE(report.all_completed);
   EXPECT_TRUE(report.injective);
   // Accreting storage: the paper's single-point map applies directly.
   EXPECT_TRUE(report.single_point_injective);
 
-  const auto ex = run_staged_execution(strip_mw_factory(5, 1, 2, kValueSize),
-                                       values_of({1, 2}));
+  const auto ex = run_staged_execution(
+      mw_factory("strip", 5, 1, 0, 2, kValueSize), values_of({1, 2}));
   ASSERT_TRUE(ex.completed);
   EXPECT_EQ(ex.a[0], 4u);  // quorum = N - f
 }
@@ -142,8 +142,8 @@ TEST(Theorem65, LdrSubsetTargetedPutsAlsoStage) {
   // value readable (a_1 = 1, like replication) — and the multi-point map
   // is injective. The single-point map fails as for ABD: replicas
   // overwrite, so the final point forgets superseded values.
-  const auto report =
-      verify_staged_injectivity(ldr_mw_factory(5, 2, 2, kValueSize), 3, 2);
+  const auto report = verify_staged_injectivity(
+      mw_factory("ldr", 5, 2, 0, 2, kValueSize), 3, 2);
   EXPECT_TRUE(report.all_parked);
   EXPECT_TRUE(report.all_completed);
   EXPECT_TRUE(report.injective);
@@ -152,7 +152,7 @@ TEST(Theorem65, LdrSubsetTargetedPutsAlsoStage) {
 
 TEST(Theorem65, NuAboveFPlus1IsRejected) {
   EXPECT_THROW(
-      run_staged_execution(abd_mw_factory(7, 1, 3, kValueSize),
+      run_staged_execution(mw_factory("abd", 7, 1, 0, 3, kValueSize),
                            values_of({1, 2, 3})),
       ContractError);
 }
@@ -162,8 +162,8 @@ TEST(Theorem65, ValueBlockedWriterStillFinalizes) {
   // its metadata phases. After stage 1 of the staged execution, the CAS
   // writer sigma(1) can finalize through a value-block, which is what makes
   // its value returnable without any further value-dependent action.
-  const auto ex = run_staged_execution(cas_mw_factory(5, 1, 3, 2, kValueSize),
-                                       values_of({1, 2}));
+  const auto ex = run_staged_execution(
+      mw_factory("cas", 5, 1, 3, 2, kValueSize), values_of({1, 2}));
   ASSERT_TRUE(ex.completed);
   // Stage 1 recovered some value with only pre-writes delivered — i.e., the
   // directed probe finalized through the value-block.

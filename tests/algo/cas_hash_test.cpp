@@ -123,7 +123,7 @@ TEST(CasHash, HashStorageIsMetadata) {
 // as long as probes block only BULK messages.
 TEST(CasHash, Conjecture65StagedInjectivity) {
   const auto report = adversary::verify_staged_injectivity(
-      adversary::cas_hash_mw_factory(5, 1, 3, 2, 18), 3, 2);
+      adversary::mw_factory("cas-hash", 5, 1, 3, 2, 18), 3, 2);
   EXPECT_TRUE(report.all_parked);
   EXPECT_TRUE(report.all_completed);
   EXPECT_TRUE(report.a_monotone);
@@ -136,10 +136,10 @@ TEST(CasHash, Conjecture65MatchesPlainCasStages) {
   // same a-vector as plain CAS (the quorum threshold), because the hashes
   // carry o(log|V|) bits.
   const auto plain = adversary::run_staged_execution(
-      adversary::cas_mw_factory(5, 1, 3, 2, 18),
+      adversary::mw_factory("cas", 5, 1, 3, 2, 18),
       {enum_value(1, 18), enum_value(2, 18)});
   const auto hashed = adversary::run_staged_execution(
-      adversary::cas_hash_mw_factory(5, 1, 3, 2, 18),
+      adversary::mw_factory("cas-hash", 5, 1, 3, 2, 18),
       {enum_value(1, 18), enum_value(2, 18)});
   ASSERT_TRUE(plain.completed);
   ASSERT_TRUE(hashed.completed);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "fuzz/campaign.h"
 
@@ -182,7 +183,16 @@ TEST(Campaign, ReplayReproducesTheRecordedViolation) {
 TEST(Campaign, MakeFuzzSystemRejectsUnknownAlgo) {
   SystemSpec spec;
   spec.algo = "paxos";
-  EXPECT_THROW(make_fuzz_system(spec), std::runtime_error);
+  // The error names the bad algorithm and every registered one.
+  try {
+    make_fuzz_system(spec);
+    ADD_FAILURE() << "no std::runtime_error for an unknown algo";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'paxos'"), std::string::npos) << what;
+    for (const algo::Family& fam : algo::families())
+      EXPECT_NE(what.find(fam.name), std::string::npos) << fam.name;
+  }
 }
 
 TEST(Campaign, WalkSeedsAreStable) {

@@ -11,8 +11,7 @@
 // (which tracks the state-space size) is N * B, far above the bound.
 #include <gtest/gtest.h>
 
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
+#include "algo/registry.h"
 #include "algo/strip/strip.h"
 #include "bounds/bounds.h"
 #include "engine/scheduler.h"
@@ -25,23 +24,21 @@ constexpr std::size_t kValueSize = 120;
 const double kB = 8.0 * kValueSize;
 
 double abd_peak(std::size_t n, std::size_t f) {
-  abd::Options opt;
-  opt.n_servers = n;
-  opt.f = f;
-  opt.value_size = kValueSize;
-  abd::System sys = abd::make_system(opt);
-  return workload::park_active_writes(sys, 1, kValueSize).peak_total.value_bits;
+  const algo::Family& abd = algo::family("abd");
+  algo::Deployment sys =
+      abd.build({.n_servers = n, .f = f, .value_size = kValueSize});
+  return workload::park_active_writes(sys, abd, 1, kValueSize)
+      .peak_total.value_bits;
 }
 
 double cas_peak(std::size_t n, std::size_t f, std::size_t nu) {
-  cas::Options opt;
-  opt.n_servers = n;
-  opt.f = f;
-  opt.k = n - 2 * f;
-  opt.n_writers = nu;
-  opt.value_size = kValueSize;
-  cas::System sys = cas::make_system(opt);
-  return workload::park_active_writes(sys, nu, kValueSize)
+  const algo::Family& cas = algo::family("cas");
+  algo::Deployment sys = cas.build({.n_servers = n,
+                                    .f = f,
+                                    .k = n - 2 * f,
+                                    .n_writers = nu,
+                                    .value_size = kValueSize});
+  return workload::park_active_writes(sys, cas, nu, kValueSize)
       .peak_total.value_bits;
 }
 

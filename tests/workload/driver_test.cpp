@@ -4,6 +4,7 @@
 
 #include "algo/abd/system.h"
 #include "algo/cas/system.h"
+#include "algo/registry.h"
 #include "consistency/checker.h"
 #include "workload/park.h"
 
@@ -109,15 +110,14 @@ TEST(Driver, AbdStorageFlatInConcurrency) {
 TEST(Park, CasStorageScalesWithParkedWrites) {
   const std::size_t value_size = 60;
   const double shard_bits = 8.0 * 60 / 3;
+  const algo::Family& cas = algo::family("cas");
   for (const std::size_t nu : {1u, 2u, 3u}) {
-    cas::Options copt;
-    copt.n_servers = 5;
-    copt.f = 1;
-    copt.k = 3;
-    copt.n_writers = nu;
-    copt.value_size = value_size;
-    cas::System sys = cas::make_system(copt);
-    const StorageReport rep = park_active_writes(sys, nu, value_size);
+    algo::Deployment sys = cas.build({.n_servers = 5,
+                                      .f = 1,
+                                      .k = 3,
+                                      .n_writers = nu,
+                                      .value_size = value_size});
+    const StorageReport rep = park_active_writes(sys, cas, nu, value_size);
     // v0 + nu parked versions on each of 5 servers.
     EXPECT_DOUBLE_EQ(rep.peak_total.value_bits,
                      5.0 * shard_bits * static_cast<double>(nu + 1))
@@ -127,33 +127,31 @@ TEST(Park, CasStorageScalesWithParkedWrites) {
 
 TEST(Park, AbdStorageFlatWithParkedWrites) {
   const std::size_t value_size = 64;
+  const algo::Family& abd = algo::family("abd");
   for (const std::size_t nu : {1u, 2u, 4u}) {
-    abd::Options aopt;
-    aopt.n_writers = nu;
-    aopt.value_size = value_size;
-    abd::System sys = abd::make_system(aopt);
-    const StorageReport rep = park_active_writes(sys, nu, value_size);
+    algo::Deployment sys = abd.build(
+        {.n_servers = 5, .f = 2, .n_writers = nu, .value_size = value_size});
+    const StorageReport rep = park_active_writes(sys, abd, nu, value_size);
     EXPECT_DOUBLE_EQ(rep.peak_total.value_bits,
-                     static_cast<double>(aopt.n_servers) * 8 *
-                         static_cast<double>(value_size))
+                     5.0 * 8 * static_cast<double>(value_size))
         << "nu=" << nu;
   }
 }
 
 TEST(Park, ParkedWritesRemainActive) {
-  cas::Options copt;
-  copt.n_writers = 2;
-  cas::System sys = cas::make_system(copt);
-  park_active_writes(sys, 2, copt.value_size);
+  const algo::Family& cas = algo::family("cas");
+  algo::Deployment sys = cas.build(
+      {.n_servers = 5, .f = 1, .k = 3, .n_writers = 2, .value_size = 60});
+  park_active_writes(sys, cas, 2, 60);
   // No write responses: both operations are still active.
   EXPECT_EQ(sys.world.oplog().responses_since(0), 0u);
 }
 
 TEST(Park, RequiresEnoughWriters) {
-  cas::Options copt;
-  copt.n_writers = 1;
-  cas::System sys = cas::make_system(copt);
-  EXPECT_THROW(park_active_writes(sys, 2, copt.value_size), ContractError);
+  const algo::Family& cas = algo::family("cas");
+  algo::Deployment sys = cas.build(
+      {.n_servers = 5, .f = 1, .k = 3, .n_writers = 1, .value_size = 60});
+  EXPECT_THROW(park_active_writes(sys, cas, 2, 60), ContractError);
 }
 
 TEST(Driver, LatenciesAreReasonable) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/registry.h"
 #include "common/arena.h"
 #include "common/cli.h"
 #include "common/env.h"
@@ -69,7 +70,7 @@ int usage() {
       << "       memu_fuzz replay <trace.json>\n"
       << "       memu_fuzz shrink <trace.json> [--out FILE] [--threads T]\n"
       << "                       [--mem BUDGET]\n"
-      << "algos: abd abd-regular cas ldr strip\n"
+      << "algos: " << algo::family_names() << '\n'
       << "--threads defaults to hardware concurrency (capped at 8); output\n"
       << "is byte-identical for any value. --mem takes <bytes|512M|4G> and\n"
       << "fails loudly up front when the budget cannot cover --threads\n"
