@@ -9,7 +9,6 @@
 //
 //   $ ./custom_algorithm
 #include <iostream>
-#include <set>
 
 #include "adversary/harness.h"
 #include "consistency/checker.h"
@@ -156,7 +155,7 @@ class Writer final : public CloneableProcess<Writer> {
   std::size_t quorum_;
   std::uint64_t rid_ = 0, op_id_ = 0, seq_ = 0;
   Value value_;
-  std::set<NodeId> acked_;
+  NodeSet acked_;  // a bitset: copies with the process, no allocation
 };
 
 class Reader final : public CloneableProcess<Reader> {
@@ -210,7 +209,7 @@ class Reader final : public CloneableProcess<Reader> {
   std::uint64_t rid_ = 0, op_id_ = 0;
   Tag best_;
   Value best_value_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
 };
 
 }  // namespace naive

@@ -6,11 +6,11 @@ namespace memu::abd {
 
 Writer::Writer(std::vector<NodeId> servers, std::size_t quorum,
                std::uint32_t writer_id, bool single_writer)
-    : servers_(std::move(servers)),
+    : servers_(ServerList(std::move(servers))),
       quorum_(quorum),
       writer_id_(writer_id),
       single_writer_(single_writer) {
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Writer::on_invoke(Context& ctx, const Invocation& inv) {
@@ -29,12 +29,12 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
     tag_ = Tag{++swmr_seq_, writer_id_};
     phase_ = Phase::kStore;
     const auto msg = make_msg<StoreReq>(rid_, tag_, *pending_value_);
-    ctx.send_all(servers_, msg);
+    ctx.send_all(*servers_, msg);
   } else {
     phase_ = Phase::kQuery;
     max_seen_ = Tag::initial();
     const auto msg = make_msg<QueryReq>(rid_, /*want_value=*/false);
-    ctx.send_all(servers_, msg);
+    ctx.send_all(*servers_, msg);
   }
 }
 
@@ -44,7 +44,7 @@ void Writer::start_store(Context& ctx) {
   phase_ = Phase::kStore;
   tag_ = Tag{max_seen_.seq + 1, writer_id_};
   const auto msg = make_msg<StoreReq>(rid_, tag_, *pending_value_);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Writer::complete(Context& ctx) {
@@ -58,14 +58,14 @@ void Writer::complete(Context& ctx) {
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
     if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) start_store(ctx);
     return;
   }
   if (const auto* ack = dynamic_cast<const StoreAck*>(&msg)) {
     if (phase_ != Phase::kStore || ack->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
@@ -104,8 +104,10 @@ void Writer::write_state(BufWriter& w, const NodeRelabeling& rank) const {
 
 Reader::Reader(std::vector<NodeId> servers, std::size_t quorum,
                bool write_back)
-    : servers_(std::move(servers)), quorum_(quorum), write_back_(write_back) {
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+    : servers_(ServerList(std::move(servers))),
+      quorum_(quorum),
+      write_back_(write_back) {
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Reader::on_invoke(Context& ctx, const Invocation& inv) {
@@ -122,13 +124,13 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
   best_tag_ = Tag::initial();
   best_value_.reset();
   const auto msg = make_msg<QueryReq>(rid_, /*want_value=*/true);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
     if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > best_tag_ || best_value_->empty()) {
       best_tag_ = qr->tag;
       best_value_ = ValueRef(qr->value);
@@ -146,13 +148,13 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       ++rid_;
       phase_ = Phase::kWriteBack;
       const auto store = make_msg<StoreReq>(rid_, best_tag_, *best_value_);
-      ctx.send_all(servers_, store);
+      ctx.send_all(*servers_, store);
     }
     return;
   }
   if (const auto* ack = dynamic_cast<const StoreAck*>(&msg)) {
     if (phase_ != Phase::kWriteBack || ack->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       phase_ = Phase::kIdle;
       ctx.log_op({OpEvent::Kind::kResponse, ctx.self(), op_id_, OpType::kRead,

@@ -8,8 +8,6 @@
 // pair back to a quorum (ensuring atomicity), then returns the value.
 #pragma once
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "algo/abd/messages.h"
@@ -57,7 +55,7 @@ class Writer final : public CloneableProcess<Writer> {
   void start_store(Context& ctx);
   void complete(Context& ctx);
 
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
   std::uint32_t writer_id_;
   bool single_writer_;
@@ -69,7 +67,7 @@ class Writer final : public CloneableProcess<Writer> {
   Tag tag_;                   // tag being written
   std::uint64_t swmr_seq_ = 0;
   Tag max_seen_;              // max tag seen during query
-  std::set<NodeId> replied_;
+  NodeSet replied_;
 };
 
 class Reader final : public CloneableProcess<Reader> {
@@ -107,7 +105,7 @@ class Reader final : public CloneableProcess<Reader> {
  private:
   enum class Phase : std::uint8_t { kIdle, kQuery, kWriteBack };
 
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
   bool write_back_;
 
@@ -116,7 +114,7 @@ class Reader final : public CloneableProcess<Reader> {
   std::uint64_t op_id_ = 0;
   Tag best_tag_;
   ValueRef best_value_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
 };
 
 }  // namespace memu::abd

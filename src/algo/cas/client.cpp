@@ -1,5 +1,8 @@
 #include "algo/cas/client.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/hash.h"
 
 namespace memu::cas {
@@ -8,14 +11,14 @@ namespace memu::cas {
 
 Writer::Writer(std::vector<NodeId> servers, std::size_t quorum, CodecPtr codec,
                std::uint32_t writer_id, bool hash_phase)
-    : servers_(std::move(servers)),
+    : servers_(ServerList(std::move(servers))),
       quorum_(quorum),
       codec_(std::move(codec)),
       writer_id_(writer_id),
       hash_phase_(hash_phase) {
   MEMU_CHECK(codec_ != nullptr);
-  MEMU_CHECK(codec_->n() == servers_.size());
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+  MEMU_CHECK(codec_->n() == servers_->size());
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Writer::on_invoke(Context& ctx, const Invocation& inv) {
@@ -32,7 +35,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Writer::start_pre_write(Context& ctx) {
@@ -40,8 +43,8 @@ void Writer::start_pre_write(Context& ctx) {
   replied_.clear();
   ++rid_;
   phase_ = Phase::kPreWrite;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    ctx.send(servers_[i],
+  for (std::size_t i = 0; i < servers_->size(); ++i) {
+    ctx.send((*servers_)[i],
              make_msg<PreWriteReq>(rid_, tag_, (*pending_shards_)[i]));
   }
 }
@@ -58,21 +61,24 @@ void Writer::complete(Context& ctx) {
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
     if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
       tag_ = Tag{max_seen_.seq + 1, writer_id_};
-      pending_shards_ = ShardListRef(codec_->encode(*pending_value_));
+      std::vector<ValueRef> shards;
+      for (Bytes& shard : codec_->encode(*pending_value_))
+        shards.emplace_back(std::move(shard));
+      pending_shards_ = ShardListRef(std::move(shards));
       if (hash_phase_) {
         // Announce round: per-server shard hashes — value-dependent but
         // o(log|V|)-sized messages (NOT bulk).
         replied_.clear();
         ++rid_;
         phase_ = Phase::kAnnounce;
-        for (std::size_t i = 0; i < servers_.size(); ++i) {
-          ctx.send(servers_[i],
+        for (std::size_t i = 0; i < servers_->size(); ++i) {
+          ctx.send((*servers_)[i],
                    make_msg<HashAnnounce>(rid_, tag_,
-                                          fnv1a64((*pending_shards_)[i])));
+                                          fnv1a64(*(*pending_shards_)[i])));
         }
       } else {
         start_pre_write(ctx);
@@ -82,25 +88,25 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   }
   if (const auto* hack = dynamic_cast<const HashAck*>(&msg)) {
     if (phase_ != Phase::kAnnounce || hack->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) start_pre_write(ctx);
     return;
   }
   if (const auto* ack = dynamic_cast<const PreWriteAck*>(&msg)) {
     if (phase_ != Phase::kPreWrite || ack->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       replied_.clear();
       ++rid_;
       phase_ = Phase::kFinalize;
       const auto fin = make_msg<FinalizeReq>(rid_, tag_);
-      ctx.send_all(servers_, fin);
+      ctx.send_all(*servers_, fin);
     }
     return;
   }
   if (const auto* ack = dynamic_cast<const FinalizeAck*>(&msg)) {
     if (phase_ != Phase::kFinalize || ack->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
@@ -130,8 +136,8 @@ bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
 StateBits Writer::state_size() const {
   StateBits bits{static_cast<double>(pending_value_->size()) * 8.0,
                  2 * Tag::kBits + 64 * 3};
-  for (const auto& shard : *pending_shards_)
-    bits.value_bits += static_cast<double>(shard.size()) * 8.0;
+  for (const ValueRef& shard : *pending_shards_)
+    bits.value_bits += static_cast<double>(shard->size()) * 8.0;
   return bits;
 }
 
@@ -145,7 +151,7 @@ void Writer::write_state(BufWriter& w, const NodeRelabeling& rank) const {
   // codec that symmetry() requires, every shard is identical, so position
   // order is already relabel-stable.
   w.u64(pending_shards_->size());
-  for (const auto& shard : *pending_shards_) w.bytes(shard);
+  for (const ValueRef& shard : *pending_shards_) w.bytes(*shard);
   encode_relabeled_ids(replied_, rank, w);
 }
 
@@ -153,13 +159,13 @@ void Writer::write_state(BufWriter& w, const NodeRelabeling& rank) const {
 
 Reader::Reader(std::vector<NodeId> servers, std::size_t quorum, CodecPtr codec,
                std::size_t value_size)
-    : servers_(std::move(servers)),
+    : servers_(ServerList(std::move(servers))),
       quorum_(quorum),
       codec_(std::move(codec)),
       value_size_(value_size) {
   MEMU_CHECK(codec_ != nullptr);
-  MEMU_CHECK(codec_->n() == servers_.size());
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+  MEMU_CHECK(codec_->n() == servers_->size());
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Reader::on_invoke(Context& ctx, const Invocation& inv) {
@@ -181,27 +187,31 @@ void Reader::start_query(Context& ctx) {
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Reader::maybe_complete(Context& ctx) {
   if (replied_.size() < quorum_) return;
   if (shards_.size() >= codec_->k()) {
-    std::vector<std::pair<std::size_t, Bytes>> input;
+    // One per-thread decode input, refilled in place: its byte buffers
+    // keep their capacity from read to read.
+    thread_local std::vector<std::pair<std::size_t, Bytes>> input;
+    input.resize(shards_.size());
+    std::size_t filled = 0;
     for (const auto& [node, shard] : shards_) {
       // Server position in servers_ is the shard index.
-      for (std::size_t i = 0; i < servers_.size(); ++i) {
-        if (servers_[i] == node) {
-          input.emplace_back(i, *shard);
-          break;
-        }
-      }
+      const auto pos = std::find(servers_->begin(), servers_->end(), node);
+      if (pos == servers_->end()) continue;
+      input[filled].first = static_cast<std::size_t>(pos - servers_->begin());
+      input[filled].second.assign(shard->begin(), shard->end());
+      ++filled;
     }
-    const auto value = codec_->decode(input, value_size_);
+    input.resize(filled);
+    std::optional<Bytes> value = codec_->decode(input, value_size_);
     MEMU_CHECK_MSG(value.has_value(), "cas.reader failed to decode k shards");
     phase_ = Phase::kIdle;
     ctx.log_op({OpEvent::Kind::kResponse, ctx.self(), op_id_, OpType::kRead,
-                *value, 0});
+                std::move(*value), 0});
     return;
   }
   if (gc_hits_ > 0) {
@@ -217,7 +227,7 @@ void Reader::maybe_complete(Context& ctx) {
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
     if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
       replied_.clear();
@@ -227,7 +237,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       phase_ = Phase::kReadFin;
       target_ = max_seen_;
       const auto req = make_msg<ReadFinReq>(rid_, target_);
-      ctx.send_all(servers_, req);
+      ctx.send_all(*servers_, req);
     }
     return;
   }
@@ -235,7 +245,16 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     if (phase_ != Phase::kReadFin || rf->rid != rid_ || rf->tag != target_)
       return;  // stale
     replied_.insert(from);
-    if (rf->has_shard) shards_[from] = ValueRef(rf->shard);
+    if (rf->has_shard) {
+      const auto at = std::lower_bound(
+          shards_.begin(), shards_.end(), from,
+          [](const auto& entry, NodeId id) { return entry.first < id; });
+      if (at != shards_.end() && at->first == from) {
+        at->second = rf->shard;
+      } else {
+        shards_.insert(at, {from, rf->shard});
+      }
+    }
     if (rf->gced) ++gc_hits_;
     maybe_complete(ctx);
     return;

@@ -7,12 +7,12 @@
 // restarts from the query phase.
 #pragma once
 
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "algo/cas/messages.h"
 #include "codec/codec.h"
+#include "common/small_vec.h"
 #include "registers/tag.h"
 #include "registers/value.h"
 #include "sim/process.h"
@@ -69,7 +69,7 @@ class Writer final : public CloneableProcess<Writer> {
 
   void start_pre_write(Context& ctx);
 
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
   CodecPtr codec_;
   std::uint32_t writer_id_;
@@ -85,7 +85,7 @@ class Writer final : public CloneableProcess<Writer> {
   ShardListRef pending_shards_;
   Tag tag_;
   Tag max_seen_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
 };
 
 class Reader final : public CloneableProcess<Reader> {
@@ -125,7 +125,7 @@ class Reader final : public CloneableProcess<Reader> {
   void start_query(Context& ctx);
   void maybe_complete(Context& ctx);
 
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
   CodecPtr codec_;
   std::size_t value_size_;
@@ -135,10 +135,10 @@ class Reader final : public CloneableProcess<Reader> {
   std::uint64_t op_id_ = 0;
   Tag target_;
   Tag max_seen_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
   // Each shard is written once when its ReadFinResp arrives and read once
-  // at decode — a clone shares the payload blocks.
-  std::map<NodeId, ValueRef> shards_;
+  // at decode — a clone shares the payload blocks. Ascending server id.
+  SmallVec<std::pair<NodeId, ValueRef>, 4> shards_;
   std::size_t gc_hits_ = 0;
   std::size_t restarts_ = 0;
 };

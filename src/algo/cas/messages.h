@@ -91,25 +91,28 @@ struct HashAck final : MessagePayload {
 
 // Writer -> server i: coded element for the new tag. Value-dependent: this
 // is the single phase in which information about the value leaves the
-// writer.
+// writer. The element is a shared immutable block: the writer's coded
+// shard, the message and the server's stored copy are one allocation.
 struct PreWriteReq final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;
-  Bytes shard;
+  ValueRef shard;
 
-  PreWriteReq(std::uint64_t r, Tag t, Bytes s)
+  PreWriteReq(std::uint64_t r, Tag t, ValueRef s)
       : rid(r), tag(t), shard(std::move(s)) {}
+  PreWriteReq(std::uint64_t r, Tag t, Bytes s)
+      : PreWriteReq(r, t, ValueRef(std::move(s))) {}
 
   std::string_view type_name() const override { return "cas.pre_write_req"; }
   StateBits size_bits() const override {
-    return {static_cast<double>(shard.size()) * 8.0, 64 + Tag::kBits};
+    return {static_cast<double>(shard->size()) * 8.0, 64 + Tag::kBits};
   }
   bool value_dependent() const override { return true; }
 
   void encode_content(BufWriter& w) const override {
     w.u64(rid);
     tag.encode(w);
-    w.bytes(shard);
+    w.bytes(*shard);
   }
 };
 
@@ -177,20 +180,21 @@ struct ReadFinReq final : MessagePayload {
 };
 
 // Server -> reader. `has_shard` distinguishes "here is the element" from a
-// bare ack (element not yet present, or garbage-collected).
+// bare ack (element not yet present, or garbage-collected). The element
+// shares the server's stored block (an empty handle reads as no bytes).
 struct ReadFinResp final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;
   bool has_shard = false;
   bool gced = false;  // element was garbage-collected (CASGC only)
-  Bytes shard;
+  ValueRef shard;
 
-  ReadFinResp(std::uint64_t r, Tag t, bool has, bool gc, Bytes s)
+  ReadFinResp(std::uint64_t r, Tag t, bool has, bool gc, ValueRef s)
       : rid(r), tag(t), has_shard(has), gced(gc), shard(std::move(s)) {}
 
   std::string_view type_name() const override { return "cas.read_fin_resp"; }
   StateBits size_bits() const override {
-    return {static_cast<double>(shard.size()) * 8.0, 64 + Tag::kBits + 2};
+    return {static_cast<double>(shard->size()) * 8.0, 64 + Tag::kBits + 2};
   }
   bool value_dependent() const override { return has_shard; }
 
@@ -199,7 +203,7 @@ struct ReadFinResp final : MessagePayload {
     tag.encode(w);
     w.boolean(has_shard);
     w.boolean(gced);
-    w.bytes(shard);
+    w.bytes(*shard);
   }
 };
 

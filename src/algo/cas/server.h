@@ -1,7 +1,9 @@
 // CAS/CASGC server.
 //
 // State: a map tag -> (optional coded element, finalized?), plus the set of
-// readers waiting for elements that have not arrived yet. Plain CAS never
+// readers waiting for elements that have not arrived yet. Both are sorted
+// small vectors (common/small_vec.h): a COW detach copies a handful of
+// entries inline instead of allocating a tree node per entry. Plain CAS never
 // deletes anything — its storage grows with the number of *ever-started*
 // writes, which is exactly why the paper's Figure 1 erasure line grows with
 // the number of active writes nu: with garbage collection (CASGC, delta
@@ -11,10 +13,10 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "algo/cas/messages.h"
+#include "common/small_vec.h"
 #include "registers/tag.h"
 #include "registers/value.h"
 #include "sim/process.h"
@@ -62,18 +64,40 @@ class Server final : public CloneableProcess<Server> {
 
  private:
   struct Entry {
+    Tag tag;
     // Empty handle = element not yet pre-written; set exactly once.
     ValueRef shard;
     bool finalized = false;
   };
+  // A reader registered for `tag` under request id `rid`.
+  struct Waiter {
+    Tag tag;
+    NodeId reader;
+    std::uint64_t rid = 0;
+    friend auto operator<=>(const Waiter&, const Waiter&) = default;
+  };
 
   void handle_read_fin(Context& ctx, NodeId from, const ReadFinReq& req);
   void run_gc(Context& ctx);
+  // The entry for `tag`, inserted (absent, unfinalized) if there is none.
+  Entry& entry(const Tag& tag);
+  // Calls fn(tag, first waiter, count) for each tag with registered
+  // readers, in ascending tag order.
+  template <class Fn>
+  void for_each_waiting_tag(Fn&& fn) const {
+    for (std::size_t i = 0; i < waiting_.size();) {
+      std::size_t j = i + 1;
+      while (j < waiting_.size() && waiting_[j].tag == waiting_[i].tag) ++j;
+      fn(waiting_[i].tag, &waiting_[i], j - i);
+      i = j;
+    }
+  }
 
-  std::map<Tag, Entry> store_;
-  // Readers registered for a tag whose element has not arrived: they get a
-  // ReadFinResp as soon as the pre-write for that tag is delivered.
-  std::map<Tag, std::set<std::pair<NodeId, std::uint64_t>>> waiting_;
+  SmallVec<Entry, 4> store_;  // ascending tag
+  // Readers registered for a tag whose element has not arrived, ascending
+  // (tag, reader, rid): they get a ReadFinResp as soon as the pre-write for
+  // that tag is delivered.
+  SmallVec<Waiter, 2> waiting_;
   // Announced shard hashes (hash-phase variant): a pre-write whose element
   // does not match its announced hash is rejected — the integrity check the
   // Byzantine algorithms [2, 15] run this extra phase for.

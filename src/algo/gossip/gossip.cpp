@@ -14,7 +14,7 @@ void Server::adopt_and_gossip(Context& ctx, const Tag& tag,
   // One gossip fan-out per adoption: each (server, tag) pair gossips at
   // most once, so the gossip storm for a write is bounded by N^2 messages.
   const auto g = make_msg<GossipMsg>(tag, value);
-  for (const NodeId peer : peers_) {
+  for (const NodeId peer : *peers_) {
     if (peer != ctx.self()) ctx.send(peer, g);
   }
 }
@@ -41,8 +41,10 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
 
 Writer::Writer(std::vector<NodeId> servers, std::size_t quorum,
                std::uint32_t writer_id)
-    : servers_(std::move(servers)), quorum_(quorum), writer_id_(writer_id) {
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+    : servers_(ServerList(std::move(servers))),
+      quorum_(quorum),
+      writer_id_(writer_id) {
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Writer::on_invoke(Context& ctx, const Invocation& inv) {
@@ -57,13 +59,13 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
   ++rid_;
   const Tag tag{++seq_, writer_id_};
   const auto msg = make_msg<StoreReq>(rid_, tag, pending_value_);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* ack = dynamic_cast<const StoreAck*>(&msg)) {
     if (!busy_ || ack->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       busy_ = false;
       pending_value_.clear();
@@ -94,8 +96,8 @@ void Writer::write_state(BufWriter& w, const NodeRelabeling&) const {
 // ---- Reader -----------------------------------------------------------------
 
 Reader::Reader(std::vector<NodeId> servers, std::size_t quorum)
-    : servers_(std::move(servers)), quorum_(quorum) {
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+    : servers_(ServerList(std::move(servers))), quorum_(quorum) {
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Reader::on_invoke(Context& ctx, const Invocation& inv) {
@@ -110,13 +112,13 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
   best_tag_ = Tag::initial();
   best_value_.clear();
   const auto msg = make_msg<QueryReq>(rid_);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
     if (!busy_ || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > best_tag_ || best_value_.empty()) {
       best_tag_ = qr->tag;
       best_value_ = qr->value;

@@ -117,7 +117,7 @@ class Server final : public CloneableProcess<Server> {
  public:
   Server(Value initial_value, std::vector<NodeId> peers)
       : tag_(Tag::initial()), value_(std::move(initial_value)),
-        peers_(std::move(peers)) {}
+        peers_(ServerList(std::move(peers))) {}
 
   void on_message(Context& ctx, NodeId from,
                   const MessagePayload& msg) override;
@@ -137,14 +137,16 @@ class Server final : public CloneableProcess<Server> {
   const Tag& tag() const { return tag_; }
 
   // Peers must be set after all servers exist; see make_system.
-  void set_peers(std::vector<NodeId> peers) { peers_ = std::move(peers); }
+  void set_peers(std::vector<NodeId> peers) {
+    peers_ = ServerList(std::move(peers));
+  }
 
  private:
   void adopt_and_gossip(Context& ctx, const Tag& tag, const Value& value);
 
   Tag tag_;
   Value value_;
-  std::vector<NodeId> peers_;
+  ServerList peers_;
 };
 
 class Writer final : public CloneableProcess<Writer> {
@@ -163,7 +165,7 @@ class Writer final : public CloneableProcess<Writer> {
   bool idle() const { return !busy_; }
 
  private:
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
   std::uint32_t writer_id_;
 
@@ -172,7 +174,7 @@ class Writer final : public CloneableProcess<Writer> {
   std::uint64_t op_id_ = 0;
   std::uint64_t seq_ = 0;
   Value pending_value_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
 };
 
 class Reader final : public CloneableProcess<Reader> {
@@ -190,7 +192,7 @@ class Reader final : public CloneableProcess<Reader> {
   bool idle() const { return !busy_; }
 
  private:
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
 
   bool busy_ = false;
@@ -198,7 +200,7 @@ class Reader final : public CloneableProcess<Reader> {
   std::uint64_t op_id_ = 0;
   Tag best_tag_;
   Value best_value_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
 };
 
 struct Options {

@@ -63,14 +63,14 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
 Writer::Writer(std::vector<NodeId> directories, std::vector<NodeId> replicas,
                std::size_t dir_quorum, std::size_t replica_set_size,
                std::uint32_t writer_id)
-    : directories_(std::move(directories)),
-      replicas_(std::move(replicas)),
+    : directories_(ServerList(std::move(directories))),
+      replicas_(ServerList(std::move(replicas))),
       dir_quorum_(dir_quorum),
       replica_set_size_(replica_set_size),
       writer_id_(writer_id) {
-  MEMU_CHECK(dir_quorum_ >= 1 && dir_quorum_ <= directories_.size());
+  MEMU_CHECK(dir_quorum_ >= 1 && dir_quorum_ <= directories_->size());
   MEMU_CHECK(replica_set_size_ >= 1 &&
-             replica_set_size_ <= replicas_.size());
+             replica_set_size_ <= replicas_->size());
 }
 
 void Writer::on_invoke(Context& ctx, const Invocation& inv) {
@@ -87,13 +87,13 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
   phase_ = Phase::kDirQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<DirQueryReq>(rid_);
-  ctx.send_all(directories_, msg);
+  ctx.send_all(*directories_, msg);
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const DirQueryResp*>(&msg)) {
     if (phase_ != Phase::kDirQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= dir_quorum_) {
       replied_.clear();
@@ -101,13 +101,13 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       phase_ = Phase::kReserve;
       tag_ = Tag{max_seen_.seq + 1, writer_id_};
       const auto r = make_msg<RepReserveReq>(rid_);
-      ctx.send_all(replicas_, r);
+      ctx.send_all(*replicas_, r);
     }
     return;
   }
   if (const auto* rr = dynamic_cast<const RepReserveResp*>(&msg)) {
     if (phase_ != Phase::kReserve || rr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     chosen_.push_back(from);
     if (chosen_.size() >= replica_set_size_) {
       // Put the value on exactly the f + 1 fastest replicas — nobody else
@@ -122,24 +122,24 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   }
   if (const auto* pa = dynamic_cast<const RepPutAck*>(&msg)) {
     if (phase_ != Phase::kPut || pa->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= replica_set_size_) {
       replied_.clear();
       ++rid_;
       phase_ = Phase::kDirUpdate;
       const auto u = make_msg<DirUpdateReq>(rid_, tag_, chosen_);
-      ctx.send_all(directories_, u);
+      ctx.send_all(*directories_, u);
     }
     return;
   }
   if (const auto* ua = dynamic_cast<const DirUpdateAck*>(&msg)) {
     if (phase_ != Phase::kDirUpdate || ua->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= dir_quorum_) {
       // Commit done: garbage-collect superseded copies everywhere
       // (fire-and-forget; replicas in `chosen_` hold tag_ and keep it).
       const auto rel = make_msg<RepReleaseReq>(tag_);
-      ctx.send_all(replicas_, rel);
+      ctx.send_all(*replicas_, rel);
       phase_ = Phase::kIdle;
       pending_value_.clear();
       replied_.clear();
@@ -174,8 +174,9 @@ void Writer::write_state(BufWriter& w, const NodeRelabeling&) const {
 // ---- Reader -----------------------------------------------------------------
 
 Reader::Reader(std::vector<NodeId> directories, std::size_t dir_quorum)
-    : directories_(std::move(directories)), dir_quorum_(dir_quorum) {
-  MEMU_CHECK(dir_quorum_ >= 1 && dir_quorum_ <= directories_.size());
+    : directories_(ServerList(std::move(directories))),
+      dir_quorum_(dir_quorum) {
+  MEMU_CHECK(dir_quorum_ >= 1 && dir_quorum_ <= directories_->size());
 }
 
 void Reader::on_invoke(Context& ctx, const Invocation& inv) {
@@ -197,13 +198,13 @@ void Reader::start_query(Context& ctx) {
   target_ = Tag::initial();
   locations_.clear();
   const auto msg = make_msg<DirQueryReq>(rid_);
-  ctx.send_all(directories_, msg);
+  ctx.send_all(*directories_, msg);
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const DirQueryResp*>(&msg)) {
     if (phase_ != Phase::kDirQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > target_ || locations_.empty()) {
       target_ = qr->tag;
       locations_ = qr->locations;

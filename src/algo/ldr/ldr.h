@@ -284,8 +284,8 @@ class Writer final : public CloneableProcess<Writer> {
   bool idle() const { return phase_ == Phase::kIdle; }
 
  private:
-  std::vector<NodeId> directories_;
-  std::vector<NodeId> replicas_;
+  ServerList directories_;
+  ServerList replicas_;
   std::size_t dir_quorum_;
   std::size_t replica_set_size_;  // f + 1
   std::uint32_t writer_id_;
@@ -296,7 +296,7 @@ class Writer final : public CloneableProcess<Writer> {
   Value pending_value_;
   Tag tag_;
   Tag max_seen_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
   std::vector<NodeId> chosen_;  // the f + 1 reserve responders
 };
 
@@ -319,7 +319,7 @@ class Reader final : public CloneableProcess<Reader> {
 
   void start_query(Context& ctx);
 
-  std::vector<NodeId> directories_;
+  ServerList directories_;
   std::size_t dir_quorum_;
 
   Phase phase_ = Phase::kIdle;
@@ -327,7 +327,7 @@ class Reader final : public CloneableProcess<Reader> {
   std::uint64_t op_id_ = 0;
   Tag target_;
   std::vector<NodeId> locations_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
   std::size_t misses_ = 0;
   std::size_t restarts_ = 0;
 };

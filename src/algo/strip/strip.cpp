@@ -193,8 +193,10 @@ Tag Server::highest_committed() const {
 
 Writer::Writer(std::vector<NodeId> servers, std::size_t quorum,
                std::uint32_t writer_id)
-    : servers_(std::move(servers)), quorum_(quorum), writer_id_(writer_id) {
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+    : servers_(ServerList(std::move(servers))),
+      quorum_(quorum),
+      writer_id_(writer_id) {
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Writer::on_invoke(Context& ctx, const Invocation& inv) {
@@ -210,13 +212,13 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
     if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
       replied_.clear();
@@ -224,25 +226,25 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       phase_ = Phase::kStore;
       tag_ = Tag{max_seen_.seq + 1, writer_id_};
       const auto store = make_msg<StoreReq>(rid_, tag_, pending_value_);
-      ctx.send_all(servers_, store);
+      ctx.send_all(*servers_, store);
     }
     return;
   }
   if (const auto* sa = dynamic_cast<const StoreAck*>(&msg)) {
     if (phase_ != Phase::kStore || sa->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       replied_.clear();
       ++rid_;
       phase_ = Phase::kCommit;
       const auto commit = make_msg<CommitReq>(rid_, tag_);
-      ctx.send_all(servers_, commit);
+      ctx.send_all(*servers_, commit);
     }
     return;
   }
   if (const auto* ca = dynamic_cast<const CommitAck*>(&msg)) {
     if (phase_ != Phase::kCommit || ca->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       phase_ = Phase::kIdle;
       pending_value_.clear();
@@ -275,12 +277,12 @@ void Writer::write_state(BufWriter& w, const NodeRelabeling&) const {
 
 Reader::Reader(std::vector<NodeId> servers, std::size_t quorum, CodecPtr codec,
                std::size_t value_size)
-    : servers_(std::move(servers)),
+    : servers_(ServerList(std::move(servers))),
       quorum_(quorum),
       codec_(std::move(codec)),
       value_size_(value_size) {
   MEMU_CHECK(codec_ != nullptr);
-  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_.size());
+  MEMU_CHECK(quorum_ >= 1 && quorum_ <= servers_->size());
 }
 
 void Reader::on_invoke(Context& ctx, const Invocation& inv) {
@@ -303,7 +305,7 @@ void Reader::start_query(Context& ctx) {
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
-  ctx.send_all(servers_, msg);
+  ctx.send_all(*servers_, msg);
 }
 
 void Reader::maybe_complete(Context& ctx) {
@@ -314,8 +316,8 @@ void Reader::maybe_complete(Context& ctx) {
   } else if (symbols_.size() >= codec_->k()) {
     std::vector<std::pair<std::size_t, Bytes>> input;
     for (const auto& [node, symbol] : symbols_) {
-      for (std::size_t i = 0; i < servers_.size(); ++i) {
-        if (servers_[i] == node) {
+      for (std::size_t i = 0; i < servers_->size(); ++i) {
+        if ((*servers_)[i] == node) {
           input.emplace_back(i, symbol);
           break;
         }
@@ -341,7 +343,7 @@ void Reader::maybe_complete(Context& ctx) {
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
     if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
-    if (!replied_.insert(from).second) return;
+    if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
       replied_.clear();
@@ -352,7 +354,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       phase_ = Phase::kGet;
       target_ = max_seen_;
       const auto get = make_msg<GetReq>(rid_, target_);
-      ctx.send_all(servers_, get);
+      ctx.send_all(*servers_, get);
     }
     return;
   }

@@ -230,7 +230,7 @@ class Writer final : public CloneableProcess<Writer> {
   bool idle() const { return phase_ == Phase::kIdle; }
 
  private:
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
   std::uint32_t writer_id_;
 
@@ -238,7 +238,7 @@ class Writer final : public CloneableProcess<Writer> {
   std::uint64_t rid_ = 0, op_id_ = 0;
   Value pending_value_;
   Tag tag_, max_seen_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
 };
 
 class Reader final : public CloneableProcess<Reader> {
@@ -262,7 +262,7 @@ class Reader final : public CloneableProcess<Reader> {
   void start_query(Context& ctx);
   void maybe_complete(Context& ctx);
 
-  std::vector<NodeId> servers_;
+  ServerList servers_;
   std::size_t quorum_;
   CodecPtr codec_;
   std::size_t value_size_;
@@ -270,7 +270,7 @@ class Reader final : public CloneableProcess<Reader> {
   Phase phase_ = Phase::kIdle;
   std::uint64_t rid_ = 0, op_id_ = 0;
   Tag target_, max_seen_;
-  std::set<NodeId> replied_;
+  NodeSet replied_;
   std::optional<Value> full_;
   std::map<NodeId, Bytes> symbols_;
   std::size_t gc_hits_ = 0, restarts_ = 0;

@@ -7,7 +7,8 @@
 #include "codec/codec.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "codec/matrix.h"
 #include "common/check.h"
@@ -15,6 +16,13 @@
 namespace memu {
 
 namespace {
+
+// A decode matrix, keyed by what determines it.
+struct DecodeMatrix {
+  std::size_t n = 0, k = 0;
+  std::vector<std::size_t> rows;
+  GfMatrix inverse;
+};
 
 class RsCodec final : public Codec {
  public:
@@ -61,17 +69,26 @@ class RsCodec final : public Codec {
   std::optional<Bytes> decode(
       const std::vector<std::pair<std::size_t, Bytes>>& shards,
       std::size_t value_size) const override {
-    // Deduplicate by shard index, keep the first occurrence.
-    std::map<std::size_t, const Bytes*> by_index;
+    // Distinct shard indices, ascending, first occurrence kept — built in
+    // per-thread buffers, like the decode matrix cache below: a reader
+    // decodes once per completed read, on the explorer's hot path.
+    thread_local std::vector<std::pair<std::size_t, const Bytes*>> by_index;
+    by_index.clear();
     for (const auto& [idx, data] : shards) {
       if (idx >= n_) return std::nullopt;
-      by_index.emplace(idx, &data);
+      const auto at = std::lower_bound(
+          by_index.begin(), by_index.end(), idx,
+          [](const auto& e, std::size_t i) { return e.first < i; });
+      if (at == by_index.end() || at->first != idx)
+        by_index.insert(at, {idx, &data});
     }
     if (by_index.size() < k_) return std::nullopt;
 
     const std::size_t shard_len = shard_size(value_size);
-    std::vector<std::size_t> rows;
-    std::vector<const Bytes*> datas;
+    thread_local std::vector<std::size_t> rows;
+    thread_local std::vector<const Bytes*> datas;
+    rows.clear();
+    datas.clear();
     for (const auto& [idx, data] : by_index) {
       if (rows.size() == k_) break;
       if (data->size() != shard_len) return std::nullopt;
@@ -79,17 +96,21 @@ class RsCodec final : public Codec {
       datas.push_back(data);
     }
 
-    const auto dec = generator_.select_rows(rows).inverse();
-    MEMU_CHECK_MSG(dec.has_value(), "MDS violation: selected rows singular");
+    // The inverse depends only on (n, k, rows): the generator is a fixed
+    // function of n and k. Reads decode from a few row sets over and over,
+    // so each thread caches the last few inverses instead of re-running
+    // Gauss-Jordan and its matrices.
+    const GfMatrix& dec = cached_inverse(rows);
 
     Bytes value(value_size, 0);
-    std::vector<std::uint8_t> column(k_, 0);
+    thread_local std::vector<std::uint8_t> column;
+    column.assign(k_, 0);
     for (std::size_t j = 0; j < shard_len; ++j) {
       for (std::size_t i = 0; i < k_; ++i) column[i] = (*datas[i])[j];
       for (std::size_t i = 0; i < k_; ++i) {
         std::uint8_t acc = 0;
         for (std::size_t c = 0; c < k_; ++c)
-          acc = gf256::add(acc, gf256::mul(dec->at(i, c), column[c]));
+          acc = gf256::add(acc, gf256::mul(dec.at(i, c), column[c]));
         const std::size_t pos = i * shard_len + j;
         if (pos < value_size) value[pos] = acc;
       }
@@ -98,6 +119,22 @@ class RsCodec final : public Codec {
   }
 
  private:
+  // The inverse of the generator rows `rows`, from this thread's cache of
+  // the kCached most recently computed ones.
+  const GfMatrix& cached_inverse(const std::vector<std::size_t>& rows) const {
+    static constexpr std::size_t kCached = 16;
+    thread_local std::vector<DecodeMatrix> cache;
+    thread_local std::size_t next = 0;
+    for (const DecodeMatrix& m : cache)
+      if (m.n == n_ && m.k == k_ && m.rows == rows) return m.inverse;
+    const auto inv = generator_.select_rows(rows).inverse();
+    MEMU_CHECK_MSG(inv.has_value(), "MDS violation: selected rows singular");
+    DecodeMatrix& slot = cache.size() < kCached ? cache.emplace_back()
+                                                : cache[next++ % kCached];
+    slot = DecodeMatrix{n_, k_, rows, *inv};
+    return slot.inverse;
+  }
+
   std::size_t n_;
   std::size_t k_;
   GfMatrix generator_;  // n x k systematic generator

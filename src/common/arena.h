@@ -463,6 +463,32 @@ SlabRef<T> slab_make(Args&&... args) {
   return SlabRef<T>::adopt(new (mem) T(std::forward<Args>(args)...));
 }
 
+// Standard allocator over this thread's slab pool: what std::allocate_shared
+// takes to put an object and its shared_ptr control block into one slab
+// slot (make_msg in sim/message.h), and what the channel slot arrays use so
+// a World copy takes no heap allocation (sim/channel_table.h). A slot freed
+// on another thread takes the pool's remote path, as any slab block does.
+template <class T>
+struct SlabAllocator {
+  using value_type = T;
+
+  SlabAllocator() = default;
+  template <class U>
+  SlabAllocator(const SlabAllocator<U>&) {}
+
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= alignof(std::max_align_t),
+                  "slab payloads are max_align_t-aligned");
+    return static_cast<T*>(local_pool().alloc(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t) { SlabPool::dealloc(p); }
+
+  template <class U>
+  friend bool operator==(const SlabAllocator&, const SlabAllocator<U>&) {
+    return true;
+  }
+};
+
 // An immutable shared payload in a slab slot: the COW unit for value-sized
 // pieces of process state. A process keeps big set-once payloads (a pending
 // write value, a stored coded element) behind a SlabShared so its COW clone

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -21,11 +22,51 @@ namespace {
 // An expanded state, shared by all of its children: its World and the
 // delivery sequence from the initial state to it (the prefix of every
 // child's replayable counterexample), stored once here rather than once
-// per child. Immutable once published: workers copy the World, never
-// mutate it, so sharing one across threads is safe.
+// per child. Immutable while any child holds it: workers copy the World,
+// never mutate it, so sharing one across threads is safe. Records are
+// recycled (Search::retire): once its last child is visited, a record is
+// cleared and kept by that worker, and its next expansion swaps the
+// scratch World into it, so neither the World's vectors nor the path
+// reallocate.
 struct Parent {
   World world;
   std::vector<ExploreStep> path;
+  std::atomic<std::uint32_t> refs{0};
+};
+
+// Counted handle on a Parent record: one pointer, the count lives in the
+// record. Dropping the last handle deletes the record (a node dropped
+// unvisited when a search aborts); Search::retire instead takes the record
+// back for reuse.
+class ParentRef {
+ public:
+  ParentRef() = default;
+  explicit ParentRef(Parent* p) : p_(p) {
+    if (p_ != nullptr) p_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  ParentRef(const ParentRef& o) : ParentRef(o.p_) {}
+  ParentRef(ParentRef&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  ParentRef& operator=(ParentRef o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~ParentRef() { delete release(); }
+
+  // Drops this handle. Returns the record iff this was its last handle
+  // (the acq_rel decrement orders every other holder's reads before the
+  // caller reuses it), else nullptr.
+  Parent* release() {
+    Parent* p = std::exchange(p_, nullptr);
+    if (p != nullptr && p->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      return p;
+    return nullptr;
+  }
+
+  const Parent* operator->() const { return p_; }
+  const Parent& operator*() const { return *p_; }
+
+ private:
+  Parent* p_ = nullptr;
 };
 
 // A frontier entry: its parent plus the one step that leads here. The
@@ -33,7 +74,7 @@ struct Parent {
 // into the worker's scratch World (COW — pointer bumps into warm vectors)
 // and delivers `step`. The root is its own parent and delivers nothing.
 struct Node {
-  std::shared_ptr<const Parent> parent;
+  ParentRef parent;
   ExploreStep step{{}, kNoIndex};  // kNoIndex: the root
   // Sleep set (engine/dpor.h): steps whose interleavings an earlier
   // sibling branch already covers. Always empty when reduction is off.
@@ -53,15 +94,19 @@ struct Node {
   }
 };
 
-// One worker's buffers, reused across every node it visits so the visit
-// allocates nothing in steady state: the World each node materializes
-// into, the steps enumerated from it, the sleep-set accumulator, and the
-// children it emits.
+// One worker's buffers, reused across every node it visits: the World
+// each node materializes into, the steps enumerated from it, the
+// sleep-set accumulator, the children it emits, and the retired parent
+// records it expands into. Once they are warm the visit's own bookkeeping
+// allocates nothing; what is left happens inside delivery (the handler's
+// state changes and sends), and tests/engine/alloc_count_test.cpp counts
+// it.
 struct Scratch {
   World world;
   std::vector<ExploreStep> steps;
   std::vector<ExploreStep> acc;
   std::vector<Node> children;
+  std::vector<std::unique_ptr<Parent>> spare;  // cleared, ready for reuse
 };
 
 class Search {
@@ -91,7 +136,9 @@ class Search {
           VisitedSet::Options{false, auto_shard_count(opt_.threads)});
     }
     Node root;  // the default step marks the root
-    root.parent = std::make_shared<const Parent>(Parent{initial, {}});
+    auto* record = new Parent;
+    record->world = initial;
+    root.parent = ParentRef(record);
     if (opt_.threads <= 1) {
       push_bytes(root);
       frontier_.push_back(std::move(root));
@@ -308,12 +355,10 @@ class Search {
     }
 
     // This node becomes its children's parent: the root's record is
-    // already shared; any other state moves the scratch World into a fresh
-    // record with its path, shared by every child.
-    const std::shared_ptr<const Parent> parent =
-        node.is_root() ? node.parent
-                       : std::make_shared<const Parent>(
-                             Parent{std::move(world), node.path()});
+    // already shared; any other state swaps the scratch World into a
+    // recycled record with its path, shared by every child.
+    const ParentRef parent =
+        node.is_root() ? node.parent : expand_into_record(node, scratch);
 
     // Sleep-set filtering (engine/dpor.h): an enumerated step found in the
     // node's sleep set is skipped — every interleaving it starts is
@@ -339,6 +384,32 @@ class Search {
     }
   }
 
+  // The record `node`'s children share: a retired record of this worker
+  // (or a fresh one) takes the scratch World by swap — the scratch World
+  // gets the record's cleared one, capacity intact — and the node's path.
+  static ParentRef expand_into_record(const Node& node, Scratch& scratch) {
+    std::unique_ptr<Parent> record;
+    if (scratch.spare.empty()) {
+      record = std::make_unique<Parent>();
+    } else {
+      record = std::move(scratch.spare.back());
+      scratch.spare.pop_back();
+    }
+    std::swap(record->world, scratch.world);
+    record->path.assign(node.parent->path.begin(), node.parent->path.end());
+    record->path.push_back(node.step);
+    return ParentRef(record.release());
+  }
+
+  // Drops a visited node's handle on its parent; the worker that drops the
+  // last one clears the record and keeps it for its next expansion.
+  static void retire(Node& node, Scratch& scratch) {
+    if (Parent* record = node.parent.release()) {
+      record->world.clear();
+      scratch.spare.emplace_back(record);
+    }
+  }
+
   // Sequential mode: LIFO frontier, children pushed in reverse generation
   // order, so pops happen in exactly the recursive-DFS entry order — every
   // counter and the first counterexample match the seed explorer, at any
@@ -347,12 +418,13 @@ class Search {
     Scratch& scratch = scratch_[0];
     std::vector<Node>& children = scratch.children;
     while (!frontier_.empty() && !aborted_.load()) {
-      const Node node = std::move(frontier_.back());
+      Node node = std::move(frontier_.back());
       frontier_.pop_back();
       pop_bytes(node);
       children.clear();
       visit(node, scratch,
             [&](Node&& child) { children.push_back(std::move(child)); });
+      retire(node, scratch);
       for (auto it = children.rbegin(); it != children.rend(); ++it) {
         push_bytes(*it);
         frontier_.push_back(std::move(*it));
@@ -390,6 +462,7 @@ class Search {
           children.clear();
           visit(node, scratch,
                 [&](Node&& child) { children.push_back(std::move(child)); });
+          retire(node, scratch);
           for (const Node& child : children) push_bytes(child);
           pool.submit(id, children);
         });

@@ -25,9 +25,11 @@ using Value = Bytes;
 // Shared slab handles for value-sized payloads held in process state: a COW
 // process clone shares the payload block instead of copying it (see
 // SlabShared in common/arena.h). ShardListRef covers a writer's full coded
-// shard list, produced by one Codec::encode call and read-only after.
+// shard list, produced by one Codec::encode call and read-only after; each
+// shard is a ValueRef of its own, so the pre-write carrying it and the
+// server storing it share the block.
 using ValueRef = SlabShared<Value>;
-using ShardListRef = SlabShared<std::vector<Bytes>>;
+using ShardListRef = SlabShared<std::vector<ValueRef>>;
 
 // A value of `size_bytes` bytes, unique per (writer, seq), remainder filled
 // pseudorandomly from the pair so regeneration is deterministic.

@@ -39,6 +39,7 @@
 #include "common/arena.h"
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/small_vec.h"
 #include "sim/cow_stats.h"
 #include "sim/message.h"
 #include "sim/state_hash.h"
@@ -247,9 +248,8 @@ class ChannelTable {
   // re-slotted; relative (src, dst) order is preserved.
   void resize_nodes(std::size_t n) {
     if (n <= nodes_) return;
-    std::vector<MsgQueue> grown(n * n);
-    std::vector<std::uint32_t> active;
-    active.reserve(active_.size());
+    Slots grown(n * n);
+    ActiveSlots active;
     for (const std::uint32_t slot : active_) {
       const std::uint32_t src = slot / static_cast<std::uint32_t>(nodes_);
       const std::uint32_t dst = slot % static_cast<std::uint32_t>(nodes_);
@@ -263,6 +263,15 @@ class ChannelTable {
   }
 
   std::size_t node_count() const { return nodes_; }
+
+  // Drops every queue (releasing its blocks), keeping the vectors'
+  // capacity.
+  void clear() {
+    nodes_ = 0;
+    slots_.clear();
+    active_.clear();
+    content_hash_ = 0;
+  }
 
   void push(ChannelId chan, Message msg) {
     // The payload fingerprint is computed exactly once per send — queue
@@ -406,8 +415,14 @@ class ChannelTable {
   }
 
   std::size_t nodes_ = 0;
-  std::vector<MsgQueue> slots_;        // nodes_^2 views, slot = src * n + dst
-  std::vector<std::uint32_t> active_;  // sorted slots with pending messages
+  // nodes_^2 views, slot = src * n + dst. The array lives in a slab slot of
+  // the copying thread's pool, so forking a World takes no heap allocation.
+  using Slots = std::vector<MsgQueue, SlabAllocator<MsgQueue>>;
+  Slots slots_;
+  // Sorted slots with pending messages; a few non-empty channels are the
+  // common case, so a table copy allocates nothing for them.
+  using ActiveSlots = SmallVec<std::uint32_t, 16>;
+  ActiveSlots active_;
   std::uint64_t content_hash_ = 0;     // incremental; see content_hash()
 };
 

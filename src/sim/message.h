@@ -2,15 +2,19 @@
 //
 // Payloads are immutable once sent: Worlds share them via shared_ptr<const>,
 // which makes deep-copying a World (required by the adversary harness) cheap
-// and safe. Every payload reports its size in bits, split into value bits and
-// metadata bits, so channel contents can participate in storage accounting
-// and so the adversary can classify messages as value-dependent or not.
+// and safe. make_msg places each payload, with its control block, in one
+// slot of the sending thread's slab pool (common/arena.h), so a send costs
+// no heap allocation. Every payload reports its size in bits, split into
+// value bits and metadata bits, so channel contents can participate in
+// storage accounting and so the adversary can classify messages as
+// value-dependent or not.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
 
+#include "common/arena.h"
 #include "common/bits.h"
 #include "common/buffer.h"
 #include "common/hash.h"
@@ -83,10 +87,13 @@ struct Message {
   std::uint64_t payload_fp = 0;
 };
 
-// Convenience factory: make_msg<AbdQuery>(args...) -> MessagePtr.
+// Convenience factory: make_msg<AbdQuery>(args...) -> MessagePtr. The
+// payload and its control block share one slab slot; the slot counts
+// toward the World slab pages `--mem` caps (worldmem).
 template <class T, class... Args>
 MessagePtr make_msg(Args&&... args) {
-  return std::make_shared<const T>(std::forward<Args>(args)...);
+  return std::allocate_shared<T>(SlabAllocator<T>{},
+                                 std::forward<Args>(args)...);
 }
 
 }  // namespace memu

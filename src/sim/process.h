@@ -19,9 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/bits.h"
 #include "common/buffer.h"
 #include "common/ids.h"
+#include "common/nodeset.h"
 #include "sim/message.h"
 #include "sim/oplog.h"
 
@@ -57,8 +59,13 @@ class Context {
   World& world() { return world_; }
 
  private:
+  friend class World;
+
   World& world_;
   NodeId self_;
+  // Set only while the World checks an ignores() override (world.cpp): a
+  // send, log or op-id draw is counted here instead of being applied.
+  std::size_t* effects_ = nullptr;
 };
 
 // External invocation delivered to a client process.
@@ -87,6 +94,11 @@ class NodeRelabeling {
  private:
   const std::vector<std::uint32_t>* map_ = nullptr;  // id -> canonical id
 };
+
+// A client's list of servers: set once at construction and never changed,
+// so it sits in one shared immutable slab block and a COW detach of the
+// client bumps a refcount instead of copying the vector.
+using ServerList = SlabShared<std::vector<NodeId>>;
 
 // Encodes a collection of node ids as u64 count + mapped ids in ascending
 // MAPPED order — the relabel-stable framing for id-keyed sets (two sets
@@ -149,7 +161,9 @@ class Process {
   // MUST mirror its handler's early-return conditions exactly; the resulting
   // state is byte-identical either way, so the differential explore counters
   // pin any drift. When unsure, return false (the delivery just pays the
-  // clone, as before).
+  // clone, as before). Builds without NDEBUG check the contract on every
+  // skipped delivery: the handler runs on a scratch clone, which must end
+  // with the same write_state bytes, having sent and logged nothing.
   virtual bool ignores(NodeId /*from*/, const MessagePayload& /*msg*/) const {
     return false;
   }

@@ -1,6 +1,8 @@
 #include "sim/world.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 namespace memu {
 
@@ -8,17 +10,31 @@ namespace memu {
 
 void Context::send(NodeId dst, MessagePtr payload) {
   MEMU_CHECK(payload != nullptr);
+  if (effects_ != nullptr) {
+    ++*effects_;
+    return;
+  }
   world_.enqueue(ChannelId{self_, dst}, std::move(payload));
 }
 
 std::uint64_t Context::step() const { return world_.step_count(); }
 
 void Context::log_op(OpEvent e) {
+  if (effects_ != nullptr) {
+    ++*effects_;
+    return;
+  }
   e.step = world_.step_count();
   world_.oplog().append(std::move(e));
 }
 
-std::uint64_t Context::next_op_id() { return world_.next_op_id(); }
+std::uint64_t Context::next_op_id() {
+  if (effects_ != nullptr) {
+    ++*effects_;
+    return 0;
+  }
+  return world_.next_op_id();
+}
 
 // ---- World ------------------------------------------------------------------
 
@@ -45,6 +61,26 @@ World& World::operator=(const World& other) {
   any_proc_dirty_ = other.any_proc_dirty_;
   cowstats::note_world_copy();
   return *this;
+}
+
+void World::clear() {
+  processes_.clear();
+  channels_.clear();
+  crashed_.clear();
+  frozen_.clear();
+  value_blocked_.clear();
+  bulk_blocked_.clear();
+  partition_.clear();
+  oplog_ = OpLog{};
+  tracing_ = false;
+  trace_ = Trace{};
+  step_count_ = 0;
+  next_op_id_ = 1;
+  sets_hash_ = 0;
+  procs_hash_ = 0;
+  proc_fp_.clear();
+  proc_dirty_.clear();
+  any_proc_dirty_ = false;
 }
 
 // Placement-copies `p` into a slot of this thread's slab pool. Process
@@ -231,10 +267,48 @@ void World::deliver(ChannelId chan, std::size_t index) {
   // duplicate ack — see Process::ignores) leaves a byte-identical state
   // without running the handler, so skip the COW detach and the dirty-mark
   // a mutable_process() call would charge for nothing.
-  if (processes_[chan.dst.value]->ignores(chan.src, *msg.payload)) return;
+  if (processes_[chan.dst.value]->ignores(chan.src, *msg.payload)) {
+#ifndef NDEBUG
+    check_ignored_delivery(chan, *msg.payload);
+#endif
+    return;
+  }
 
   Context ctx(*this, chan.dst);
   mutable_process(chan.dst).on_message(ctx, chan.src, *msg.payload);
+}
+
+void World::check_ignored_delivery(ChannelId chan,
+                                   const MessagePayload& msg) {
+  // The probe lives in per-thread buffers, not in a slab block, and its
+  // effects are only counted, so the check moves no COW, slab, World or
+  // allocation counter once the buffers are warm.
+  thread_local std::vector<std::max_align_t> probe_mem;
+  thread_local Bytes before_buf, after_buf;
+  const Process& p = *processes_[chan.dst.value];
+  const std::size_t words = (p.clone_footprint() + sizeof(std::max_align_t) -
+                             1) / sizeof(std::max_align_t);
+  if (probe_mem.size() < words) probe_mem.resize(words);
+  Process* probe = p.clone_into(probe_mem.data());
+  std::size_t effects = 0;
+  Context ctx(*this, chan.dst);
+  ctx.effects_ = &effects;
+  probe->on_message(ctx, chan.src, msg);
+  BufWriter before(std::move(before_buf)), after(std::move(after_buf));
+  p.write_state(before, NodeRelabeling{});
+  probe->write_state(after, NodeRelabeling{});
+  const bool same_state = before.data() == after.data();
+  before_buf = std::move(before).take();
+  after_buf = std::move(after).take();
+  probe->~Process();
+  MEMU_CHECK_MSG(same_state && effects == 0,
+                 p.name() << " at " << chan.dst << " ignores() a "
+                          << msg.type_name() << " from " << chan.src
+                          << " that its handler acts on ("
+                          << (same_state ? "state unchanged" : "state changed")
+                          << ", " << effects
+                          << " sends/logs); the override must mirror the "
+                             "handler's early returns exactly");
 }
 
 void World::drop_message(ChannelId chan, std::size_t index) {
@@ -332,7 +406,7 @@ void World::encode_canonical_into(BufWriter& w) const {
       });
   const auto encode_set = [&w](const NodeSet& s) {
     w.u64(s.size());
-    s.for_each([&w](NodeId id) { w.u32(id.value); });
+    for (const NodeId id : s) w.u32(id.value);
   };
   encode_set(crashed_);
   encode_set(frozen_);
@@ -390,7 +464,7 @@ void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
   const auto encode_set = [&](const NodeSet& s) {
     std::vector<std::uint32_t> ids;
     ids.reserve(s.size());
-    s.for_each([&](NodeId id) { ids.push_back(rank(id)); });
+    for (const NodeId id : s) ids.push_back(rank(id));
     std::sort(ids.begin(), ids.end());
     w.u64(ids.size());
     for (const std::uint32_t id : ids) w.u32(id);
@@ -432,7 +506,7 @@ void World::flush_proc_hashes() const {
 std::uint64_t World::sets_component(const NodeRelabeling& rank) const {
   std::uint64_t sets = 0;
   const auto fold_set = [&](const NodeSet& s, std::uint64_t seed) {
-    s.for_each([&](NodeId id) { sets ^= statehash::member(seed, rank(id)); });
+    for (const NodeId id : s) sets ^= statehash::member(seed, rank(id));
   };
   fold_set(crashed_, statehash::kCrashedSeed);
   fold_set(frozen_, statehash::kFrozenSeed);

@@ -24,6 +24,7 @@
 #include "common/check.h"
 #include "common/ids.h"
 #include "common/nodeset.h"
+#include "common/small_vec.h"
 #include "common/rng.h"
 #include "sim/channel_table.h"
 #include "sim/message.h"
@@ -49,6 +50,13 @@ class World {
   World& operator=(const World& other);
   World(World&&) = default;
   World& operator=(World&&) = default;
+
+  // Empties this World: every shared block it references is released, and
+  // its vectors keep their capacity for the next assignment. The explorer
+  // clears a retired parent record this way, so the record neither pins
+  // blocks that live Worlds share (which would force needless COW
+  // detaches) nor gives up its storage.
+  void clear();
 
   // --- topology -----------------------------------------------------------
 
@@ -131,10 +139,9 @@ class World {
     toggle(partition_.insert(id), statehash::kPartitionSeed, id);
   }
   void heal_partition() {
-    partition_.for_each([this](NodeId id) {
+    for (const NodeId id : partition_)
       sets_hash_ ^= statehash::member(statehash::kPartitionSeed, id.value);
-    });
-    partition_ = NodeSet{};
+    partition_.clear();
   }
   bool in_partition(NodeId id) const { return partition_.contains(id); }
 
@@ -366,6 +373,11 @@ class World {
     any_proc_dirty_ = true;
   }
 
+  // The Process::ignores contract, checked when NDEBUG is not defined:
+  // runs the recipient's handler for `msg` on a scratch clone and CHECKs
+  // that it leaves write_state unchanged and sends and logs nothing.
+  void check_ignored_delivery(ChannelId chan, const MessagePayload& msg);
+
   // Re-encodes dirty processes and settles their components into
   // procs_hash_.
   void flush_proc_hashes() const;
@@ -382,12 +394,16 @@ class World {
   // process()) go through here.
   Process& mutable_process(NodeId id);
 
+  // The per-process vectors hold this many entries inline, so copying a
+  // World of up to kInlineNodes processes allocates nothing for them.
+  static constexpr std::size_t kInlineNodes = 8;
+
   // Processes are shared between World copies until one side mutates
   // (copy-on-write via mutable_process). Each block lives in a refcounted
   // slab slot (common/arena.h) sized to the concrete process, so a fork is
   // a header refcount bump and a detach is one pool allocation — no
   // shared_ptr control blocks, no per-clone malloc.
-  std::vector<SlabRef<Process>> processes_;
+  SmallVec<SlabRef<Process>, kInlineNodes> processes_;
   ChannelTable channels_;   // dense (src, dst)-indexed message queues
   NodeSet crashed_;         // flat bitsets: hot-path membership + cheap copy
   NodeSet frozen_;
@@ -411,8 +427,8 @@ class World {
   // const but memoizes the flush. A byte vector (not vector<bool>) so
   // flushing scans flat storage.
   mutable std::uint64_t procs_hash_ = 0;
-  mutable std::vector<std::uint64_t> proc_fp_;
-  mutable std::vector<std::uint8_t> proc_dirty_;
+  mutable SmallVec<std::uint64_t, kInlineNodes> proc_fp_;
+  mutable SmallVec<std::uint8_t, kInlineNodes> proc_dirty_;
   mutable bool any_proc_dirty_ = false;
 };
 

@@ -249,6 +249,23 @@ TEST(FrontierSearch, ExactDedupeMatchesFingerprintAndCostsMore) {
   EXPECT_GE(b.dedupe_bytes, 5 * a.dedupe_bytes);
 }
 
+TEST(FrontierSearch, ExactDedupeMatchesFingerprintOnCas) {
+  // The explore-cas space (CAS N=3 k=1, write || read): the 64-bit state
+  // fingerprint merges exactly the states the full canonical encodings
+  // merge, so both modes pin the same counters.
+  ExploreOptions exact;
+  exact.exact_dedupe = true;
+  for (const ExploreOptions& opt : {ExploreOptions{}, exact}) {
+    const auto r = explore_cas(opt);
+    EXPECT_TRUE(r.ok && r.complete);
+    EXPECT_EQ(r.exact_dedupe, opt.exact_dedupe);
+    EXPECT_EQ(r.states_visited, 103147u);
+    EXPECT_EQ(r.terminal_states, 24u);
+    EXPECT_EQ(r.transitions, 511863u);
+    EXPECT_EQ(r.deduped, 408717u);
+  }
+}
+
 TEST(FrontierSearch, FingerprintModeNeverCallsCanonicalEncoding) {
   // The point of the incremental state hash: fingerprint-mode exploration
   // performs ZERO full canonical serializations — not one per node, none.
@@ -463,8 +480,8 @@ TEST(FrontierSearch, VisitedSizingHintGetsPastTheFailingSize) {
 
 TEST(FrontierSearch, FrontierSizingHintGetsPastTheFailingSize) {
   // --mem 16K gives the frontier a 2K share, which CAS N=3 passes while
-  // expanding its eighth state (36 nodes of 56 B) — long before the visited set's first
-  // doubling. The hint names a larger --mem, and following the hints
+  // expanding its tenth state (42 nodes of 48 B) — long before the visited
+  // set's first doubling. The hint names a larger --mem, and following the hints
   // always makes progress: each rerun completes or fails later, at more
   // states. A visited-set failure at N states is later than a frontier
   // failure after N states (it fires admitting state N+1), so failures
@@ -495,7 +512,7 @@ TEST(FrontierSearch, FrontierSizingHintGetsPastTheFailingSize) {
     ASSERT_TRUE(std::regex_search(what, h, hint)) << what;
     if (rerun == 0) {
       EXPECT_TRUE(at_frontier) << what;
-      EXPECT_EQ(f[1], "8") << what;
+      EXPECT_EQ(f[1], "10") << what;
       EXPECT_EQ(h[1], "33K") << what;
     }
     saw_visited |= !at_frontier;

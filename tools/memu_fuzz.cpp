@@ -94,8 +94,12 @@ SystemSpec spec_for(const Args& a, const std::string& algo) {
   spec.n_servers = a.num("n", 5);
   spec.f = a.num("f", 2);
   spec.k = a.num("k", 0);
-  // LDR's regularity checker assumes a single writer.
-  spec.n_writers = a.num("writers", algo == "ldr" ? 1 : 2);
+  // The regular-swsr checker assumes a single writer, so a family that
+  // promises it (ldr, gossip, abd-regular) defaults to one.
+  const algo::Family* family = algo::find(algo);
+  const bool single_writer =
+      family != nullptr && family->promises == CheckKind::kRegularSwsr;
+  spec.n_writers = a.num("writers", single_writer ? 1 : 2);
   spec.n_readers = a.num("readers", 2);
   // 60 bytes divides evenly under every built-in code dimension.
   spec.value_size = a.num("value-bytes", 60);
