@@ -49,10 +49,9 @@ std::size_t env_max_states(std::size_t def) {
 }
 
 // Budget for the --mem engine run: `--mem <bytes|512M|4G>` on the command
-// line, MEMU_MEM_BUDGET in the environment, else 64 MiB — deliberately
-// below the ~115 MB the unbudgeted exact-mode visited set measures on the
-// full CAS space, so the budgeted run is evidence the contract holds where
-// the old engine could not fit.
+// line, else 64 MiB — deliberately below the ~115 MB the unbudgeted
+// exact-mode visited set measures on the full CAS space, so the budgeted
+// run is evidence the contract holds where the old engine could not fit.
 MemBudget g_mem_budget{64ull << 20};
 
 void report(const std::string& name, const ExploreResult& r,
@@ -583,8 +582,7 @@ void engine_benchmark() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Budget precedence (common/env.h flag-wins rule): the explicit flag
-  // beats MEMU_MEM_BUDGET beats the 64 MiB default.
+  // The explicit flag beats the 64 MiB default.
   std::optional<std::string> mem_flag;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -595,9 +593,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  g_mem_budget = env::mem_budget_or(mem_flag, g_mem_budget);
-  const bool mem_explicit =
-      mem_flag.has_value() || env::raw(env::kMemBudget).has_value();
+  const bool mem_explicit = mem_flag.has_value();
+  if (mem_explicit) g_mem_budget = MemBudget::parse(*mem_flag);
   // An explicitly requested budget also caps the World slab pools
   // (process blocks, channel slots, oplog chunks — the "COW snapshot
   // slack" the --mem split leaves unmetered): exhausting it CHECK-fails

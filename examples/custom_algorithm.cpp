@@ -27,7 +27,8 @@ using namespace memu;
 // Every message reports its size (value vs metadata bits) and whether it is
 // value-dependent — the storage meters and Theorem 6.5 machinery use both.
 // type_name() returns a view of a string literal, so fingerprinting a
-// message allocates nothing.
+// message allocates nothing. A server -> client reply derives from Reply,
+// which carries the request id (rid) of the round it answers.
 
 struct Put final : MessagePayload {
   std::uint64_t rid;
@@ -41,9 +42,8 @@ struct Put final : MessagePayload {
   bool value_dependent() const override { return true; }
 };
 
-struct PutAck final : MessagePayload {
-  std::uint64_t rid;
-  explicit PutAck(std::uint64_t r) : rid(r) {}
+struct PutAck final : Reply {
+  explicit PutAck(std::uint64_t r) : Reply(r) {}
   std::string_view type_name() const override { return "naive.put_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 };
@@ -55,12 +55,11 @@ struct Get final : MessagePayload {
   StateBits size_bits() const override { return {0, 64}; }
 };
 
-struct GetResp final : MessagePayload {
-  std::uint64_t rid;
+struct GetResp final : Reply {
   Tag tag;
   Value value;
   GetResp(std::uint64_t r, Tag t, Value v)
-      : rid(r), tag(t), value(std::move(v)) {}
+      : Reply(r), tag(t), value(std::move(v)) {}
   std::string_view type_name() const override { return "naive.get_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
@@ -111,8 +110,12 @@ class Server final : public CloneableProcess<Server> {
 };
 
 // ---- 3. Implement the clients. ------------------------------------------------
+// A client derives from RoundClient, which holds the round id rid_ and
+// filters replies for it: a reply reaches on_message only while the client
+// is busy (idle() is false) and only if it answers the current round, so
+// the handlers below never check either.
 
-class Writer final : public CloneableProcess<Writer> {
+class Writer final : public RoundClient<Writer> {
  public:
   Writer(std::vector<NodeId> servers, std::size_t quorum)
       : servers_(std::move(servers)), quorum_(quorum) {}
@@ -130,8 +133,7 @@ class Writer final : public CloneableProcess<Writer> {
 
   void on_message(Context& ctx, NodeId from,
                   const MessagePayload& msg) override {
-    const auto* ack = dynamic_cast<const PutAck*>(&msg);
-    if (ack == nullptr || ack->rid != rid_ || value_.empty()) return;
+    if (dynamic_cast<const PutAck*>(&msg) == nullptr) return;
     acked_.insert(from);
     if (acked_.size() >= quorum_) {
       value_.clear();
@@ -149,16 +151,17 @@ class Writer final : public CloneableProcess<Writer> {
     w.bytes(value_);
   }
   std::string name() const override { return "naive.writer"; }
+  bool idle() const { return value_.empty(); }  // cleared at completion
 
  private:
   std::vector<NodeId> servers_;
   std::size_t quorum_;
-  std::uint64_t rid_ = 0, op_id_ = 0, seq_ = 0;
+  std::uint64_t op_id_ = 0, seq_ = 0;
   Value value_;
   NodeSet acked_;  // a bitset: copies with the process, no allocation
 };
 
-class Reader final : public CloneableProcess<Reader> {
+class Reader final : public RoundClient<Reader> {
  public:
   Reader(std::vector<NodeId> servers, std::size_t quorum)
       : servers_(std::move(servers)), quorum_(quorum) {}
@@ -179,7 +182,7 @@ class Reader final : public CloneableProcess<Reader> {
   void on_message(Context& ctx, NodeId from,
                   const MessagePayload& msg) override {
     const auto* resp = dynamic_cast<const GetResp*>(&msg);
-    if (resp == nullptr || resp->rid != rid_ || !busy_) return;
+    if (resp == nullptr) return;
     replied_.insert(from);
     if (resp->tag > best_ || best_value_.empty()) {
       best_ = resp->tag;
@@ -201,12 +204,13 @@ class Reader final : public CloneableProcess<Reader> {
     w.bytes(best_value_);
   }
   std::string name() const override { return "naive.reader"; }
+  bool idle() const { return !busy_; }
 
  private:
   std::vector<NodeId> servers_;
   std::size_t quorum_;
   bool busy_ = false;
-  std::uint64_t rid_ = 0, op_id_ = 0;
+  std::uint64_t op_id_ = 0;
   Tag best_;
   Value best_value_;
   NodeSet replied_;

@@ -57,32 +57,18 @@ void Writer::complete(Context& ctx) {
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
-    if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) start_store(ctx);
     return;
   }
-  if (const auto* ack = dynamic_cast<const StoreAck*>(&msg)) {
-    if (phase_ != Phase::kStore || ack->rid != rid_) return;  // stale
+  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
   MEMU_UNREACHABLE("abd.writer got unexpected message " +
                    std::string(msg.type_name()));
-}
-
-bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
-  // Mirrors on_message's early returns: wrong phase, stale rid, or a
-  // duplicate from an already-counted server all fall through untouched.
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg))
-    return phase_ != Phase::kQuery || qr->rid != rid_ ||
-           replied_.contains(from);
-  if (const auto* ack = dynamic_cast<const StoreAck*>(&msg))
-    return phase_ != Phase::kStore || ack->rid != rid_ ||
-           replied_.contains(from);
-  return false;
 }
 
 StateBits Writer::state_size() const {
@@ -129,7 +115,6 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
-    if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > best_tag_ || best_value_->empty()) {
       best_tag_ = qr->tag;
@@ -152,8 +137,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* ack = dynamic_cast<const StoreAck*>(&msg)) {
-    if (phase_ != Phase::kWriteBack || ack->rid != rid_) return;  // stale
+  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       phase_ = Phase::kIdle;
@@ -164,16 +148,6 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   }
   MEMU_UNREACHABLE("abd.reader got unexpected message " +
                    std::string(msg.type_name()));
-}
-
-bool Reader::ignores(NodeId from, const MessagePayload& msg) const {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg))
-    return phase_ != Phase::kQuery || qr->rid != rid_ ||
-           replied_.contains(from);
-  if (const auto* ack = dynamic_cast<const StoreAck*>(&msg))
-    return phase_ != Phase::kWriteBack || ack->rid != rid_ ||
-           replied_.contains(from);
-  return false;
 }
 
 StateBits Reader::state_size() const {

@@ -17,7 +17,7 @@
 
 namespace memu::abd {
 
-class Writer final : public CloneableProcess<Writer> {
+class Writer final : public RoundClient<Writer> {
  public:
   // `quorum` is the number of replies awaited per phase (N - f).
   // `single_writer` enables the one-phase SWMR optimization.
@@ -38,7 +38,6 @@ class Writer final : public CloneableProcess<Writer> {
     return static_cast<std::uint64_t>((state_size().metadata_bits + 7.0) /
                                       8.0);
   }
-  bool ignores(NodeId from, const MessagePayload& msg) const override;
 
   // Quorum state references servers only through the replied_ set (mapped
   // in write_state) and counts; server identity is otherwise irrelevant to
@@ -61,7 +60,6 @@ class Writer final : public CloneableProcess<Writer> {
   bool single_writer_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0;    // phase-scoped request id
   std::uint64_t op_id_ = 0;  // oplog operation id
   ValueRef pending_value_;   // set once per write, cleared at completion
   Tag tag_;                   // tag being written
@@ -70,7 +68,7 @@ class Writer final : public CloneableProcess<Writer> {
   NodeSet replied_;
 };
 
-class Reader final : public CloneableProcess<Reader> {
+class Reader final : public RoundClient<Reader> {
  public:
   // `write_back` selects the second phase. With it, the reader implements an
   // atomic register (full ABD). Without it, reads are one-phase and the
@@ -95,7 +93,6 @@ class Reader final : public CloneableProcess<Reader> {
     return static_cast<std::uint64_t>((state_size().metadata_bits + 7.0) /
                                       8.0);
   }
-  bool ignores(NodeId from, const MessagePayload& msg) const override;
 
   Symmetry symmetry() const override { return Symmetry::kMapsIds; }
 
@@ -110,7 +107,6 @@ class Reader final : public CloneableProcess<Reader> {
   bool write_back_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0;
   std::uint64_t op_id_ = 0;
   Tag best_tag_;
   ValueRef best_value_;

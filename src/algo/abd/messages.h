@@ -37,13 +37,12 @@ struct QueryReq final : MessagePayload {
 
 // Server -> client: current (tag, value). Carries the value only when the
 // query asked for it.
-struct QueryResp final : MessagePayload {
-  std::uint64_t rid = 0;
+struct QueryResp final : Reply {
   Tag tag;
   Value value;  // empty when the query was tag-only
 
   QueryResp(std::uint64_t r, Tag t, Value v)
-      : rid(r), tag(t), value(std::move(v)) {}
+      : Reply(r), tag(t), value(std::move(v)) {}
 
   std::string_view type_name() const override { return "abd.query_resp"; }
   StateBits size_bits() const override {
@@ -82,10 +81,8 @@ struct StoreReq final : MessagePayload {
 };
 
 // Server -> client: acknowledges a store.
-struct StoreAck final : MessagePayload {
-  std::uint64_t rid = 0;
-
-  explicit StoreAck(std::uint64_t r) : rid(r) {}
+struct StoreAck final : Reply {
+  explicit StoreAck(std::uint64_t r) : Reply(r) {}
 
   std::string_view type_name() const override { return "abd.store_ack"; }
   StateBits size_bits() const override { return {0, 64}; }

@@ -60,7 +60,6 @@ void Writer::complete(Context& ctx) {
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
-    if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
@@ -86,14 +85,12 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* hack = dynamic_cast<const HashAck*>(&msg)) {
-    if (phase_ != Phase::kAnnounce || hack->rid != rid_) return;  // stale
+  if (dynamic_cast<const HashAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) start_pre_write(ctx);
     return;
   }
-  if (const auto* ack = dynamic_cast<const PreWriteAck*>(&msg)) {
-    if (phase_ != Phase::kPreWrite || ack->rid != rid_) return;  // stale
+  if (dynamic_cast<const PreWriteAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       replied_.clear();
@@ -104,33 +101,13 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* ack = dynamic_cast<const FinalizeAck*>(&msg)) {
-    if (phase_ != Phase::kFinalize || ack->rid != rid_) return;  // stale
+  if (dynamic_cast<const FinalizeAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
   MEMU_UNREACHABLE("cas.writer got unexpected message " +
                    std::string(msg.type_name()));
-}
-
-bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
-  // Mirrors on_message's early returns exactly: a response from a phase
-  // already left behind (or a duplicate from a server already counted)
-  // falls through every branch without touching state.
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg))
-    return phase_ != Phase::kQuery || qr->rid != rid_ ||
-           replied_.contains(from);
-  if (const auto* hack = dynamic_cast<const HashAck*>(&msg))
-    return phase_ != Phase::kAnnounce || hack->rid != rid_ ||
-           replied_.contains(from);
-  if (const auto* ack = dynamic_cast<const PreWriteAck*>(&msg))
-    return phase_ != Phase::kPreWrite || ack->rid != rid_ ||
-           replied_.contains(from);
-  if (const auto* fin = dynamic_cast<const FinalizeAck*>(&msg))
-    return phase_ != Phase::kFinalize || fin->rid != rid_ ||
-           replied_.contains(from);
-  return false;  // unexpected type: deliver so the handler can report it
 }
 
 StateBits Writer::state_size() const {
@@ -226,7 +203,6 @@ void Reader::maybe_complete(Context& ctx) {
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
-    if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
@@ -242,8 +218,6 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     return;
   }
   if (const auto* rf = dynamic_cast<const ReadFinResp*>(&msg)) {
-    if (phase_ != Phase::kReadFin || rf->rid != rid_ || rf->tag != target_)
-      return;  // stale
     replied_.insert(from);
     if (rf->has_shard) {
       const auto at = std::lower_bound(
@@ -261,19 +235,6 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   }
   MEMU_UNREACHABLE("cas.reader got unexpected message " +
                    std::string(msg.type_name()));
-}
-
-bool Reader::ignores(NodeId from, const MessagePayload& msg) const {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg))
-    return phase_ != Phase::kQuery || qr->rid != rid_ ||
-           replied_.contains(from);
-  // A fresh ReadFinResp always mutates (unconditional replied_ insert,
-  // possible shard/gc bookkeeping, completion check), so only the staleness
-  // guards are safe to mirror here.
-  if (const auto* rf = dynamic_cast<const ReadFinResp*>(&msg))
-    return phase_ != Phase::kReadFin || rf->rid != rid_ ||
-           rf->tag != target_;
-  return false;
 }
 
 StateBits Reader::state_size() const {

@@ -19,7 +19,7 @@
 
 namespace memu::cas {
 
-class Writer final : public CloneableProcess<Writer> {
+class Writer final : public RoundClient<Writer> {
  public:
   // `servers[i]` stores coded element i. `quorum` = ceil((N + k) / 2).
   // `hash_phase` inserts an announce round (per-server shard hashes) between
@@ -44,7 +44,6 @@ class Writer final : public CloneableProcess<Writer> {
     return static_cast<std::uint64_t>((state_size().metadata_bits + 7.0) /
                                       8.0);
   }
-  bool ignores(NodeId from, const MessagePayload& msg) const override;
 
   // With a k=1 codec every coded element IS the value, so which server
   // gets which shard is behaviorally irrelevant and the only server ids in
@@ -76,7 +75,6 @@ class Writer final : public CloneableProcess<Writer> {
   bool hash_phase_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0;
   std::uint64_t op_id_ = 0;
   // Both payloads are set-once per operation (the value at invoke, the
   // shard list by one codec encode at end of query) and cleared at
@@ -88,7 +86,7 @@ class Writer final : public CloneableProcess<Writer> {
   NodeSet replied_;
 };
 
-class Reader final : public CloneableProcess<Reader> {
+class Reader final : public RoundClient<Reader> {
  public:
   Reader(std::vector<NodeId> servers, std::size_t quorum, CodecPtr codec,
          std::size_t value_size);
@@ -108,7 +106,11 @@ class Reader final : public CloneableProcess<Reader> {
     return static_cast<std::uint64_t>((state_size().metadata_bits + 7.0) /
                                       8.0);
   }
-  bool ignores(NodeId from, const MessagePayload& msg) const override;
+  // A read-finalize reply for a tag other than the target is stale too.
+  bool ignores_reply(const Reply& reply) const {
+    const auto* rf = dynamic_cast<const ReadFinResp*>(&reply);
+    return rf != nullptr && rf->tag != target_;
+  }
 
   // Same k=1 rationale as the writer; shards_ keys (server ids) and the
   // replied_ set are mapped in write_state.
@@ -131,7 +133,6 @@ class Reader final : public CloneableProcess<Reader> {
   std::size_t value_size_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0;
   std::uint64_t op_id_ = 0;
   Tag target_;
   Tag max_seen_;

@@ -34,11 +34,10 @@ struct QueryReq final : MessagePayload {
 };
 
 // Server -> client: highest finalized tag.
-struct QueryResp final : MessagePayload {
-  std::uint64_t rid = 0;
+struct QueryResp final : Reply {
   Tag tag;
 
-  QueryResp(std::uint64_t r, Tag t) : rid(r), tag(t) {}
+  QueryResp(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
 
   std::string_view type_name() const override { return "cas.query_resp"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
@@ -74,11 +73,10 @@ struct HashAnnounce final : MessagePayload {
   }
 };
 
-struct HashAck final : MessagePayload {
-  std::uint64_t rid = 0;
+struct HashAck final : Reply {
   Tag tag;
 
-  HashAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
+  HashAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
 
   std::string_view type_name() const override { return "cas.hash_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
@@ -116,11 +114,10 @@ struct PreWriteReq final : MessagePayload {
   }
 };
 
-struct PreWriteAck final : MessagePayload {
-  std::uint64_t rid = 0;
+struct PreWriteAck final : Reply {
   Tag tag;
 
-  PreWriteAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
+  PreWriteAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
 
   std::string_view type_name() const override { return "cas.pre_write_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
@@ -147,11 +144,10 @@ struct FinalizeReq final : MessagePayload {
   }
 };
 
-struct FinalizeAck final : MessagePayload {
-  std::uint64_t rid = 0;
+struct FinalizeAck final : Reply {
   Tag tag;
 
-  FinalizeAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
+  FinalizeAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
 
   std::string_view type_name() const override { return "cas.finalize_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
@@ -182,15 +178,14 @@ struct ReadFinReq final : MessagePayload {
 // Server -> reader. `has_shard` distinguishes "here is the element" from a
 // bare ack (element not yet present, or garbage-collected). The element
 // shares the server's stored block (an empty handle reads as no bytes).
-struct ReadFinResp final : MessagePayload {
-  std::uint64_t rid = 0;
+struct ReadFinResp final : Reply {
   Tag tag;
   bool has_shard = false;
   bool gced = false;  // element was garbage-collected (CASGC only)
   ValueRef shard;
 
   ReadFinResp(std::uint64_t r, Tag t, bool has, bool gc, ValueRef s)
-      : rid(r), tag(t), has_shard(has), gced(gc), shard(std::move(s)) {}
+      : Reply(r), tag(t), has_shard(has), gced(gc), shard(std::move(s)) {}
 
   std::string_view type_name() const override { return "cas.read_fin_resp"; }
   StateBits size_bits() const override {

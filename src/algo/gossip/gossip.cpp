@@ -63,8 +63,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* ack = dynamic_cast<const StoreAck*>(&msg)) {
-    if (!busy_ || ack->rid != rid_) return;  // stale
+  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       busy_ = false;
@@ -117,7 +116,6 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
-    if (!busy_ || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > best_tag_ || best_value_.empty()) {
       best_tag_ = qr->tag;

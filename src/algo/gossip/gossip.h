@@ -47,10 +47,9 @@ struct StoreReq final : MessagePayload {
   }
 };
 
-struct StoreAck final : MessagePayload {
-  std::uint64_t rid = 0;
+struct StoreAck final : Reply {
 
-  explicit StoreAck(std::uint64_t r) : rid(r) {}
+  explicit StoreAck(std::uint64_t r) : Reply(r) {}
 
   std::string_view type_name() const override { return "gossip.store_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
@@ -92,13 +91,12 @@ struct QueryReq final : MessagePayload {
   }
 };
 
-struct QueryResp final : MessagePayload {
-  std::uint64_t rid = 0;
+struct QueryResp final : Reply {
   Tag tag;
   Value value;
 
   QueryResp(std::uint64_t r, Tag t, Value v)
-      : rid(r), tag(t), value(std::move(v)) {}
+      : Reply(r), tag(t), value(std::move(v)) {}
 
   std::string_view type_name() const override { return "gossip.query_resp"; }
   StateBits size_bits() const override {
@@ -149,7 +147,7 @@ class Server final : public CloneableProcess<Server> {
   ServerList peers_;
 };
 
-class Writer final : public CloneableProcess<Writer> {
+class Writer final : public RoundClient<Writer> {
  public:
   Writer(std::vector<NodeId> servers, std::size_t quorum,
          std::uint32_t writer_id);
@@ -170,14 +168,13 @@ class Writer final : public CloneableProcess<Writer> {
   std::uint32_t writer_id_;
 
   bool busy_ = false;
-  std::uint64_t rid_ = 0;
   std::uint64_t op_id_ = 0;
   std::uint64_t seq_ = 0;
   Value pending_value_;
   NodeSet replied_;
 };
 
-class Reader final : public CloneableProcess<Reader> {
+class Reader final : public RoundClient<Reader> {
  public:
   Reader(std::vector<NodeId> servers, std::size_t quorum);
 
@@ -196,7 +193,6 @@ class Reader final : public CloneableProcess<Reader> {
   std::size_t quorum_;
 
   bool busy_ = false;
-  std::uint64_t rid_ = 0;
   std::uint64_t op_id_ = 0;
   Tag best_tag_;
   Value best_value_;

@@ -92,7 +92,6 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const DirQueryResp*>(&msg)) {
-    if (phase_ != Phase::kDirQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= dir_quorum_) {
@@ -105,8 +104,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* rr = dynamic_cast<const RepReserveResp*>(&msg)) {
-    if (phase_ != Phase::kReserve || rr->rid != rid_) return;  // stale
+  if (dynamic_cast<const RepReserveResp*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     chosen_.push_back(from);
     if (chosen_.size() >= replica_set_size_) {
@@ -120,8 +118,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* pa = dynamic_cast<const RepPutAck*>(&msg)) {
-    if (phase_ != Phase::kPut || pa->rid != rid_) return;  // stale
+  if (dynamic_cast<const RepPutAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= replica_set_size_) {
       replied_.clear();
@@ -132,8 +129,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* ua = dynamic_cast<const DirUpdateAck*>(&msg)) {
-    if (phase_ != Phase::kDirUpdate || ua->rid != rid_) return;  // stale
+  if (dynamic_cast<const DirUpdateAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= dir_quorum_) {
       // Commit done: garbage-collect superseded copies everywhere
@@ -203,7 +199,6 @@ void Reader::start_query(Context& ctx) {
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const DirQueryResp*>(&msg)) {
-    if (phase_ != Phase::kDirQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > target_ || locations_.empty()) {
       target_ = qr->tag;
@@ -219,7 +214,6 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     return;
   }
   if (const auto* gr = dynamic_cast<const RepGetResp*>(&msg)) {
-    if (phase_ != Phase::kGet || gr->rid != rid_) return;  // stale
     if (!gr->hit) {
       // Copy released under us (stale directory view): when every target
       // has missed, re-run the directory query for a fresher location set.
@@ -231,6 +225,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       return;
     }
     phase_ = Phase::kIdle;
+    misses_ = 0;  // dead until the next read: idle readers encode equally
     ctx.log_op({OpEvent::Kind::kResponse, ctx.self(), op_id_, OpType::kRead,
                 gr->value, 0});
     return;
@@ -250,6 +245,9 @@ void Reader::write_state(BufWriter& w, const NodeRelabeling&) const {
   target_.encode(w);
   w.u64(locations_.size());
   for (NodeId n : locations_) w.u32(n.value);
+  w.u64(replied_.size());
+  for (NodeId n : replied_) w.u32(n.value);
+  w.u64(misses_);
 }
 
 // ---- System ------------------------------------------------------------------

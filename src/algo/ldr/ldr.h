@@ -53,12 +53,11 @@ struct DirQueryReq final : MessagePayload {
   }
 };
 
-struct DirQueryResp final : MessagePayload {
-  std::uint64_t rid = 0;
+struct DirQueryResp final : Reply {
   Tag tag;
   std::vector<NodeId> locations;
   DirQueryResp(std::uint64_t r, Tag t, std::vector<NodeId> locs)
-      : rid(r), tag(t), locations(std::move(locs)) {}
+      : Reply(r), tag(t), locations(std::move(locs)) {}
   std::string_view type_name() const override { return "ldr.dir_query_resp"; }
   StateBits size_bits() const override {
     return {0, 64 + Tag::kBits + 32.0 * static_cast<double>(locations.size())};
@@ -91,9 +90,8 @@ struct DirUpdateReq final : MessagePayload {
   }
 };
 
-struct DirUpdateAck final : MessagePayload {
-  std::uint64_t rid = 0;
-  explicit DirUpdateAck(std::uint64_t r) : rid(r) {}
+struct DirUpdateAck final : Reply {
+  explicit DirUpdateAck(std::uint64_t r) : Reply(r) {}
   std::string_view type_name() const override { return "ldr.dir_update_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 
@@ -113,9 +111,8 @@ struct RepReserveReq final : MessagePayload {
   }
 };
 
-struct RepReserveResp final : MessagePayload {
-  std::uint64_t rid = 0;
-  explicit RepReserveResp(std::uint64_t r) : rid(r) {}
+struct RepReserveResp final : Reply {
+  explicit RepReserveResp(std::uint64_t r) : Reply(r) {}
   std::string_view type_name() const override { return "ldr.rep_reserve_resp"; }
   StateBits size_bits() const override { return {0, 64}; }
 
@@ -143,9 +140,8 @@ struct RepPutReq final : MessagePayload {
   }
 };
 
-struct RepPutAck final : MessagePayload {
-  std::uint64_t rid = 0;
-  explicit RepPutAck(std::uint64_t r) : rid(r) {}
+struct RepPutAck final : Reply {
+  explicit RepPutAck(std::uint64_t r) : Reply(r) {}
   std::string_view type_name() const override { return "ldr.rep_put_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 
@@ -181,13 +177,12 @@ struct RepGetReq final : MessagePayload {
   }
 };
 
-struct RepGetResp final : MessagePayload {
-  std::uint64_t rid = 0;
+struct RepGetResp final : Reply {
   Tag tag;
   bool hit = false;
   Value value;
   RepGetResp(std::uint64_t r, Tag t, bool h, Value v)
-      : rid(r), tag(t), hit(h), value(std::move(v)) {}
+      : Reply(r), tag(t), hit(h), value(std::move(v)) {}
   std::string_view type_name() const override { return "ldr.rep_get_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits + 1};
@@ -263,7 +258,7 @@ class Server final : public CloneableProcess<Server> {
 
 // ---- clients -------------------------------------------------------------------
 
-class Writer final : public CloneableProcess<Writer> {
+class Writer final : public RoundClient<Writer> {
  public:
   Writer(std::vector<NodeId> directories, std::vector<NodeId> replicas,
          std::size_t dir_quorum, std::size_t replica_set_size,
@@ -291,7 +286,6 @@ class Writer final : public CloneableProcess<Writer> {
   std::uint32_t writer_id_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0;
   std::uint64_t op_id_ = 0;
   Value pending_value_;
   Tag tag_;
@@ -300,7 +294,7 @@ class Writer final : public CloneableProcess<Writer> {
   std::vector<NodeId> chosen_;  // the f + 1 reserve responders
 };
 
-class Reader final : public CloneableProcess<Reader> {
+class Reader final : public RoundClient<Reader> {
  public:
   Reader(std::vector<NodeId> directories, std::size_t dir_quorum);
 
@@ -323,7 +317,6 @@ class Reader final : public CloneableProcess<Reader> {
   std::size_t dir_quorum_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0;
   std::uint64_t op_id_ = 0;
   Tag target_;
   std::vector<NodeId> locations_;

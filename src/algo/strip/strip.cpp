@@ -217,7 +217,6 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
-    if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
@@ -230,8 +229,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* sa = dynamic_cast<const StoreAck*>(&msg)) {
-    if (phase_ != Phase::kStore || sa->rid != rid_) return;  // stale
+  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       replied_.clear();
@@ -242,8 +240,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* ca = dynamic_cast<const CommitAck*>(&msg)) {
-    if (phase_ != Phase::kCommit || ca->rid != rid_) return;  // stale
+  if (dynamic_cast<const CommitAck*>(&msg) != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       phase_ = Phase::kIdle;
@@ -342,7 +339,6 @@ void Reader::maybe_complete(Context& ctx) {
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
   if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
-    if (phase_ != Phase::kQuery || qr->rid != rid_) return;  // stale
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
@@ -359,8 +355,6 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     return;
   }
   if (const auto* gr = dynamic_cast<const GetResp*>(&msg)) {
-    if (phase_ != Phase::kGet || gr->rid != rid_ || gr->tag != target_)
-      return;  // stale
     replied_.insert(from);
     switch (gr->kind) {
       case GetResp::Kind::kFull:

@@ -53,10 +53,9 @@ struct QueryReq final : MessagePayload {
   }
 };
 
-struct QueryResp final : MessagePayload {
-  std::uint64_t rid = 0;
+struct QueryResp final : Reply {
   Tag tag;
-  QueryResp(std::uint64_t r, Tag t) : rid(r), tag(t) {}
+  QueryResp(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
   std::string_view type_name() const override { return "strip.query_resp"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
@@ -86,10 +85,9 @@ struct StoreReq final : MessagePayload {
   }
 };
 
-struct StoreAck final : MessagePayload {
-  std::uint64_t rid = 0;
+struct StoreAck final : Reply {
   Tag tag;
-  StoreAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
+  StoreAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
   std::string_view type_name() const override { return "strip.store_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
@@ -112,10 +110,9 @@ struct CommitReq final : MessagePayload {
   }
 };
 
-struct CommitAck final : MessagePayload {
-  std::uint64_t rid = 0;
+struct CommitAck final : Reply {
   Tag tag;
-  CommitAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
+  CommitAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
   std::string_view type_name() const override { return "strip.commit_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
@@ -140,15 +137,14 @@ struct GetReq final : MessagePayload {
   }
 };
 
-struct GetResp final : MessagePayload {
+struct GetResp final : Reply {
   enum class Kind : std::uint8_t { kNothing, kFull, kSymbol, kGced };
-  std::uint64_t rid = 0;
   Tag tag;
   Kind kind = Kind::kNothing;
   Bytes data;  // full value or symbol
 
   GetResp(std::uint64_t r, Tag t, Kind k, Bytes d)
-      : rid(r), tag(t), kind(k), data(std::move(d)) {}
+      : Reply(r), tag(t), kind(k), data(std::move(d)) {}
 
   std::string_view type_name() const override { return "strip.get_resp"; }
   StateBits size_bits() const override {
@@ -212,7 +208,7 @@ class Server final : public CloneableProcess<Server> {
 
 // ---- clients --------------------------------------------------------------------
 
-class Writer final : public CloneableProcess<Writer> {
+class Writer final : public RoundClient<Writer> {
  public:
   Writer(std::vector<NodeId> servers, std::size_t quorum,
          std::uint32_t writer_id);
@@ -235,13 +231,13 @@ class Writer final : public CloneableProcess<Writer> {
   std::uint32_t writer_id_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0, op_id_ = 0;
+  std::uint64_t op_id_ = 0;
   Value pending_value_;
   Tag tag_, max_seen_;
   NodeSet replied_;
 };
 
-class Reader final : public CloneableProcess<Reader> {
+class Reader final : public RoundClient<Reader> {
  public:
   Reader(std::vector<NodeId> servers, std::size_t quorum, CodecPtr codec,
          std::size_t value_size);
@@ -256,6 +252,12 @@ class Reader final : public CloneableProcess<Reader> {
   bool idle() const { return phase_ == Phase::kIdle; }
   std::size_t restarts() const { return restarts_; }
 
+  // A get reply for a tag other than the target is stale too.
+  bool ignores_reply(const Reply& reply) const {
+    const auto* gr = dynamic_cast<const GetResp*>(&reply);
+    return gr != nullptr && gr->tag != target_;
+  }
+
  private:
   enum class Phase : std::uint8_t { kIdle, kQuery, kGet };
 
@@ -268,7 +270,7 @@ class Reader final : public CloneableProcess<Reader> {
   std::size_t value_size_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t rid_ = 0, op_id_ = 0;
+  std::uint64_t op_id_ = 0;
   Tag target_, max_seen_;
   NodeSet replied_;
   std::optional<Value> full_;

@@ -12,7 +12,6 @@
 // Current overrides:
 //   MEMU_EXPLORE_MAX_STATES  caps exploration state counts (bench smokes)
 //   MEMU_FUZZ_WALKS          shrinks fuzz campaigns      (bench smokes)
-//   MEMU_MEM_BUDGET          default --mem for memu_sweep / bench tools
 #pragma once
 
 #include <cstdint>
@@ -20,14 +19,12 @@
 #include <optional>
 #include <string>
 
-#include "common/arena.h"
 #include "common/check.h"
 
 namespace memu::env {
 
 inline constexpr const char* kExploreMaxStates = "MEMU_EXPLORE_MAX_STATES";
 inline constexpr const char* kFuzzWalks = "MEMU_FUZZ_WALKS";
-inline constexpr const char* kMemBudget = "MEMU_MEM_BUDGET";
 
 // The raw string, or nullopt when unset. An empty value counts as unset
 // (the conventional shell way to disable an override without unsetting it).
@@ -69,20 +66,6 @@ inline std::optional<std::uint64_t> u64(const char* name) {
 // u64 with a fallback for the unset case.
 inline std::uint64_t u64_or(const char* name, std::uint64_t fallback) {
   return u64(name).value_or(fallback);
-}
-
-// Resolves a memory budget under the flag-wins rule:
-//   --mem FLAG        wins outright,
-//   MEMU_MEM_BUDGET   applies when no flag was given,
-//   fallback          when neither is set.
-// Both sources go through MemBudget::parse, so a malformed value from
-// either fails loudly with the same grammar diagnostic.
-inline MemBudget mem_budget_or(const std::optional<std::string>& flag,
-                               MemBudget fallback = MemBudget{}) {
-  if (flag.has_value()) return MemBudget::parse(*flag);
-  const auto e = raw(kMemBudget);
-  if (e.has_value()) return MemBudget::parse(*e);
-  return fallback;
 }
 
 }  // namespace memu::env

@@ -31,9 +31,15 @@
 // dependent and may differ across thread counts (and between sequential
 // runs with different pop orders). The canonical key's signature tie-break
 // can under-merge, and which tie-sibling becomes the representative — and
-// whether its twins later re-merge — depends on interleaving. The verdict,
-// completeness, and the set of terminal-state ORBITS are invariant; see
-// tests/engine/reduction_test.cpp (ParallelReducedMatchesSequentialReduced).
+// whether its twins later re-merge — depends on interleaving. Sequential
+// reduced runs reach every terminal-state ORBIT the full search reaches.
+// Parallel reduced runs are NOT known to: sleep sets combined with
+// visited-set merging depend on visit order, and a 4-thread sleep-set +
+// symmetry run of ABD N=3 (reorder) has been seen, under TSan, to reach 2
+// terminal orbits where the sequential run reaches 4. That is an open
+// defect (ROADMAP); tests/engine/reduction_test.cpp
+// (ParallelReducedMatchesSequentialReduced) checks the orbit set and fails
+// intermittently under TSan.
 #pragma once
 
 #include <cstdint>

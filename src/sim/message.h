@@ -22,6 +22,8 @@
 
 namespace memu {
 
+struct Reply;
+
 // Base class of all protocol messages.
 class MessagePayload {
  public:
@@ -53,6 +55,10 @@ class MessagePayload {
   // markers; any payload with fields must override.
   virtual void encode_content(BufWriter& w) const { (void)w; }
 
+  // The reply view of a server -> client reply (see Reply); null for every
+  // other message.
+  virtual const Reply* as_reply() const { return nullptr; }
+
   // Full canonical encoding (type + content), appended to `w`.
   void encode_into(BufWriter& w) const {
     w.str(type_name());
@@ -69,6 +75,19 @@ class MessagePayload {
     scratch = std::move(w).take();
     return fp;
   }
+};
+
+// Base of every server -> client reply. A client runs its protocol in
+// rounds, one per quorum phase, and tags each round's requests with a fresh
+// request id; the server echoes that id in its reply, so `rid` names the
+// round the reply answers. RoundClient (sim/process.h) reads it to drop
+// replies to rounds that are over. A reply's encode_content writes `rid`
+// itself, like any other field.
+struct Reply : MessagePayload {
+  explicit Reply(std::uint64_t r) : rid(r) {}
+  const Reply* as_reply() const final { return this; }
+
+  std::uint64_t rid = 0;
 };
 
 using MessagePtr = std::shared_ptr<const MessagePayload>;

@@ -59,13 +59,8 @@ class Context {
   World& world() { return world_; }
 
  private:
-  friend class World;
-
   World& world_;
   NodeId self_;
-  // Set only while the World checks an ignores() override (world.cpp): a
-  // send, log or op-id draw is counted here instead of being applied.
-  std::size_t* effects_ = nullptr;
 };
 
 // External invocation delivered to a client process.
@@ -152,18 +147,14 @@ class Process {
     return static_cast<std::uint64_t>((state_size().total() + 7.0) / 8.0);
   }
 
-  // True when delivering `msg` from `from` RIGHT NOW would be a complete
-  // no-op: on_message would return without mutating state, sending, or
-  // logging. The World then skips the COW detach of the recipient — a stale
-  // quorum response (old rid, duplicate ack) otherwise forces a full clone
-  // just so the handler can early-return — and skips the dirty-mark that
-  // would re-fingerprint the process at the next state_hash(). An override
-  // MUST mirror its handler's early-return conditions exactly; the resulting
-  // state is byte-identical either way, so the differential explore counters
-  // pin any drift. When unsure, return false (the delivery just pays the
-  // clone, as before). Builds without NDEBUG check the contract on every
-  // skipped delivery: the handler runs on a scratch clone, which must end
-  // with the same write_state bytes, having sent and logged nothing.
+  // The delivery filter: true when `msg` from `from` is to be discarded
+  // unseen. World::deliver consumes such a message without calling
+  // on_message, and so without the COW detach of the recipient and the
+  // dirty-mark that would re-fingerprint it at the next state_hash(). The
+  // result equals dropping the message. Nothing else calls on_message, so
+  // a handler only ever sees messages its filter rejects and must not
+  // re-check a condition the filter checks. Every client's filter is
+  // RoundClient's stale-reply rule below; servers filter nothing.
   virtual bool ignores(NodeId /*from*/, const MessagePayload& /*msg*/) const {
     return false;
   }
@@ -241,6 +232,35 @@ class CloneableProcess : public Process {
                   "slab slots are max_align_t-aligned");
     return new (mem) Derived(static_cast<const Derived&>(*this));
   }
+};
+
+// The base of every client. A client talks to servers in rounds, one per
+// quorum phase: each round draws a fresh rid_, every request of the round
+// carries it, and every Reply echoes it. Each request kind has one reply
+// type and a round sends one kind, so a reply to the open round is of the
+// type that round awaits.
+//
+// The stale-reply rule, written once: a reply is stale when the client has
+// no open round (Derived::idle()) or the reply answers another round
+// (rid != rid_). ignores() applies it, plus the one extra condition a
+// family may add by defining a public `bool ignores_reply(const Reply&)
+// const` (the CAS and STRIP readers drop a read reply for a tag other than
+// their target). A message that is not a Reply is always delivered.
+template <class Derived>
+class RoundClient : public CloneableProcess<Derived> {
+ public:
+  bool ignores(NodeId /*from*/, const MessagePayload& msg) const final {
+    const Reply* reply = msg.as_reply();
+    if (reply == nullptr) return false;
+    const Derived& self = static_cast<const Derived&>(*this);
+    return self.idle() || reply->rid != rid_ || self.ignores_reply(*reply);
+  }
+
+  // A family's extra condition on a reply to the open round: none here.
+  bool ignores_reply(const Reply& /*reply*/) const { return false; }
+
+ protected:
+  std::uint64_t rid_ = 0;  // the open round's id; the last round's when idle
 };
 
 }  // namespace memu

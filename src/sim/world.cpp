@@ -10,31 +10,17 @@ namespace memu {
 
 void Context::send(NodeId dst, MessagePtr payload) {
   MEMU_CHECK(payload != nullptr);
-  if (effects_ != nullptr) {
-    ++*effects_;
-    return;
-  }
   world_.enqueue(ChannelId{self_, dst}, std::move(payload));
 }
 
 std::uint64_t Context::step() const { return world_.step_count(); }
 
 void Context::log_op(OpEvent e) {
-  if (effects_ != nullptr) {
-    ++*effects_;
-    return;
-  }
   e.step = world_.step_count();
   world_.oplog().append(std::move(e));
 }
 
-std::uint64_t Context::next_op_id() {
-  if (effects_ != nullptr) {
-    ++*effects_;
-    return 0;
-  }
-  return world_.next_op_id();
-}
+std::uint64_t Context::next_op_id() { return world_.next_op_id(); }
 
 // ---- World ------------------------------------------------------------------
 
@@ -263,52 +249,13 @@ void World::deliver(ChannelId chan, std::size_t index) {
   }
   if (dropped) return;  // dropped at a crashed node
 
-  // A delivery the recipient provably ignores (stale quorum response,
-  // duplicate ack — see Process::ignores) leaves a byte-identical state
-  // without running the handler, so skip the COW detach and the dirty-mark
-  // a mutable_process() call would charge for nothing.
-  if (processes_[chan.dst.value]->ignores(chan.src, *msg.payload)) {
-#ifndef NDEBUG
-    check_ignored_delivery(chan, *msg.payload);
-#endif
-    return;
-  }
+  // A message the recipient's delivery filter discards (a stale reply, see
+  // Process::ignores) never reaches its handler, so skip the COW detach and
+  // the dirty-mark a mutable_process() call would charge for nothing.
+  if (processes_[chan.dst.value]->ignores(chan.src, *msg.payload)) return;
 
   Context ctx(*this, chan.dst);
   mutable_process(chan.dst).on_message(ctx, chan.src, *msg.payload);
-}
-
-void World::check_ignored_delivery(ChannelId chan,
-                                   const MessagePayload& msg) {
-  // The probe lives in per-thread buffers, not in a slab block, and its
-  // effects are only counted, so the check moves no COW, slab, World or
-  // allocation counter once the buffers are warm.
-  thread_local std::vector<std::max_align_t> probe_mem;
-  thread_local Bytes before_buf, after_buf;
-  const Process& p = *processes_[chan.dst.value];
-  const std::size_t words = (p.clone_footprint() + sizeof(std::max_align_t) -
-                             1) / sizeof(std::max_align_t);
-  if (probe_mem.size() < words) probe_mem.resize(words);
-  Process* probe = p.clone_into(probe_mem.data());
-  std::size_t effects = 0;
-  Context ctx(*this, chan.dst);
-  ctx.effects_ = &effects;
-  probe->on_message(ctx, chan.src, msg);
-  BufWriter before(std::move(before_buf)), after(std::move(after_buf));
-  p.write_state(before, NodeRelabeling{});
-  probe->write_state(after, NodeRelabeling{});
-  const bool same_state = before.data() == after.data();
-  before_buf = std::move(before).take();
-  after_buf = std::move(after).take();
-  probe->~Process();
-  MEMU_CHECK_MSG(same_state && effects == 0,
-                 p.name() << " at " << chan.dst << " ignores() a "
-                          << msg.type_name() << " from " << chan.src
-                          << " that its handler acts on ("
-                          << (same_state ? "state unchanged" : "state changed")
-                          << ", " << effects
-                          << " sends/logs); the override must mirror the "
-                             "handler's early returns exactly");
 }
 
 void World::drop_message(ChannelId chan, std::size_t index) {

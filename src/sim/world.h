@@ -187,9 +187,10 @@ class World {
   std::vector<std::pair<ChannelId, std::size_t>> channel_contents() const;
 
   // Delivers the message at `index` on `chan` (0 = oldest). The destination
-  // process reacts unless it is crashed (then the message is dropped).
-  // Freezing is a scheduler-side restriction: delivering to a frozen node is
-  // a contract violation, since deliverable_channels() excludes it.
+  // process reacts unless it is crashed (then the message is dropped) or its
+  // delivery filter discards the message (Process::ignores). Freezing is a
+  // scheduler-side restriction: delivering to a frozen node is a contract
+  // violation, since deliverable_channels() excludes it.
   void deliver(ChannelId chan, std::size_t index = 0);
 
   // Delivers every message queued on `chan`, oldest first, including any
@@ -372,11 +373,6 @@ class World {
     proc_dirty_[id.value] = 1;
     any_proc_dirty_ = true;
   }
-
-  // The Process::ignores contract, checked when NDEBUG is not defined:
-  // runs the recipient's handler for `msg` on a scratch clone and CHECKs
-  // that it leaves write_state unchanged and sends and logs nothing.
-  void check_ignored_delivery(ChannelId chan, const MessagePayload& msg);
 
   // Re-encodes dirty processes and settles their components into
   // procs_hash_.

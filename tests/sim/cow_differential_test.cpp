@@ -2,10 +2,10 @@
 // (every process block shared with held snapshots, so each mutation takes
 // the detach path, and value payloads are shared through SlabShared) must
 // stay byte-identical to a never-forked World driven through the same
-// schedule, across ABD / CAS / LDR under FIFO and reordered delivery. The
-// same walks also pin the ignored-delivery fast path (Process::ignores):
-// delivering a message the recipient provably ignores must equal dropping
-// it — same canonical encoding, same state hash, and zero COW detaches.
+// schedule, across ABD / CAS / LDR under FIFO and reordered delivery. A
+// targeted test per family pins the delivery filter (Process::ignores):
+// delivering a stale reply must equal dropping it — same canonical
+// encoding, same state hash, and zero COW detaches.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +17,8 @@
 #include "algo/abd/system.h"
 #include "algo/cas/system.h"
 #include "algo/ldr/ldr.h"
+#include "algo/registry.h"
+#include "algo/strip/strip.h"
 #include "common/rng.h"
 #include "sim/cow_stats.h"
 #include "sim/world.h"
@@ -144,41 +146,101 @@ TEST(CowDifferential, LdrForkedMatchesFreshUnderFifoAndReorder) {
   }
 }
 
-// The targeted ignores() contract: after the ABD writer's query quorum is
-// met, the straggler server's QueryResp is stale — delivering it must equal
-// dropping it (canonical encodings omit the step counter, so the
-// equivalence is byte-exact), and must not detach the shared writer block.
+// The stale-reply filter (RoundClient::ignores) in every family: once a
+// writer's first-phase quorum (2 of 3) is met, the third server's reply
+// answers a round that is over. Delivering it must equal dropping it
+// (canonical encodings omit the step counter, so the equivalence is
+// byte-exact) and must not detach the shared writer block.
 TEST(CowDifferential, IgnoredDeliveryEqualsDropAndSkipsDetach) {
-  abd::Options opt;
-  opt.n_servers = 3;
-  opt.f = 1;  // quorum 2 of 3: the third QueryResp is always stale
-  opt.value_size = 16;
-  abd::System sys = abd::make_system(opt);
-  World& w = sys.world;
-  const NodeId writer = sys.writers[0];
-  w.invoke(writer, {OpType::kWrite, unique_value(1, 1, opt.value_size)});
-  for (const NodeId s : sys.servers) w.deliver({writer, s});
-  w.deliver({sys.servers[0], writer});
-  w.deliver({sys.servers[1], writer});  // quorum met: phase moves to store
+  for (const char* name : {"abd", "cas", "ldr", "strip", "gossip"}) {
+    SCOPED_TRACE(name);
+    algo::Spec spec;
+    spec.n_servers = 3;
+    spec.f = 1;
+    spec.k = 1;
+    algo::Deployment sys = algo::family(name).build(spec);
+    World& w = sys.world;
+    const NodeId writer = sys.writers[0];
+    const std::vector<NodeId>& servers = sys.servers;
+    w.invoke(writer, {OpType::kWrite, unique_value(1, 1, spec.value_size)});
+    for (const NodeId s : servers) w.deliver({writer, s});
+    w.deliver({servers[0], writer});
+    w.deliver({servers[1], writer});  // quorum met: the round is over
+    const ChannelId stale{servers[2], writer};
+    ASSERT_EQ(w.channels().depth(stale), 1u);
 
-  World forked = w;  // every process block now shared
-  const cowstats::Snapshot before = cowstats::snapshot();
-  w.deliver({sys.servers[2], writer});  // stale QueryResp: ignored
-  const cowstats::Snapshot after = cowstats::snapshot();
-  EXPECT_EQ(after.process_detaches - before.process_detaches, 0u)
-      << "an ignored delivery must not clone the recipient";
+    World forked = w;  // every process block now shared
+    const cowstats::Snapshot before = cowstats::snapshot();
+    w.deliver(stale);
+    const cowstats::Snapshot after = cowstats::snapshot();
+    EXPECT_EQ(after.process_detaches - before.process_detaches, 0u)
+        << "a stale reply must not clone the recipient";
 
-  forked.drop_message({sys.servers[2], writer}, 0);
-  EXPECT_EQ(w.canonical_encoding(), forked.canonical_encoding());
-  EXPECT_EQ(w.state_hash(), forked.state_hash());
-  EXPECT_EQ(w.state_hash(), w.recompute_state_hash());
+    forked.drop_message(stale, 0);
+    EXPECT_EQ(w.canonical_encoding(), forked.canonical_encoding());
+    EXPECT_EQ(w.state_hash(), forked.state_hash());
+    EXPECT_EQ(w.state_hash(), w.recompute_state_hash());
 
-  // Positive control: a delivery the recipient acts on detaches exactly
-  // once while the block is shared.
-  const cowstats::Snapshot c0 = cowstats::snapshot();
-  w.deliver({writer, sys.servers[0]});  // StoreReq: server mutates
-  const cowstats::Snapshot c1 = cowstats::snapshot();
-  EXPECT_EQ(c1.process_detaches - c0.process_detaches, 1u);
+    // Positive control: a delivery to a server acts on it and detaches
+    // exactly once while the block is shared.
+    std::optional<ChannelId> acting;
+    for (const ChannelId c : w.deliverable_channels())
+      if (c.dst == servers[0]) acting = c;
+    ASSERT_TRUE(acting.has_value());
+    const cowstats::Snapshot c0 = cowstats::snapshot();
+    w.deliver(*acting);
+    const cowstats::Snapshot c1 = cowstats::snapshot();
+    EXPECT_EQ(c1.process_detaches - c0.process_detaches, 1u);
+  }
+}
+
+// The CAS and STRIP readers' extra stale condition (ignores_reply): a read
+// reply that answers the open round but names a tag other than the
+// reader's target is discarded like any stale reply.
+TEST(CowDifferential, WrongTagReadReplyEqualsDropAndSkipsDetach) {
+  for (const char* name : {"cas", "strip"}) {
+    SCOPED_TRACE(name);
+    algo::Spec spec;
+    spec.n_servers = 3;
+    spec.f = 1;
+    spec.k = 1;
+    algo::Deployment sys = algo::family(name).build(spec);
+    World& w = sys.world;
+    const NodeId reader = sys.readers[0];
+    const std::vector<NodeId>& servers = sys.servers;
+    w.invoke(reader, {OpType::kRead, {}});
+    for (const NodeId s : servers) w.deliver({reader, s});
+    for (const NodeId s : servers) w.deliver({s, reader});  // query done
+    // The read round's request names its rid; forge a reply to that round
+    // for a tag the reader does not target.
+    const ChannelTable::Queue* req = w.channels().find({reader, servers[0]});
+    ASSERT_NE(req, nullptr);
+    const MessagePayload& request = *(*req)[0].payload;
+    const Tag other{7, 1};
+    if (const auto* rf = dynamic_cast<const cas::ReadFinReq*>(&request)) {
+      ASSERT_NE(rf->tag, other);
+      w.enqueue({servers[0], reader},
+                make_msg<cas::ReadFinResp>(rf->rid, other, false, false,
+                                           ValueRef{}));
+    } else {
+      const auto& get = dynamic_cast<const strip::GetReq&>(request);
+      ASSERT_NE(get.tag, other);
+      w.enqueue({servers[0], reader},
+                make_msg<strip::GetResp>(get.rid, other,
+                                         strip::GetResp::Kind::kNothing,
+                                         Bytes{}));
+    }
+    const ChannelId forged{servers[0], reader};
+
+    World forked = w;  // every process block now shared
+    const cowstats::Snapshot before = cowstats::snapshot();
+    w.deliver(forged);
+    const cowstats::Snapshot after = cowstats::snapshot();
+    EXPECT_EQ(after.process_detaches - before.process_detaches, 0u);
+    forked.drop_message(forged, 0);
+    EXPECT_EQ(w.canonical_encoding(), forked.canonical_encoding());
+    EXPECT_EQ(w.state_hash(), forked.state_hash());
+  }
 }
 
 }  // namespace

@@ -51,64 +51,6 @@ class PingNode final : public CloneableProcess<PingNode> {
   std::uint64_t last_ = 0;
 };
 
-// Claims to ignore pings numbered at least `from`, but its handler acts on
-// every ping: a deliberately wrong Process::ignores override.
-class WrongIgnores final : public CloneableProcess<WrongIgnores> {
- public:
-  explicit WrongIgnores(std::uint64_t from, bool echo)
-      : from_(from), echo_(echo) {}
-
-  void on_message(Context& ctx, NodeId from,
-                  const MessagePayload& msg) override {
-    const auto& p = dynamic_cast<const Ping&>(msg);
-    if (echo_) {
-      ctx.send(from, make_msg<Ping>(p.n + 1));
-    } else {
-      last_ = p.n;
-    }
-  }
-  bool ignores(NodeId, const MessagePayload& msg) const override {
-    return dynamic_cast<const Ping&>(msg).n >= from_;
-  }
-
-  StateBits state_size() const override { return {0, 64}; }
-  void write_state(BufWriter& w, const NodeRelabeling&) const override {
-    w.u64(last_);
-  }
-  std::string name() const override { return "test.wrong_ignores"; }
-
- private:
-  std::uint64_t from_;
-  bool echo_;
-  std::uint64_t last_ = 0;
-};
-
-TEST(World, IgnoresContractCatchesAWrongOverride) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "the ignores() contract is checked only without NDEBUG";
-#else
-  for (const bool echo : {false, true}) {
-    World w;
-    const NodeId a = w.add_process(std::make_unique<PingNode>());
-    const NodeId b = w.add_process(std::make_unique<WrongIgnores>(5, echo));
-    // Below the threshold the override is honest: the delivery runs.
-    w.enqueue({a, b}, make_msg<Ping>(1));
-    w.deliver({a, b});
-    // At 5 it skips a delivery its handler would act on (a state change
-    // without echo, a send with it): the check names the process.
-    w.enqueue({a, b}, make_msg<Ping>(5));
-    try {
-      w.deliver({a, b});
-      ADD_FAILURE() << "wrong ignores() override went unnoticed";
-    } catch (const ContractError& e) {
-      EXPECT_NE(std::string(e.what()).find("test.wrong_ignores"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-#endif
-}
-
 TEST(World, AddProcessAssignsDenseIds) {
   World w;
   const NodeId a = w.add_process(std::make_unique<PingNode>());

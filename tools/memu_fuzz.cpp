@@ -36,7 +36,6 @@
 #include "algo/registry.h"
 #include "common/arena.h"
 #include "common/cli.h"
-#include "common/env.h"
 #include "engine/thread_pool.h"
 #include "fuzz/campaign.h"
 #include "fuzz/minimizer.h"
@@ -49,10 +48,11 @@ using namespace memu;
 using namespace memu::fuzz;
 using cli::Args;
 
-// --mem under the common/env.h flag-wins rule: the flag, else
-// MEMU_MEM_BUDGET, else unbudgeted.
+// --mem, else unbudgeted.
 std::optional<MemBudget> mem_budget(const Args& a) {
-  const MemBudget mem = env::mem_budget_or(a.opt("mem"));
+  const std::optional<std::string> flag = a.opt("mem");
+  if (!flag.has_value()) return std::nullopt;
+  const MemBudget mem = MemBudget::parse(*flag);
   if (!mem.bounded()) return std::nullopt;
   return mem;
 }

@@ -20,8 +20,7 @@
 //
 // --mem takes <bytes|512M|4G> (K/M/G = powers of 1024) and bounds the
 // simulation key table (which must fit half of it) and the in-flight row
-// window; the MEMU_MEM_BUDGET environment variable supplies a default under
-// the flag-wins rule. A sweep without --mem runs unbudgeted.
+// window. A sweep without --mem runs unbudgeted.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -31,7 +30,6 @@
 
 #include "common/arena.h"
 #include "common/cli.h"
-#include "common/env.h"
 #include "engine/thread_pool.h"
 #include "sweep/fig1.h"
 #include "sweep/grid.h"
@@ -51,7 +49,7 @@ int usage() {
       << " [--mem BUDGET]\n"
       << "Grid axes: N, f, nu, logV — each lo[:hi[:step]], inclusive.\n"
       << "Output is byte-identical for any --threads/--mem value; stats\n"
-      << "go to stderr. MEMU_MEM_BUDGET sets a default --mem (flag wins).\n";
+      << "go to stderr.\n";
   return 2;
 }
 
@@ -125,8 +123,10 @@ int main(int argc, char** argv) {
     if (!a.positional.empty()) return usage();
     const std::size_t threads =
         a.num("threads", memu::engine::default_worker_count());
-    // Flag-wins: --mem, else MEMU_MEM_BUDGET, else unbudgeted.
-    const MemBudget mem = memu::env::mem_budget_or(a.opt("mem"));
+    // --mem, else unbudgeted.
+    const std::optional<std::string> mem_flag = a.opt("mem");
+    const MemBudget mem =
+        mem_flag.has_value() ? MemBudget::parse(*mem_flag) : MemBudget{};
     if (a.has("fig1")) return cmd_fig1(a, threads, mem);
     return cmd_sweep(a, threads, mem);
   } catch (const std::exception& e) {
