@@ -5,6 +5,7 @@
 #include <set>
 
 #include "adversary/sut.h"
+#include "adversary/valency.h"
 #include "common/check.h"
 #include "engine/scheduler.h"
 
@@ -127,20 +128,7 @@ std::optional<Value> directed_probe(const Staging& st, const World& at,
   // CAS finalize through the value-block); the defining extension may place
   // the read after any amount of such progress.
   sched.drain(w, kRunCap);
-  const std::size_t base = w.oplog().size();
-  w.invoke(st.sut.readers[0], Invocation{OpType::kRead, {}});
-  const bool done = sched.run_until(
-      w,
-      [base](const World& x) { return x.oplog().responses_since(base) >= 1; },
-      kRunCap);
-  if (!done) return std::nullopt;
-  const OpLog& log = w.oplog();
-  for (std::size_t i = base; i < log.size(); ++i) {
-    if (log[i].kind == OpEvent::Kind::kResponse &&
-        log[i].type == OpType::kRead)
-      return log[i].value;
-  }
-  return std::nullopt;
+  return run_solo_read(w, st.sut.readers[0], sched, kRunCap);
 }
 
 }  // namespace

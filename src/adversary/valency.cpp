@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "engine/frontier.h"
-#include "engine/scheduler.h"
 
 namespace memu::adversary {
 
@@ -30,15 +29,11 @@ void flush_gossip(World& w) {
 }
 
 // A COW fork of `at` (the probe never disturbs the real execution) with
-// the writer frozen, gossip flushed if asked, and a read invoked;
-// `base_events` is the oplog size before the read.
-World start_read(const World& at, NodeId writer, NodeId reader,
-                 const ProbeOptions& opt, std::size_t& base_events) {
+// the writer frozen and gossip flushed if asked.
+World frozen_fork(const World& at, NodeId writer, const ProbeOptions& opt) {
   World w = at;
   w.freeze(writer);
   if (opt.flush_gossip) flush_gossip(w);
-  base_events = w.oplog().size();
-  w.invoke(reader, Invocation{OpType::kRead, {}});
   return w;
 }
 
@@ -57,27 +52,32 @@ const Value* read_response(const World& w, std::size_t base_events) {
 
 }  // namespace
 
-std::optional<Value> probe_read(const World& at, NodeId writer, NodeId reader,
-                                const ProbeOptions& opt) {
-  std::size_t base_events = 0;
-  World w = start_read(at, writer, reader, opt, base_events);
-  Scheduler sched(Scheduler::Policy::kRoundRobin);
+std::optional<Value> run_solo_read(World& w, NodeId reader, Scheduler& sched,
+                                   std::uint64_t max_steps) {
+  const std::size_t base = w.oplog().size();
+  w.invoke(reader, Invocation{OpType::kRead, {}});
   const bool done = sched.run_until(
       w,
-      [base_events](const World& x) {
-        return x.oplog().responses_since(base_events) >= 1;
-      },
-      opt.max_steps);
-  const Value* value = done ? read_response(w, base_events) : nullptr;
+      [base](const World& x) { return x.oplog().responses_since(base) >= 1; },
+      max_steps);
+  const Value* value = done ? read_response(w, base) : nullptr;
   if (value == nullptr) return std::nullopt;
   return *value;
+}
+
+std::optional<Value> probe_read(const World& at, NodeId writer, NodeId reader,
+                                const ProbeOptions& opt) {
+  World w = frozen_fork(at, writer, opt);
+  Scheduler sched(Scheduler::Policy::kRoundRobin);
+  return run_solo_read(w, reader, sched, opt.max_steps);
 }
 
 std::set<Value> probe_read_all_values(const World& at, NodeId writer,
                                       NodeId reader, const ProbeOptions& opt,
                                       std::size_t max_states) {
-  std::size_t base_events = 0;
-  const World w = start_read(at, writer, reader, opt, base_events);
+  World w = frozen_fork(at, writer, opt);
+  const std::size_t base_events = w.oplog().size();
+  w.invoke(reader, Invocation{OpType::kRead, {}});
 
   ExploreOptions explore;
   explore.reorder = true;  // the paper's channels are not FIFO

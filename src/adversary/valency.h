@@ -16,6 +16,7 @@
 #include <set>
 
 #include "adversary/sut.h"
+#include "engine/scheduler.h"
 #include "registers/value.h"
 #include "sim/world.h"
 
@@ -31,6 +32,14 @@ struct ProbeOptions {
   bool exact = false;
   std::uint64_t max_steps = 200000;
 };
+
+// Invokes a read at `reader` on `w` and steps `sched` until it responds or
+// `max_steps` messages are delivered. Returns the value read, or nullopt if
+// the read did not respond. The caller owns the schedule before the read
+// (freezes, blocks, a drain on the same scheduler): this is only the solo
+// read at the end of every valency probe.
+std::optional<Value> run_solo_read(World& w, NodeId reader, Scheduler& sched,
+                                   std::uint64_t max_steps);
 
 // Returns the value a solo read obtains from point `at` with the writer
 // frozen, or nullopt if the read does not terminate within max_steps

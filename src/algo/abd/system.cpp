@@ -9,7 +9,7 @@ System make_system(const Options& opt) {
                  "ABD safety needs N >= 2f + 1 (N=" << opt.n_servers
                                                     << ", f=" << opt.f << ")");
   MEMU_CHECK(!opt.single_writer || opt.n_writers == 1);
-  MEMU_CHECK(opt.value_size >= 12);
+  MEMU_CHECK(opt.value_size >= kMinValueSize);
 
   System sys;
   sys.quorum = opt.n_servers - opt.f;

@@ -263,6 +263,9 @@ void Reader::write_state(BufWriter& w, const NodeRelabeling& rank) const {
     w.bytes(*shard);
   }
   encode_relabeled_ids(replied_, rank, w);
+  // GC misses decide whether an open read restarts; dead once it
+  // completes, so idle readers encode equally.
+  if (phase_ != Phase::kIdle) w.u64(gc_hits_);
 }
 
 }  // namespace memu::cas

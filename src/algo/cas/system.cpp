@@ -11,7 +11,7 @@ System make_system(const Options& opt) {
                  "CAS needs k <= N - 2f (N=" << o.n_servers << ", f=" << o.f
                                              << ", k=" << o.k << ")");
   MEMU_CHECK(o.k >= 1);
-  MEMU_CHECK(o.value_size >= 12);
+  MEMU_CHECK(o.value_size >= kMinValueSize);
 
   System sys;
   sys.codec = make_rs_codec(o.n_servers, o.k);

@@ -150,7 +150,7 @@ void Reader::write_state(BufWriter& w, const NodeRelabeling&) const {
 System make_system(const Options& opt) {
   MEMU_CHECK_MSG(opt.n_servers >= 2 * opt.f + 1,
                  "gossip register needs N >= 2f + 1");
-  MEMU_CHECK(opt.value_size >= 12);
+  MEMU_CHECK(opt.value_size >= kMinValueSize);
 
   System sys;
   sys.quorum = opt.n_servers - opt.f;

@@ -256,7 +256,7 @@ System make_system(const Options& opt) {
   const std::size_t n_replicas = 2 * opt.f + 1;
   MEMU_CHECK_MSG(opt.n_servers >= n_replicas,
                  "LDR needs at least 2f + 1 replica servers");
-  MEMU_CHECK(opt.value_size >= 12);
+  MEMU_CHECK(opt.value_size >= kMinValueSize);
 
   System sys;
   sys.dir_quorum = opt.n_servers - opt.f;

@@ -396,6 +396,14 @@ void Reader::write_state(BufWriter& w, const NodeRelabeling&) const {
     w.u32(node.value);
     w.bytes(symbol);
   }
+  // An open read's quorum progress, query maximum and GC misses decide
+  // when it completes, which tag it targets and whether it restarts. They
+  // are dead once it completes, so idle readers encode equally.
+  if (phase_ == Phase::kIdle) return;
+  max_seen_.encode(w);
+  w.u64(replied_.size());
+  for (NodeId n : replied_) w.u32(n.value);
+  w.u64(gc_hits_);
 }
 
 // ---- System ------------------------------------------------------------------
@@ -404,7 +412,7 @@ System make_system(const Options& opt) {
   MEMU_CHECK_MSG(opt.n_servers >= 2 * opt.f + 1,
                  "StripStore needs N >= 2f + 1 (quorum intersection for "
                  "committed tags)");
-  MEMU_CHECK(opt.value_size >= 12);
+  MEMU_CHECK(opt.value_size >= kMinValueSize);
 
   System sys;
   const std::size_t k = opt.n_servers - opt.f;

@@ -7,7 +7,6 @@ bool ExecutionDriver::run_until(World& world,
                                 std::uint64_t max_steps) {
   for (std::uint64_t i = 0; i < max_steps; ++i) {
     if (pred(world)) return true;
-    pre_step(world);
     if (!step(world)) return pred(world);
   }
   return pred(world);
@@ -15,7 +14,6 @@ bool ExecutionDriver::run_until(World& world,
 
 bool ExecutionDriver::drain(World& world, std::uint64_t max_steps) {
   for (std::uint64_t i = 0; i < max_steps; ++i) {
-    pre_step(world);
     if (!step(world)) return !world.has_deliverable();
   }
   return !world.has_deliverable();

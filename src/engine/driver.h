@@ -3,16 +3,16 @@
 // Everything that advances a World — the fair schedulers, scripted
 // counterexample replay, and the adversary harness constructions — shares
 // the same needs: deliver one message at a time, run until a predicate or
-// quiescence, count steps, and (optionally) observe storage peaks along the
-// way. ExecutionDriver centralizes those loops and the storage metering so
-// a driver only implements step(): which message to deliver next.
+// quiescence, and count steps. ExecutionDriver centralizes those loops so a
+// driver only implements step(): which message to deliver next. Storage
+// metering and fault injection belong to the closed-loop client driver
+// (workload::run), which steps a Scheduler one message at a time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 
 #include "sim/world.h"
-#include "storage/meter.h"
 
 namespace memu::engine {
 
@@ -29,16 +29,6 @@ class ExecutionDriver {
   bool run_until(World& world, const std::function<bool(const World&)>& pred,
                  std::uint64_t max_steps);
 
-  // --- pre-step injection ---------------------------------------------------
-  // Invoked immediately before every step() attempt inside the run loops
-  // (run_until / drain / run_until_responses) with the number of steps the
-  // driver has taken so far. The fuzz Injector perturbs the World here —
-  // crash/recover, drop, duplicate, delay, partition — so fault timing is a
-  // pure function of the step counter and the hook sees every scheduling
-  // point. An empty hook (the default) costs one branch per step.
-  using PreStepHook = std::function<void(World&, std::uint64_t steps_taken)>;
-  void set_pre_step_hook(PreStepHook hook) { pre_step_ = std::move(hook); }
-
   // Steps until the driver can take no further step or `max_steps`
   // deliveries happen. Returns true iff the world has no deliverable
   // message afterwards (quiescence).
@@ -50,35 +40,12 @@ class ExecutionDriver {
 
   std::uint64_t steps_taken() const { return steps_taken_; }
 
-  // --- storage metering -----------------------------------------------------
-  // Off by default. When enabled, the driver samples TotalStorage /
-  // MaxStorage after every delivered message (the paper's supremum-over-
-  // points measures); observe() seeds the meter with the pre-run state.
-
-  void enable_metering() { metering_ = true; }
-  bool metering_enabled() const { return metering_; }
-  void observe(const World& world) {
-    if (metering_) meter_.observe(world);
-  }
-  const StorageReport& storage_report() const { return meter_.report(); }
-
  protected:
   // Subclasses call this after every delivered message.
-  void note_step(const World& world) {
-    ++steps_taken_;
-    if (metering_) meter_.observe(world);
-  }
-
-  // Run loops call this before each step() attempt.
-  void pre_step(World& world) {
-    if (pre_step_) pre_step_(world, steps_taken_);
-  }
+  void note_step() { ++steps_taken_; }
 
  private:
   std::uint64_t steps_taken_ = 0;
-  bool metering_ = false;
-  StorageMeter meter_;
-  PreStepHook pre_step_;
 };
 
 }  // namespace memu::engine

@@ -6,7 +6,7 @@ bool ReplayDriver::step(World& world) {
   if (done()) return false;
   const ExploreStep& s = script_[next_++];
   world.deliver(s.chan, s.index);
-  note_step(world);
+  note_step();
   return true;
 }
 

@@ -3,8 +3,8 @@
 // The explorer's violation_path, the adversary harness's constructed
 // schedules, and regression fixtures are all "deliver exactly these
 // (channel, index) pairs in order". ReplayDriver turns such a script into a
-// driver, so replay shares the run loops, step counting, and storage
-// metering with every other driver instead of hand-rolled deliver loops.
+// driver, so replay shares the run loops and step counting with every
+// other driver instead of hand-rolled deliver loops.
 #pragma once
 
 #include <cstdint>

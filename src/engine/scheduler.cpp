@@ -28,7 +28,7 @@ bool Scheduler::step(World& world) {
   } else {
     world.deliver_next_allowed(chan);
   }
-  note_step(world);
+  note_step();
   return true;
 }
 

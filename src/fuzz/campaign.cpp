@@ -1,6 +1,5 @@
 #include "fuzz/campaign.h"
 
-#include <map>
 #include <utility>
 
 #include "common/check.h"
@@ -9,6 +8,7 @@
 #include "engine/thread_pool.h"
 #include "fuzz/minimizer.h"
 #include "sim/cow_stats.h"
+#include "workload/driver.h"
 
 namespace memu::fuzz {
 
@@ -57,105 +57,38 @@ const FuzzSystem& prototype_system(const SystemSpec& spec) {
   return cache.sys;
 }
 
-struct ClientState {
-  bool busy = false;
-  std::size_t issued = 0;
-};
-
-// When the scheduler cannot step (e.g. an active partition starves every
-// quorum), the injector still gets a pre-step chance per retry — enough for
-// heal/recover to restore liveness. Give up after this many fruitless
-// retries and check whatever history exists.
-constexpr std::size_t kStallGrace = 1'000;
-
 // The core walk, shared verbatim by random campaigns and scripted replay —
-// identical loop, identical scheduler policy, so a recorded trace replays
-// the exact execution. `proto` is the cached prototype; the walk runs on
-// a COW copy of it.
+// the closed-loop client driver with the injector as its pre-step hook and
+// the same scheduler policy, so a recorded trace replays the exact
+// execution. `proto` is the cached prototype; the walk runs on a COW copy
+// of it.
 WalkResult run_walk(const FuzzSystem& proto, const SystemSpec& spec,
                     CheckKind check_kind, std::uint64_t walk_seed,
                     std::uint64_t max_steps, std::size_t writes_per_writer,
                     std::size_t reads_per_reader, Injector& injector) {
   FuzzSystem sys = proto;
-  World& world = sys.world;
-
-  Scheduler sched(Scheduler::Policy::kRandomReorder, walk_seed);
-  sched.enable_metering();
-  sched.set_pre_step_hook([&injector](World& w, std::uint64_t steps_taken) {
+  workload::Options opt;
+  opt.writes_per_writer = writes_per_writer;
+  opt.reads_per_reader = reads_per_reader;
+  opt.value_size = spec.value_size;
+  opt.seed = walk_seed;
+  opt.policy = Scheduler::Policy::kRandomReorder;
+  opt.max_steps = max_steps;
+  opt.before_step = [&injector](World& w, std::uint64_t steps_taken) {
     injector.before_step(w, steps_taken);
-  });
-
-  std::map<NodeId, ClientState> state;
-  for (const NodeId w : sys.writers) state[w] = {};
-  for (const NodeId r : sys.readers) state[r] = {};
-
-  const std::size_t want_responses =
-      sys.writers.size() * writes_per_writer +
-      sys.readers.size() * reads_per_reader;
-  std::size_t responses = 0;
-  std::size_t oplog_cursor = world.oplog().size();
-  const auto never = [](const World&) { return false; };
-
-  sched.observe(world);
-  std::size_t stalled = 0;
-  while (sched.steps_taken() < max_steps) {
-    const OpLog& log = world.oplog();
-    for (; oplog_cursor < log.size(); ++oplog_cursor) {
-      const auto& e = log[oplog_cursor];
-      const auto it = state.find(e.client);
-      if (it == state.end()) continue;
-      if (e.kind == OpEvent::Kind::kResponse) {
-        it->second.busy = false;
-        ++responses;
-      }
-    }
-    if (responses >= want_responses) break;
-
-    for (std::size_t i = 0; i < sys.writers.size(); ++i) {
-      ClientState& cs = state[sys.writers[i]];
-      if (cs.busy || cs.issued >= writes_per_writer) continue;
-      const Value v = unique_value(static_cast<std::uint32_t>(i + 1),
-                                   cs.issued + 1, spec.value_size);
-      world.invoke(sys.writers[i], Invocation{OpType::kWrite, v});
-      cs.busy = true;
-      ++cs.issued;
-    }
-    for (const NodeId r : sys.readers) {
-      ClientState& cs = state[r];
-      if (cs.busy || cs.issued >= reads_per_reader) continue;
-      world.invoke(r, Invocation{OpType::kRead, {}});
-      cs.busy = true;
-      ++cs.issued;
-    }
-
-    const std::uint64_t before = sched.steps_taken();
-    sched.run_until(world, never, 1);
-    if (sched.steps_taken() == before) {
-      if (++stalled >= kStallGrace) break;
-    } else {
-      stalled = 0;
-    }
-  }
-
-  // Absorb trailing responses.
-  const OpLog& log = world.oplog();
-  for (; oplog_cursor < log.size(); ++oplog_cursor) {
-    const auto& e = log[oplog_cursor];
-    if (state.find(e.client) == state.end()) continue;
-    if (e.kind == OpEvent::Kind::kResponse) ++responses;
-  }
+  };
+  const workload::RunResult run =
+      workload::run(sys.world, sys.writers, sys.readers, opt);
 
   WalkResult r;
   r.walk_seed = walk_seed;
-  r.completed = responses >= want_responses;
-  r.steps = sched.steps_taken();
+  r.completed = run.completed;
+  r.steps = run.steps;
   r.injected = injector.events().size();
   r.skipped = injector.skipped();
-  r.peak_total_value_bits = sched.storage_report().peak_total_value_bits;
-
-  const History history = History::from_oplog(world.oplog());
-  r.ops = history.size();
-  r.check = run_check(check_kind, history, sys.initial);
+  r.peak_total_value_bits = run.storage.peak_total_value_bits;
+  r.ops = run.history.size();
+  r.check = run_check(check_kind, run.history, sys.initial);
 
   r.trace.spec = spec;
   r.trace.walk_seed = walk_seed;

@@ -1,8 +1,8 @@
 // Fault injector: perturbs a World at scheduling points.
 //
-// Plugged into engine::ExecutionDriver's pre-step hook, so it sees every
-// point the scheduler could act and keys every fault by the driver's step
-// counter. Two modes share one application path:
+// Plugged into workload::run as its before_step hook, so it sees every
+// point the scheduler could act and keys every fault by the scheduler's
+// step counter. Two modes share one application path:
 //   * random — rolls the FaultMix once per point with a private Rng and
 //     fires at most one fault, RECORDING it as an InjectedEvent;
 //   * scripted — fires the recorded events of a FuzzTrace at their step
@@ -72,9 +72,9 @@ class Injector {
   Injector(std::vector<NodeId> servers, std::size_t f,
            std::vector<InjectedEvent> script);
 
-  // The pre-step hook body: bind into a driver via
-  //   driver.set_pre_step_hook([&inj](World& w, std::uint64_t s) {
-  //     inj.before_step(w, s); });
+  // The pre-step hook body: bind into a closed-loop run via
+  //   opt.before_step = [&inj](World& w, std::uint64_t s) {
+  //     inj.before_step(w, s); };  // workload::Options
   void before_step(World& world, std::uint64_t steps_taken);
 
   // Every event fired so far (random mode records; scripted mode echoes

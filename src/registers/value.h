@@ -31,11 +31,16 @@ using Value = Bytes;
 using ValueRef = SlabShared<Value>;
 using ShardListRef = SlabShared<std::vector<ValueRef>>;
 
+// The smallest value the simulated systems accept: a unique_value embeds
+// its (writer, seq) identity in the first 12 bytes. The sweep clamps
+// ceil(logV / 8) up to this.
+constexpr std::size_t kMinValueSize = 12;
+
 // A value of `size_bytes` bytes, unique per (writer, seq), remainder filled
 // pseudorandomly from the pair so regeneration is deterministic.
 inline Value unique_value(std::uint32_t writer, std::uint64_t seq,
                           std::size_t size_bytes) {
-  MEMU_CHECK_MSG(size_bytes >= 12,
+  MEMU_CHECK_MSG(size_bytes >= kMinValueSize,
                  "unique values need >= 12 bytes to embed identity");
   Value v(size_bytes);
   for (int i = 0; i < 8; ++i)
@@ -78,7 +83,7 @@ struct ValueIdentity {
 };
 
 inline ValueIdentity value_identity(const Value& v) {
-  MEMU_CHECK(v.size() >= 12);
+  MEMU_CHECK(v.size() >= kMinValueSize);
   ValueIdentity id;
   for (int i = 0; i < 8; ++i)
     id.seq |= std::uint64_t{v[static_cast<std::size_t>(i)]} << (8 * i);

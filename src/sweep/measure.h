@@ -41,8 +41,4 @@ double steady_ldr(std::size_t n, std::size_t f, std::size_t writes,
 double steady_strip(std::size_t n, std::size_t f, std::size_t writes,
                     std::size_t value_size);
 
-// The smallest value payload the simulated systems accept (message codecs
-// need room for tags); the sweep clamps ceil(logV / 8) up to this.
-constexpr std::size_t kMinValueSize = 12;
-
 }  // namespace memu::sweep

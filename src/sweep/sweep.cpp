@@ -9,6 +9,7 @@
 
 #include "bounds/bounds.h"
 #include "engine/thread_pool.h"
+#include "registers/value.h"
 #include "sweep/measure.h"
 
 namespace memu::sweep {

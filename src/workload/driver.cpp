@@ -15,18 +15,25 @@ struct ClientState {
   std::uint64_t invoke_step = 0;
 };
 
+// With a before_step hook, a step the scheduler cannot take (e.g. an active
+// partition starves every quorum) is retried, and the hook gets a chance per
+// retry to heal or recover. Give up after this many fruitless retries and
+// return whatever history exists.
+constexpr std::size_t kStallGrace = 1'000;
+
 }  // namespace
 
 RunResult run(World& world, const std::vector<NodeId>& writers,
               const std::vector<NodeId>& readers, const Options& opt) {
   MEMU_CHECK(!writers.empty() || !readers.empty());
-  MEMU_CHECK(opt.value_size >= 12);
+  MEMU_CHECK(opt.value_size >= kMinValueSize);
 
   RunResult result;
-  // Storage observation is the driver layer's job: the scheduler samples
-  // peaks after every delivery; observe() seeds the pre-run point.
   Scheduler sched(opt.policy, opt.seed);
-  sched.enable_metering();
+  // The paper's storage measures are suprema over the points of the
+  // execution: the meter sees the pre-run point and the point after every
+  // delivered message.
+  StorageMeter meter;
 
   std::map<NodeId, ClientState> state;
   for (const NodeId w : writers) state[w] = {};
@@ -36,11 +43,9 @@ RunResult run(World& world, const std::vector<NodeId>& writers,
   const std::size_t want_responses = writers.size() * opt.writes_per_writer +
                                      readers.size() * opt.reads_per_reader;
   std::size_t responses = 0;
-
-  sched.observe(world);
-  for (std::uint64_t step = 0; step < opt.max_steps; ++step) {
-    // Absorb new oplog events: mark clients idle on response. Cursor-style
-    // indexed access stays O(1) per event on the chunked oplog.
+  // Absorbs new oplog events: marks clients idle on response. Cursor-style
+  // indexed access stays O(1) per event on the chunked oplog.
+  const auto absorb = [&] {
     const OpLog& log = world.oplog();
     for (; oplog_cursor < log.size(); ++oplog_cursor) {
       const auto& e = log[oplog_cursor];
@@ -52,6 +57,12 @@ RunResult run(World& world, const std::vector<NodeId>& writers,
         result.op_latency_steps.push_back(e.step - it->second.invoke_step);
       }
     }
+  };
+
+  meter.observe(world);
+  std::size_t stalled = 0;
+  while (sched.steps_taken() < opt.max_steps) {
+    absorb();
     if (responses >= want_responses) break;
 
     // Keep idle clients busy while quota remains.
@@ -74,27 +85,20 @@ RunResult run(World& world, const std::vector<NodeId>& writers,
       cs.invoke_step = world.step_count();
     }
 
-    if (!sched.step(world)) {
-      // Quiescent with quotas unmet and nothing to deliver: stuck.
+    if (opt.before_step) opt.before_step(world, sched.steps_taken());
+    if (sched.step(world)) {
+      meter.observe(world);
+      stalled = 0;
+    } else if (!opt.before_step || ++stalled >= kStallGrace) {
+      // Quotas unmet and nothing to deliver: stuck.
       break;
     }
   }
-
-  // Absorb any trailing events.
-  const OpLog& log = world.oplog();
-  for (; oplog_cursor < log.size(); ++oplog_cursor) {
-    const auto& e = log[oplog_cursor];
-    const auto it = state.find(e.client);
-    if (it == state.end()) continue;
-    if (e.kind == OpEvent::Kind::kResponse) {
-      ++responses;
-      result.op_latency_steps.push_back(e.step - it->second.invoke_step);
-    }
-  }
+  absorb();  // trailing events
 
   result.completed = responses >= want_responses;
   result.steps = sched.steps_taken();
-  result.storage = sched.storage_report();
+  result.storage = meter.report();
   result.history = History::from_oplog(world.oplog());
   return result;
 }

@@ -223,6 +223,32 @@ TEST(Strip, ReaderRestartsWhenTargetGarbageCollected) {
   EXPECT_EQ(sys.world.oplog().events().back().value, v2);
 }
 
+TEST(Strip, ReaderStateNamesWhichServersAnsweredTheQuery) {
+  // Which servers have answered decides when the reader's query quorum
+  // completes, so two readers that differ only there are distinct states:
+  // the explorer must not merge them.
+  Options opt;
+  opt.n_servers = 3;
+  opt.f = 1;  // quorum 2 of 3
+  opt.value_size = 16;
+  auto answered_by = [&](std::size_t answering, std::size_t silent) {
+    System sys = make_system(opt);
+    World& w = sys.world;
+    const NodeId reader = sys.readers[0];
+    w.invoke(reader, read_op());
+    for (const NodeId s : sys.servers) w.deliver({reader, s});
+    // Every server holds the initial tag: the replies are identical, so
+    // only the reader's record of who answered differs.
+    w.deliver({sys.servers[answering], reader});
+    w.drop_message({sys.servers[silent], reader}, 0);
+    return std::move(sys.world);
+  };
+  const World a = answered_by(0, 1);
+  const World b = answered_by(1, 0);
+  EXPECT_NE(a.canonical_encoding(), b.canonical_encoding());
+  EXPECT_NE(a.state_hash(), b.state_hash());
+}
+
 TEST(Strip, RejectsInsufficientServers) {
   Options opt;
   opt.n_servers = 4;

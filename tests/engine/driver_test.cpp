@@ -1,5 +1,5 @@
-// ExecutionDriver: the shared run loops, step accounting, storage
-// metering, and the scripted ReplayDriver.
+// ExecutionDriver: the shared run loops, step accounting, and the
+// scripted ReplayDriver.
 #include "engine/driver.h"
 
 #include <gtest/gtest.h>
@@ -34,27 +34,6 @@ TEST(ExecutionDriver, RunUntilResponsesThenDrain) {
   EXPECT_TRUE(driver.drain(sys.world, 100000));
   EXPECT_FALSE(sys.world.has_deliverable());
   EXPECT_GT(driver.steps_taken(), 0u);
-}
-
-TEST(ExecutionDriver, MeteringSamplesEveryStep) {
-  abd::System sys = write_read_system();
-  Scheduler sched;
-  sched.enable_metering();
-  sched.observe(sys.world);
-  ASSERT_TRUE(sched.drain(sys.world, 100000));
-  const StorageReport& rep = sched.storage_report();
-  // One pre-run observation plus one per delivered message.
-  EXPECT_EQ(rep.observations, sched.steps_taken() + 1);
-  // Three live replicas each hold the 12-byte value at quiescence.
-  EXPECT_GE(rep.peak_total.value_bits, 3 * 8.0 * 12);
-}
-
-TEST(ExecutionDriver, MeteringOffByDefault) {
-  abd::System sys = write_read_system();
-  Scheduler sched;
-  ASSERT_TRUE(sched.drain(sys.world, 100000));
-  EXPECT_FALSE(sched.metering_enabled());
-  EXPECT_EQ(sched.storage_report().observations, 0u);
 }
 
 TEST(ReplayDriver, ReplaysAnExplorerCounterexample) {

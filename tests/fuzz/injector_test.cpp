@@ -5,6 +5,7 @@
 #include "engine/scheduler.h"
 #include "fuzz/campaign.h"
 #include "fuzz/injector.h"
+#include "workload/driver.h"
 
 namespace memu::fuzz {
 namespace {
@@ -18,6 +19,19 @@ SystemSpec abd_spec() {
   spec.n_readers = 2;
   spec.value_size = 16;
   return spec;
+}
+
+// One write per writer and one read per reader under a reordering
+// scheduler, capped at 5,000 deliveries.
+workload::Options one_op_each(const SystemSpec& spec, std::uint64_t seed) {
+  workload::Options opt;
+  opt.writes_per_writer = 1;
+  opt.reads_per_reader = 1;
+  opt.value_size = spec.value_size;
+  opt.seed = seed;
+  opt.policy = Scheduler::Policy::kRandomReorder;
+  opt.max_steps = 5'000;
+  return opt;
 }
 
 InjectedEvent crash_at(std::uint64_t step, std::uint32_t server) {
@@ -77,22 +91,14 @@ TEST(Injector, RandomModeNeverExceedsFBudget) {
   mix.recover = 0.05;
   Injector inj(sys.servers, spec.f, mix, /*seed=*/42);
 
-  Scheduler sched(Scheduler::Policy::kRandomReorder, /*seed=*/7);
+  workload::Options opt = one_op_each(spec, /*seed=*/7);
   std::size_t max_seen = 0;
-  sched.set_pre_step_hook([&](World& w, std::uint64_t s) {
+  opt.before_step = [&](World& w, std::uint64_t s) {
     inj.before_step(w, s);
     max_seen = std::max(max_seen, inj.crashed_now());
     ASSERT_LE(inj.crashed_now(), spec.f);
-  });
-
-  for (std::size_t i = 0; i < sys.writers.size(); ++i)
-    sys.world.invoke(sys.writers[i],
-                     {OpType::kWrite, unique_value(
-                                          static_cast<std::uint32_t>(i + 1), 1,
-                                          spec.value_size)});
-  for (const NodeId r : sys.readers)
-    sys.world.invoke(r, {OpType::kRead, {}});
-  sched.drain(sys.world, 5'000);
+  };
+  workload::run(sys.world, sys.writers, sys.readers, opt);
 
   // The budget was actually exercised, not just never reached.
   EXPECT_EQ(max_seen, spec.f);
@@ -104,17 +110,11 @@ TEST(Injector, RandomModeIsDeterministicInItsSeed) {
   const auto run_one = [&](std::uint64_t seed) {
     FuzzSystem sys = make_fuzz_system(spec);
     Injector inj(sys.servers, spec.f, FaultMix::standard(), seed);
-    Scheduler sched(Scheduler::Policy::kRandomReorder, 3);
-    sched.set_pre_step_hook(
-        [&inj](World& w, std::uint64_t s) { inj.before_step(w, s); });
-    for (std::size_t i = 0; i < sys.writers.size(); ++i)
-      sys.world.invoke(sys.writers[i],
-                       {OpType::kWrite,
-                        unique_value(static_cast<std::uint32_t>(i + 1), 1,
-                                     spec.value_size)});
-    for (const NodeId r : sys.readers)
-      sys.world.invoke(r, {OpType::kRead, {}});
-    sched.drain(sys.world, 5'000);
+    workload::Options opt = one_op_each(spec, /*seed=*/3);
+    opt.before_step = [&inj](World& w, std::uint64_t s) {
+      inj.before_step(w, s);
+    };
+    workload::run(sys.world, sys.writers, sys.readers, opt);
     return inj.events();
   };
 

@@ -107,6 +107,63 @@ TEST(Driver, AbdStorageFlatInConcurrency) {
   }
 }
 
+TEST(Driver, MeteringSamplesEveryStep) {
+  abd::Options aopt;
+  aopt.n_servers = 3;
+  aopt.f = 1;
+  aopt.single_writer = true;
+  aopt.value_size = 12;
+  abd::System sys = abd::make_system(aopt);
+
+  Options opt;
+  opt.writes_per_writer = 1;
+  opt.reads_per_reader = 1;
+  opt.value_size = aopt.value_size;
+  const RunResult res = run(sys.world, sys.writers, sys.readers, opt);
+  ASSERT_TRUE(res.completed);
+  // One pre-run observation plus one per delivered message.
+  EXPECT_EQ(res.storage.observations, res.steps + 1);
+  // Three live replicas each hold a 12-byte value.
+  EXPECT_GE(res.storage.peak_total.value_bits, 3 * 8.0 * 12);
+}
+
+TEST(Driver, BeforeStepHookGetsRetriesWhileStalled) {
+  abd::Options aopt;
+  abd::System sys = abd::make_system(aopt);
+  const auto partition_servers = [&sys](World& w) {
+    for (const NodeId s : sys.servers) w.partition_add(s);
+  };
+
+  // The hook cuts the servers off from the clients before the first step,
+  // so the scheduler stalls; it heals only after nine failed attempts.
+  Options opt;
+  opt.writes_per_writer = 2;
+  opt.reads_per_reader = 2;
+  opt.value_size = aopt.value_size;
+  std::size_t calls_before_first_step = 0;
+  opt.before_step = [&](World& w, std::uint64_t steps_taken) {
+    if (steps_taken > 0) return;
+    ++calls_before_first_step;
+    if (calls_before_first_step == 1) partition_servers(w);
+    if (calls_before_first_step == 10) w.heal_partition();
+  };
+  const RunResult healed = run(sys.world, sys.writers, sys.readers, opt);
+  EXPECT_EQ(calls_before_first_step, 10u);
+  EXPECT_TRUE(healed.completed);
+  EXPECT_EQ(healed.history.completed_reads().size(),
+            sys.readers.size() * opt.reads_per_reader);
+
+  // The same stuck World without a hook stops at its first failed step.
+  abd::System stuck = abd::make_system(aopt);
+  partition_servers(stuck.world);
+  opt.before_step = nullptr;
+  const RunResult res = run(stuck.world, stuck.writers, stuck.readers, opt);
+  EXPECT_FALSE(res.completed);
+  EXPECT_EQ(res.steps, 0u);
+  EXPECT_EQ(res.storage.observations, 1u);
+  EXPECT_EQ(res.history.completed_reads().size(), 0u);
+}
+
 TEST(Park, CasStorageScalesWithParkedWrites) {
   const std::size_t value_size = 60;
   const double shard_bits = 8.0 * 60 / 3;
