@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "adversary/harness.h"
+#include "algo/messages.h"
 #include "consistency/checker.h"
 #include "engine/scheduler.h"
 #include "registers/tag.h"
@@ -24,48 +25,39 @@ namespace naive {
 using namespace memu;
 
 // ---- 1. Define the protocol messages. ---------------------------------------
-// Every message reports its size (value vs metadata bits) and whether it is
-// value-dependent — the storage meters and Theorem 6.5 machinery use both.
-// type_name() returns a view of a string literal, so fingerprinting a
-// message allocates nothing. A server -> client reply derives from Reply,
-// which carries the request id (rid) of the round it answers.
+// A family declares its message kinds once, and each payload type derives
+// from Payload<kind, "name">, which records both; handlers dispatch on the
+// kind with msg.as<T>(). Kinds need only be unique within the family: one
+// World runs one protocol. Every message reports its size (value vs
+// metadata bits) and passes its round's rid and its value class to the
+// base constructor — value-dependent messages (Definition 6.4) are what
+// the storage meters and the Theorem 6.5 machinery watch. A reply says so
+// with kReply. encode_content writes every field: the explorer and the
+// exact-valency probes tell channel states apart by these bytes.
+//
+// Put is spelled out below to show the parts; algo/messages.h provides it
+// and the other common shapes (RidMsg, TagMsg, ValueMsg) ready-made.
 
-struct Put final : MessagePayload {
-  std::uint64_t rid;
+enum class Msg : std::uint8_t { kPut, kPutAck, kGet, kGetResp };
+
+struct Put final : Payload<Msg::kPut, "naive.put"> {
   Tag tag;
   Value value;
-  Put(std::uint64_t r, Tag t, Value v) : rid(r), tag(t), value(std::move(v)) {}
-  std::string_view type_name() const override { return "naive.put"; }
+  Put(std::uint32_t r, Tag t, Value v)
+      : Payload(r, ValueClass::kBulk), tag(t), value(std::move(v)) {}
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
-  bool value_dependent() const override { return true; }
-};
-
-struct PutAck final : Reply {
-  explicit PutAck(std::uint64_t r) : Reply(r) {}
-  std::string_view type_name() const override { return "naive.put_ack"; }
-  StateBits size_bits() const override { return {0, 64}; }
-};
-
-struct Get final : MessagePayload {
-  std::uint64_t rid;
-  explicit Get(std::uint64_t r) : rid(r) {}
-  std::string_view type_name() const override { return "naive.get"; }
-  StateBits size_bits() const override { return {0, 64}; }
-};
-
-struct GetResp final : Reply {
-  Tag tag;
-  Value value;
-  GetResp(std::uint64_t r, Tag t, Value v)
-      : Reply(r), tag(t), value(std::move(v)) {}
-  std::string_view type_name() const override { return "naive.get_resp"; }
-  StateBits size_bits() const override {
-    return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
+  void encode_content(BufWriter& w) const override {
+    w.u64(rid());
+    tag.encode(w);
+    w.bytes(value);
   }
-  bool value_dependent() const override { return true; }
 };
+
+using PutAck = RidMsg<Msg::kPutAck, "naive.put_ack", kReply>;
+using Get = RidMsg<Msg::kGet, "naive.get">;
+using GetResp = ValueMsg<Msg::kGetResp, "naive.get_resp", kReply>;
 
 // ---- 2. Implement the server automaton. -------------------------------------
 // Servers must be clonable (CloneableProcess), report their storage
@@ -81,14 +73,16 @@ class Server final : public CloneableProcess<Server> {
 
   void on_message(Context& ctx, NodeId from,
                   const MessagePayload& msg) override {
-    if (const auto* p = dynamic_cast<const Put*>(&msg)) {
+    if (const auto* p = msg.as<Put>()) {
       if (p->tag > tag_) {
         tag_ = p->tag;
         value_ = p->value;
       }
-      ctx.send(from, make_msg<PutAck>(p->rid));
-    } else if (const auto* g = dynamic_cast<const Get*>(&msg)) {
-      ctx.send(from, make_msg<GetResp>(g->rid, tag_, value_));
+      ctx.send(from, make_msg<PutAck>(p->rid()));
+    } else if (const auto* g = msg.as<Get>()) {
+      ctx.send(from, make_msg<GetResp>(g->rid(), tag_, value_));
+    } else {
+      unexpected_message(name(), msg);
     }
   }
 
@@ -110,10 +104,12 @@ class Server final : public CloneableProcess<Server> {
 };
 
 // ---- 3. Implement the clients. ------------------------------------------------
-// A client derives from RoundClient, which holds the round id rid_ and
-// filters replies for it: a reply reaches on_message only while the client
-// is busy (idle() is false) and only if it answers the current round, so
-// the handlers below never check either.
+// A client derives from RoundClient, which holds the round id rid_ (a new
+// round draws it with next_round()) and filters replies for it: a reply
+// reaches on_message only while the client is busy (idle() is false) and
+// only if it answers the current round, so the handlers below never check
+// either — and since each round awaits one reply kind, a reply that gets
+// through is of that kind.
 
 class Writer final : public RoundClient<Writer> {
  public:
@@ -126,14 +122,14 @@ class Writer final : public RoundClient<Writer> {
     ctx.log_op({OpEvent::Kind::kInvoke, ctx.self(), op_id_, OpType::kWrite,
                 value_, 0});
     acked_.clear();
-    ++rid_;
+    next_round();
     const auto put = make_msg<Put>(rid_, Tag{++seq_, 1}, value_);
     ctx.send_all(servers_, put);
   }
 
   void on_message(Context& ctx, NodeId from,
                   const MessagePayload& msg) override {
-    if (dynamic_cast<const PutAck*>(&msg) == nullptr) return;
+    if (msg.as<PutAck>() == nullptr) unexpected_message(name(), msg);
     acked_.insert(from);
     if (acked_.size() >= quorum_) {
       value_.clear();
@@ -174,15 +170,15 @@ class Reader final : public RoundClient<Reader> {
     replied_.clear();
     best_ = Tag::initial();
     best_value_.clear();
-    ++rid_;
+    next_round();
     const auto get = make_msg<Get>(rid_);
     ctx.send_all(servers_, get);
   }
 
   void on_message(Context& ctx, NodeId from,
                   const MessagePayload& msg) override {
-    const auto* resp = dynamic_cast<const GetResp*>(&msg);
-    if (resp == nullptr) return;
+    const auto* resp = msg.as<GetResp>();
+    if (resp == nullptr) unexpected_message(name(), msg);
     replied_.insert(from);
     if (resp->tag > best_ || best_value_.empty()) {
       best_ = resp->tag;

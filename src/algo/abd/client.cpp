@@ -23,7 +23,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
               *pending_value_, 0});
 
   replied_.clear();
-  ++rid_;
+  next_round();
   if (single_writer_) {
     // The sole writer owns the sequence: one value-dependent phase total.
     tag_ = Tag{++swmr_seq_, writer_id_};
@@ -40,7 +40,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
 
 void Writer::start_store(Context& ctx) {
   replied_.clear();
-  ++rid_;
+  next_round();
   phase_ = Phase::kStore;
   tag_ = Tag{max_seen_.seq + 1, writer_id_};
   const auto msg = make_msg<StoreReq>(rid_, tag_, *pending_value_);
@@ -56,19 +56,18 @@ void Writer::complete(Context& ctx) {
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<QueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) start_store(ctx);
     return;
   }
-  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
+  if (msg.as<StoreAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("abd.writer got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Writer::state_size() const {
@@ -105,7 +104,7 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
               Value{}, 0});
 
   replied_.clear();
-  ++rid_;
+  next_round();
   phase_ = Phase::kQuery;
   best_tag_ = Tag::initial();
   best_value_.reset();
@@ -114,7 +113,7 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<QueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > best_tag_ || best_value_->empty()) {
       best_tag_ = qr->tag;
@@ -130,14 +129,14 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       }
       // Phase 2: write back the freshest pair so later reads see it.
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kWriteBack;
       const auto store = make_msg<StoreReq>(rid_, best_tag_, *best_value_);
       ctx.send_all(*servers_, store);
     }
     return;
   }
-  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
+  if (msg.as<StoreAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       phase_ = Phase::kIdle;
@@ -146,8 +145,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("abd.reader got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Reader::state_size() const {

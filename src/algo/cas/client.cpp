@@ -31,7 +31,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
               *pending_value_, 0});
 
   replied_.clear();
-  ++rid_;
+  next_round();
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
@@ -41,7 +41,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
 void Writer::start_pre_write(Context& ctx) {
   // Pre-write phase: the single BULK value-dependent phase.
   replied_.clear();
-  ++rid_;
+  next_round();
   phase_ = Phase::kPreWrite;
   for (std::size_t i = 0; i < servers_->size(); ++i) {
     ctx.send((*servers_)[i],
@@ -59,7 +59,7 @@ void Writer::complete(Context& ctx) {
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<QueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
@@ -72,7 +72,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
         // Announce round: per-server shard hashes — value-dependent but
         // o(log|V|)-sized messages (NOT bulk).
         replied_.clear();
-        ++rid_;
+        next_round();
         phase_ = Phase::kAnnounce;
         for (std::size_t i = 0; i < servers_->size(); ++i) {
           ctx.send((*servers_)[i],
@@ -85,29 +85,28 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (dynamic_cast<const HashAck*>(&msg) != nullptr) {
+  if (msg.as<HashAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) start_pre_write(ctx);
     return;
   }
-  if (dynamic_cast<const PreWriteAck*>(&msg) != nullptr) {
+  if (msg.as<PreWriteAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kFinalize;
       const auto fin = make_msg<FinalizeReq>(rid_, tag_);
       ctx.send_all(*servers_, fin);
     }
     return;
   }
-  if (dynamic_cast<const FinalizeAck*>(&msg) != nullptr) {
+  if (msg.as<FinalizeAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("cas.writer got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Writer::state_size() const {
@@ -160,7 +159,7 @@ void Reader::start_query(Context& ctx) {
   replied_.clear();
   shards_.clear();
   gc_hits_ = 0;
-  ++rid_;
+  next_round();
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
@@ -202,14 +201,14 @@ void Reader::maybe_complete(Context& ctx) {
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<QueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
       replied_.clear();
       shards_.clear();
       gc_hits_ = 0;
-      ++rid_;
+      next_round();
       phase_ = Phase::kReadFin;
       target_ = max_seen_;
       const auto req = make_msg<ReadFinReq>(rid_, target_);
@@ -217,7 +216,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* rf = dynamic_cast<const ReadFinResp*>(&msg)) {
+  if (const auto* rf = msg.as<ReadFinResp>()) {
     replied_.insert(from);
     if (rf->has_shard) {
       const auto at = std::lower_bound(
@@ -233,8 +232,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     maybe_complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("cas.reader got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Reader::state_size() const {

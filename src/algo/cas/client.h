@@ -107,8 +107,8 @@ class Reader final : public RoundClient<Reader> {
                                       8.0);
   }
   // A read-finalize reply for a tag other than the target is stale too.
-  bool ignores_reply(const Reply& reply) const {
-    const auto* rf = dynamic_cast<const ReadFinResp*>(&reply);
+  bool ignores_reply(const MessagePayload& reply) const {
+    const auto* rf = reply.as<ReadFinResp>();
     return rf != nullptr && rf->tag != target_;
   }
 

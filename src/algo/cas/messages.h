@@ -11,190 +11,99 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "registers/tag.h"
-#include "registers/value.h"
-#include "sim/message.h"
+#include "algo/messages.h"
 
 namespace memu::cas {
 
-// Client -> server: highest finalized tag?  Value-independent.
-struct QueryReq final : MessagePayload {
-  std::uint64_t rid = 0;
-
-  explicit QueryReq(std::uint64_t r) : rid(r) {}
-
-  std::string_view type_name() const override { return "cas.query_req"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
+// CAS's payload kinds (Payload's K).
+enum class Msg : std::uint8_t {
+  kQueryReq, kQueryResp, kHashAnnounce, kHashAck, kPreWriteReq,
+  kPreWriteAck, kFinalizeReq, kFinalizeAck, kReadFinReq, kReadFinResp
 };
 
-// Server -> client: highest finalized tag.
-struct QueryResp final : Reply {
-  Tag tag;
-
-  QueryResp(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
-
-  std::string_view type_name() const override { return "cas.query_resp"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
+// Client -> server: highest finalized tag?  Server -> client: that tag.
+using QueryReq = RidMsg<Msg::kQueryReq, "cas.query_req">;
+using QueryResp = TagMsg<Msg::kQueryResp, "cas.query_resp", kReply>;
 
 // Writer -> server i (optional extra phase, modeling the client-verification
 // round of the Byzantine-tolerant algorithms [2, 15] that the paper's
 // Section 6.5 conjecture covers): the hash of the coded element that will
 // arrive in the pre-write. Value-DEPENDENT (a function of the value) but
 // NOT bulk — it carries o(log|V|) bits.
-struct HashAnnounce final : MessagePayload {
-  std::uint64_t rid = 0;
+struct HashAnnounce final : Payload<Msg::kHashAnnounce, "cas.hash_announce"> {
   Tag tag;
   std::uint64_t shard_hash = 0;
 
-  HashAnnounce(std::uint64_t r, Tag t, std::uint64_t h)
-      : rid(r), tag(t), shard_hash(h) {}
+  HashAnnounce(std::uint32_t r, Tag t, std::uint64_t h)
+      : Payload(r, ValueClass::kDigest), tag(t), shard_hash(h) {}
 
-  std::string_view type_name() const override { return "cas.hash_announce"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits + 64}; }
-  bool value_dependent() const override { return true; }
-  bool value_bulk() const override { return false; }
-
   void encode_content(BufWriter& w) const override {
-    w.u64(rid);
+    w.u64(rid());
     tag.encode(w);
     w.u64(shard_hash);
   }
 };
 
-struct HashAck final : Reply {
-  Tag tag;
-
-  HashAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
-
-  std::string_view type_name() const override { return "cas.hash_ack"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
+using HashAck = TagMsg<Msg::kHashAck, "cas.hash_ack", kReply>;
 
 // Writer -> server i: coded element for the new tag. Value-dependent: this
 // is the single phase in which information about the value leaves the
 // writer. The element is a shared immutable block: the writer's coded
 // shard, the message and the server's stored copy are one allocation.
-struct PreWriteReq final : MessagePayload {
-  std::uint64_t rid = 0;
+struct PreWriteReq final : Payload<Msg::kPreWriteReq, "cas.pre_write_req"> {
   Tag tag;
   ValueRef shard;
 
-  PreWriteReq(std::uint64_t r, Tag t, ValueRef s)
-      : rid(r), tag(t), shard(std::move(s)) {}
-  PreWriteReq(std::uint64_t r, Tag t, Bytes s)
+  PreWriteReq(std::uint32_t r, Tag t, ValueRef s)
+      : Payload(r, ValueClass::kBulk), tag(t), shard(std::move(s)) {}
+  PreWriteReq(std::uint32_t r, Tag t, Bytes s)
       : PreWriteReq(r, t, ValueRef(std::move(s))) {}
 
-  std::string_view type_name() const override { return "cas.pre_write_req"; }
   StateBits size_bits() const override {
     return {static_cast<double>(shard->size()) * 8.0, 64 + Tag::kBits};
   }
-  bool value_dependent() const override { return true; }
-
   void encode_content(BufWriter& w) const override {
-    w.u64(rid);
+    w.u64(rid());
     tag.encode(w);
     w.bytes(*shard);
   }
 };
 
-struct PreWriteAck final : Reply {
-  Tag tag;
-
-  PreWriteAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
-
-  std::string_view type_name() const override { return "cas.pre_write_ack"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
+using PreWriteAck = TagMsg<Msg::kPreWriteAck, "cas.pre_write_ack", kReply>;
 
 // Writer -> server: mark `tag` finalized. Value-independent.
-struct FinalizeReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;
-
-  FinalizeReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-
-  std::string_view type_name() const override { return "cas.finalize_req"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
-
-struct FinalizeAck final : Reply {
-  Tag tag;
-
-  FinalizeAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
-
-  std::string_view type_name() const override { return "cas.finalize_ack"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
+using FinalizeReq = TagMsg<Msg::kFinalizeReq, "cas.finalize_req">;
+using FinalizeAck = TagMsg<Msg::kFinalizeAck, "cas.finalize_ack", kReply>;
 
 // Reader -> server: finalize `tag` and send me its coded element (now or
 // when it arrives). Value-independent.
-struct ReadFinReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;
-
-  ReadFinReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-
-  std::string_view type_name() const override { return "cas.read_fin_req"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
+using ReadFinReq = TagMsg<Msg::kReadFinReq, "cas.read_fin_req">;
 
 // Server -> reader. `has_shard` distinguishes "here is the element" from a
-// bare ack (element not yet present, or garbage-collected). The element
+// bare ack (element not yet present, or garbage-collected), and the reply
+// is value-dependent exactly when it carries the element. The element
 // shares the server's stored block (an empty handle reads as no bytes).
-struct ReadFinResp final : Reply {
+struct ReadFinResp final
+    : Payload<Msg::kReadFinResp, "cas.read_fin_resp", kReply> {
   Tag tag;
   bool has_shard = false;
   bool gced = false;  // element was garbage-collected (CASGC only)
   ValueRef shard;
 
-  ReadFinResp(std::uint64_t r, Tag t, bool has, bool gc, ValueRef s)
-      : Reply(r), tag(t), has_shard(has), gced(gc), shard(std::move(s)) {}
+  ReadFinResp(std::uint32_t r, Tag t, bool has, bool gc, ValueRef s)
+      : Payload(r, has ? ValueClass::kBulk : ValueClass::kNone),
+        tag(t),
+        has_shard(has),
+        gced(gc),
+        shard(std::move(s)) {}
 
-  std::string_view type_name() const override { return "cas.read_fin_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(shard->size()) * 8.0, 64 + Tag::kBits + 2};
   }
-  bool value_dependent() const override { return has_shard; }
-
   void encode_content(BufWriter& w) const override {
-    w.u64(rid);
+    w.u64(rid());
     tag.encode(w);
     w.boolean(has_shard);
     w.boolean(gced);

@@ -23,22 +23,22 @@ Server::Entry& Server::entry(const Tag& tag) {
 }
 
 void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* q = dynamic_cast<const QueryReq*>(&msg)) {
-    ctx.send(from, make_msg<QueryResp>(q->rid, highest_finalized()));
+  if (const auto* q = msg.as<QueryReq>()) {
+    ctx.send(from, make_msg<QueryResp>(q->rid(), highest_finalized()));
     return;
   }
-  if (const auto* ha = dynamic_cast<const HashAnnounce*>(&msg)) {
+  if (const auto* ha = msg.as<HashAnnounce>()) {
     if (ha->tag >= gc_watermark_) announced_[ha->tag] = ha->shard_hash;
-    ctx.send(from, make_msg<HashAck>(ha->rid, ha->tag));
+    ctx.send(from, make_msg<HashAck>(ha->rid(), ha->tag));
     return;
   }
-  if (const auto* pw = dynamic_cast<const PreWriteReq*>(&msg)) {
+  if (const auto* pw = msg.as<PreWriteReq>()) {
     // Integrity check against the announced hash, if one exists.
     const auto announced = announced_.find(pw->tag);
     if (announced != announced_.end() &&
         announced->second != fnv1a64(*pw->shard)) {
       ++rejected_;
-      ctx.send(from, make_msg<PreWriteAck>(pw->rid, pw->tag));
+      ctx.send(from, make_msg<PreWriteAck>(pw->rid(), pw->tag));
       return;
     }
     if (pw->tag >= gc_watermark_) {
@@ -58,28 +58,27 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
         waiting_.erase(first, last);
       }
     }
-    ctx.send(from, make_msg<PreWriteAck>(pw->rid, pw->tag));
+    ctx.send(from, make_msg<PreWriteAck>(pw->rid(), pw->tag));
     return;
   }
-  if (const auto* fin = dynamic_cast<const FinalizeReq*>(&msg)) {
+  if (const auto* fin = msg.as<FinalizeReq>()) {
     if (fin->tag >= gc_watermark_) {
       entry(fin->tag).finalized = true;  // shard may still be absent
       run_gc(ctx);
     }
-    ctx.send(from, make_msg<FinalizeAck>(fin->rid, fin->tag));
+    ctx.send(from, make_msg<FinalizeAck>(fin->rid(), fin->tag));
     return;
   }
-  if (const auto* rf = dynamic_cast<const ReadFinReq*>(&msg)) {
+  if (const auto* rf = msg.as<ReadFinReq>()) {
     handle_read_fin(ctx, from, *rf);
     return;
   }
-  MEMU_UNREACHABLE("cas.server got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 void Server::handle_read_fin(Context& ctx, NodeId from, const ReadFinReq& req) {
   if (req.tag < gc_watermark_) {
-    ctx.send(from, make_msg<ReadFinResp>(req.rid, req.tag, false, true,
+    ctx.send(from, make_msg<ReadFinResp>(req.rid(), req.tag, false, true,
                                          ValueRef{}));
     return;
   }
@@ -87,14 +86,14 @@ void Server::handle_read_fin(Context& ctx, NodeId from, const ReadFinReq& req) {
   const bool was_finalized = e.finalized;
   e.finalized = true;
   if (e.shard.has_value()) {
-    ctx.send(from, make_msg<ReadFinResp>(req.rid, req.tag, true, false,
+    ctx.send(from, make_msg<ReadFinResp>(req.rid(), req.tag, true, false,
                                          e.shard));
   } else {
     // Bare ack now; the element is forwarded when the pre-write arrives.
-    const Waiter wt{req.tag, from, req.rid};
+    const Waiter wt{req.tag, from, req.rid()};
     const auto at = std::lower_bound(waiting_.begin(), waiting_.end(), wt);
     if (at == waiting_.end() || *at != wt) waiting_.insert(at, wt);
-    ctx.send(from, make_msg<ReadFinResp>(req.rid, req.tag, false, false,
+    ctx.send(from, make_msg<ReadFinResp>(req.rid(), req.tag, false, false,
                                          ValueRef{}));
   }
   if (!was_finalized) run_gc(ctx);

@@ -73,7 +73,7 @@ class Server final : public CloneableProcess<Server> {
   struct Waiter {
     Tag tag;
     NodeId reader;
-    std::uint64_t rid = 0;
+    std::uint32_t rid = 0;
     friend auto operator<=>(const Waiter&, const Waiter&) = default;
   };
 

@@ -20,21 +20,20 @@ void Server::adopt_and_gossip(Context& ctx, const Tag& tag,
 }
 
 void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* s = dynamic_cast<const StoreReq*>(&msg)) {
+  if (const auto* s = msg.as<StoreReq>()) {
     adopt_and_gossip(ctx, s->tag, s->value);
-    ctx.send(from, make_msg<StoreAck>(s->rid));
+    ctx.send(from, make_msg<StoreAck>(s->rid()));
     return;
   }
-  if (const auto* g = dynamic_cast<const GossipMsg*>(&msg)) {
+  if (const auto* g = msg.as<GossipMsg>()) {
     adopt_and_gossip(ctx, g->tag, g->value);
     return;
   }
-  if (const auto* q = dynamic_cast<const QueryReq*>(&msg)) {
-    ctx.send(from, make_msg<QueryResp>(q->rid, tag_, value_));
+  if (const auto* q = msg.as<QueryReq>()) {
+    ctx.send(from, make_msg<QueryResp>(q->rid(), tag_, value_));
     return;
   }
-  MEMU_UNREACHABLE("gossip.server got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 // ---- Writer -----------------------------------------------------------------
@@ -56,14 +55,14 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
   ctx.log_op({OpEvent::Kind::kInvoke, ctx.self(), op_id_, OpType::kWrite,
               pending_value_, 0});
   replied_.clear();
-  ++rid_;
+  next_round();
   const Tag tag{++seq_, writer_id_};
   const auto msg = make_msg<StoreReq>(rid_, tag, pending_value_);
   ctx.send_all(*servers_, msg);
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
+  if (msg.as<StoreAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       busy_ = false;
@@ -74,8 +73,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("gossip.writer got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Writer::state_size() const {
@@ -107,7 +105,7 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
   ctx.log_op({OpEvent::Kind::kInvoke, ctx.self(), op_id_, OpType::kRead,
               Value{}, 0});
   replied_.clear();
-  ++rid_;
+  next_round();
   best_tag_ = Tag::initial();
   best_value_.clear();
   const auto msg = make_msg<QueryReq>(rid_);
@@ -115,7 +113,7 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<QueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > best_tag_ || best_value_.empty()) {
       best_tag_ = qr->tag;
@@ -128,8 +126,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("gossip.reader got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Reader::state_size() const {
@@ -160,12 +157,15 @@ System make_system(const Options& opt) {
                        : opt.initial_value;
   MEMU_CHECK(v0.size() == opt.value_size);
 
+  // The servers take the fresh World's first ids, so each is built knowing
+  // its peers.
+  std::vector<NodeId> peers;
   for (std::size_t i = 0; i < opt.n_servers; ++i)
-    sys.servers.push_back(sys.world.add_process(
-        std::make_unique<Server>(v0, std::vector<NodeId>{})));
-  // Peers are known only after all servers are registered.
-  for (const NodeId s : sys.servers)
-    dynamic_cast<Server&>(sys.world.process(s)).set_peers(sys.servers);
+    peers.push_back(NodeId{static_cast<std::uint32_t>(i)});
+  for (std::size_t i = 0; i < opt.n_servers; ++i)
+    sys.servers.push_back(
+        sys.world.add_process(std::make_unique<Server>(v0, peers)));
+  MEMU_CHECK(sys.servers == peers);
 
   sys.writer = sys.world.add_process(
       std::make_unique<Writer>(sys.servers, sys.quorum, 1));

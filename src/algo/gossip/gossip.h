@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/messages.h"
 #include "registers/tag.h"
 #include "registers/value.h"
 #include "sim/process.h"
@@ -26,90 +27,33 @@
 
 namespace memu::gossip {
 
-struct StoreReq final : MessagePayload {
-  std::uint64_t rid = 0;
+// The gossip register's payload kinds (Payload's K).
+enum class Msg : std::uint8_t {
+  kStoreReq, kStoreAck, kGossip, kQueryReq, kQueryResp
+};
+
+using StoreReq = ValueMsg<Msg::kStoreReq, "gossip.store_req">;
+using StoreAck = RidMsg<Msg::kStoreAck, "gossip.store_ack", kReply>;
+
+// Server-to-server anti-entropy message: outside any client round.
+struct GossipMsg final : Payload<Msg::kGossip, "gossip.gossip"> {
   Tag tag;
   Value value;
 
-  StoreReq(std::uint64_t r, Tag t, Value v)
-      : rid(r), tag(t), value(std::move(v)) {}
+  GossipMsg(Tag t, Value v)
+      : Payload(ValueClass::kBulk), tag(t), value(std::move(v)) {}
 
-  std::string_view type_name() const override { return "gossip.store_req"; }
-  StateBits size_bits() const override {
-    return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
-  }
-  bool value_dependent() const override { return true; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-    w.bytes(value);
-  }
-};
-
-struct StoreAck final : Reply {
-
-  explicit StoreAck(std::uint64_t r) : Reply(r) {}
-
-  std::string_view type_name() const override { return "gossip.store_ack"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
-};
-
-// Server-to-server anti-entropy message.
-struct GossipMsg final : MessagePayload {
-  Tag tag;
-  Value value;
-
-  GossipMsg(Tag t, Value v) : tag(t), value(std::move(v)) {}
-
-  std::string_view type_name() const override { return "gossip.gossip"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, Tag::kBits};
   }
-  bool value_dependent() const override { return true; }
-
   void encode_content(BufWriter& w) const override {
     tag.encode(w);
     w.bytes(value);
   }
 };
 
-struct QueryReq final : MessagePayload {
-  std::uint64_t rid = 0;
-
-  explicit QueryReq(std::uint64_t r) : rid(r) {}
-
-  std::string_view type_name() const override { return "gossip.query_req"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
-};
-
-struct QueryResp final : Reply {
-  Tag tag;
-  Value value;
-
-  QueryResp(std::uint64_t r, Tag t, Value v)
-      : Reply(r), tag(t), value(std::move(v)) {}
-
-  std::string_view type_name() const override { return "gossip.query_resp"; }
-  StateBits size_bits() const override {
-    return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
-  }
-  bool value_dependent() const override { return true; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-    w.bytes(value);
-  }
-};
+using QueryReq = RidMsg<Msg::kQueryReq, "gossip.query_req">;
+using QueryResp = ValueMsg<Msg::kQueryResp, "gossip.query_resp", kReply>;
 
 class Server final : public CloneableProcess<Server> {
  public:
@@ -133,11 +77,6 @@ class Server final : public CloneableProcess<Server> {
   bool is_server() const override { return true; }
 
   const Tag& tag() const { return tag_; }
-
-  // Peers must be set after all servers exist; see make_system.
-  void set_peers(std::vector<NodeId> peers) {
-    peers_ = ServerList(std::move(peers));
-  }
 
  private:
   void adopt_and_gossip(Context& ctx, const Tag& tag, const Value& value);

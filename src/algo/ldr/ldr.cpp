@@ -7,34 +7,34 @@ namespace memu::ldr {
 // ---- Server -----------------------------------------------------------------
 
 void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* q = dynamic_cast<const DirQueryReq*>(&msg)) {
-    ctx.send(from, make_msg<DirQueryResp>(q->rid, dir_tag_, dir_locations_));
+  if (const auto* q = msg.as<DirQueryReq>()) {
+    ctx.send(from, make_msg<DirQueryResp>(q->rid(), dir_tag_, dir_locations_));
     return;
   }
-  if (const auto* u = dynamic_cast<const DirUpdateReq*>(&msg)) {
+  if (const auto* u = msg.as<DirUpdateReq>()) {
     if (u->tag > dir_tag_) {
       dir_tag_ = u->tag;
       dir_locations_ = u->locations;
     }
-    ctx.send(from, make_msg<DirUpdateAck>(u->rid));
+    ctx.send(from, make_msg<DirUpdateAck>(u->rid()));
     return;
   }
-  if (const auto* r = dynamic_cast<const RepReserveReq*>(&msg)) {
+  if (const auto* r = msg.as<RepReserveReq>()) {
     MEMU_CHECK_MSG(is_replica_, "reserve sent to a non-replica");
-    ctx.send(from, make_msg<RepReserveResp>(r->rid));
+    ctx.send(from, make_msg<RepReserveResp>(r->rid()));
     return;
   }
-  if (const auto* p = dynamic_cast<const RepPutReq*>(&msg)) {
+  if (const auto* p = msg.as<RepPutReq>()) {
     MEMU_CHECK_MSG(is_replica_, "put sent to a non-replica");
     if (p->tag > rep_tag_) {
       rep_tag_ = p->tag;
       rep_value_ = p->value;
       rep_has_value_ = true;
     }
-    ctx.send(from, make_msg<RepPutAck>(p->rid));
+    ctx.send(from, make_msg<RepPutAck>(p->rid()));
     return;
   }
-  if (const auto* rel = dynamic_cast<const RepReleaseReq*>(&msg)) {
+  if (const auto* rel = msg.as<RepReleaseReq>()) {
     MEMU_CHECK_MSG(is_replica_, "release sent to a non-replica");
     // Garbage collection: drop a value that a strictly newer committed
     // write supersedes. A replica holding the committing tag (or newer)
@@ -45,17 +45,16 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* g = dynamic_cast<const RepGetReq*>(&msg)) {
+  if (const auto* g = msg.as<RepGetReq>()) {
     MEMU_CHECK_MSG(is_replica_, "get sent to a non-replica");
     // A miss is possible only when this replica's copy was released under a
     // reader holding stale directory data; the reader re-queries.
     const bool hit = rep_has_value_ && rep_tag_ >= g->tag;
-    ctx.send(from, make_msg<RepGetResp>(g->rid, rep_tag_, hit,
+    ctx.send(from, make_msg<RepGetResp>(g->rid(), rep_tag_, hit,
                                         hit ? rep_value_ : Value{}));
     return;
   }
-  MEMU_UNREACHABLE("ldr.server got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 // ---- Writer -----------------------------------------------------------------
@@ -83,7 +82,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
               pending_value_, 0});
   replied_.clear();
   chosen_.clear();
-  ++rid_;
+  next_round();
   phase_ = Phase::kDirQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<DirQueryReq>(rid_);
@@ -91,12 +90,12 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const DirQueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<DirQueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= dir_quorum_) {
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kReserve;
       tag_ = Tag{max_seen_.seq + 1, writer_id_};
       const auto r = make_msg<RepReserveReq>(rid_);
@@ -104,32 +103,32 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (dynamic_cast<const RepReserveResp*>(&msg) != nullptr) {
+  if (msg.as<RepReserveResp>() != nullptr) {
     if (!replied_.insert(from)) return;
     chosen_.push_back(from);
     if (chosen_.size() >= replica_set_size_) {
       // Put the value on exactly the f + 1 fastest replicas — nobody else
       // ever stores these value bits.
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kPut;
       const auto p = make_msg<RepPutReq>(rid_, tag_, pending_value_);
       ctx.send_all(chosen_, p);
     }
     return;
   }
-  if (dynamic_cast<const RepPutAck*>(&msg) != nullptr) {
+  if (msg.as<RepPutAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= replica_set_size_) {
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kDirUpdate;
       const auto u = make_msg<DirUpdateReq>(rid_, tag_, chosen_);
       ctx.send_all(*directories_, u);
     }
     return;
   }
-  if (dynamic_cast<const DirUpdateAck*>(&msg) != nullptr) {
+  if (msg.as<DirUpdateAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= dir_quorum_) {
       // Commit done: garbage-collect superseded copies everywhere
@@ -145,8 +144,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("ldr.writer got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Writer::state_size() const {
@@ -189,7 +187,7 @@ void Reader::on_invoke(Context& ctx, const Invocation& inv) {
 void Reader::start_query(Context& ctx) {
   replied_.clear();
   misses_ = 0;
-  ++rid_;
+  next_round();
   phase_ = Phase::kDirQuery;
   target_ = Tag::initial();
   locations_.clear();
@@ -198,7 +196,7 @@ void Reader::start_query(Context& ctx) {
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const DirQueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<DirQueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > target_ || locations_.empty()) {
       target_ = qr->tag;
@@ -206,14 +204,14 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     if (replied_.size() >= dir_quorum_) {
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kGet;
       const auto g = make_msg<RepGetReq>(rid_, target_);
       ctx.send_all(locations_, g);
     }
     return;
   }
-  if (const auto* gr = dynamic_cast<const RepGetResp*>(&msg)) {
+  if (const auto* gr = msg.as<RepGetResp>()) {
     if (!gr->hit) {
       // Copy released under us (stale directory view): when every target
       // has missed, re-run the directory query for a fresher location set.
@@ -230,8 +228,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
                 gr->value, 0});
     return;
   }
-  MEMU_UNREACHABLE("ldr.reader got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Reader::state_size() const {

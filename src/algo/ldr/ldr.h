@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/messages.h"
 #include "registers/tag.h"
 #include "registers/value.h"
 #include "sim/process.h"
@@ -42,155 +43,75 @@ namespace memu::ldr {
 
 // ---- messages ---------------------------------------------------------------
 
-struct DirQueryReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  explicit DirQueryReq(std::uint64_t r) : rid(r) {}
-  std::string_view type_name() const override { return "ldr.dir_query_req"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
+// LDR's payload kinds (Payload's K).
+enum class Msg : std::uint8_t {
+  kDirQueryReq, kDirQueryResp, kDirUpdateReq, kDirUpdateAck, kRepReserveReq,
+  kRepReserveResp, kRepPutReq, kRepPutAck, kRepReleaseReq, kRepGetReq,
+  kRepGetResp
 };
 
-struct DirQueryResp final : Reply {
+// A directory entry with its round's rid: a directory's answer to a query,
+// or a writer's update.
+template <auto K, TypeName Name, bool IsReply = false>
+struct DirMsg final : Payload<K, Name, IsReply> {
   Tag tag;
   std::vector<NodeId> locations;
-  DirQueryResp(std::uint64_t r, Tag t, std::vector<NodeId> locs)
-      : Reply(r), tag(t), locations(std::move(locs)) {}
-  std::string_view type_name() const override { return "ldr.dir_query_resp"; }
+
+  DirMsg(std::uint32_t r, Tag t, std::vector<NodeId> locs)
+      : Payload<K, Name, IsReply>(r), tag(t), locations(std::move(locs)) {}
+
   StateBits size_bits() const override {
     return {0, 64 + Tag::kBits + 32.0 * static_cast<double>(locations.size())};
   }
-
   void encode_content(BufWriter& w) const override {
-    w.u64(rid);
+    w.u64(this->rid());
     tag.encode(w);
     w.u64(locations.size());
     for (NodeId n : locations) w.u32(n.value);
   }
 };
 
-struct DirUpdateReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;
-  std::vector<NodeId> locations;
-  DirUpdateReq(std::uint64_t r, Tag t, std::vector<NodeId> locs)
-      : rid(r), tag(t), locations(std::move(locs)) {}
-  std::string_view type_name() const override { return "ldr.dir_update_req"; }
-  StateBits size_bits() const override {
-    return {0, 64 + Tag::kBits + 32.0 * static_cast<double>(locations.size())};
-  }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-    w.u64(locations.size());
-    for (NodeId n : locations) w.u32(n.value);
-  }
-};
-
-struct DirUpdateAck final : Reply {
-  explicit DirUpdateAck(std::uint64_t r) : Reply(r) {}
-  std::string_view type_name() const override { return "ldr.dir_update_ack"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
-};
-
-struct RepReserveReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  explicit RepReserveReq(std::uint64_t r) : rid(r) {}
-  std::string_view type_name() const override { return "ldr.rep_reserve_req"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
-};
-
-struct RepReserveResp final : Reply {
-  explicit RepReserveResp(std::uint64_t r) : Reply(r) {}
-  std::string_view type_name() const override { return "ldr.rep_reserve_resp"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
-};
-
-struct RepPutReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;
-  Value value;
-  RepPutReq(std::uint64_t r, Tag t, Value v)
-      : rid(r), tag(t), value(std::move(v)) {}
-  std::string_view type_name() const override { return "ldr.rep_put_req"; }
-  StateBits size_bits() const override {
-    return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
-  }
-  bool value_dependent() const override { return true; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-    w.bytes(value);
-  }
-};
-
-struct RepPutAck final : Reply {
-  explicit RepPutAck(std::uint64_t r) : Reply(r) {}
-  std::string_view type_name() const override { return "ldr.rep_put_ack"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
-};
+using DirQueryReq = RidMsg<Msg::kDirQueryReq, "ldr.dir_query_req">;
+using DirQueryResp = DirMsg<Msg::kDirQueryResp, "ldr.dir_query_resp", kReply>;
+using DirUpdateReq = DirMsg<Msg::kDirUpdateReq, "ldr.dir_update_req">;
+using DirUpdateAck = RidMsg<Msg::kDirUpdateAck, "ldr.dir_update_ack", kReply>;
+using RepReserveReq = RidMsg<Msg::kRepReserveReq, "ldr.rep_reserve_req">;
+using RepReserveResp =
+    RidMsg<Msg::kRepReserveResp, "ldr.rep_reserve_resp", kReply>;
+using RepPutReq = ValueMsg<Msg::kRepPutReq, "ldr.rep_put_req">;
+using RepPutAck = RidMsg<Msg::kRepPutAck, "ldr.rep_put_ack", kReply>;
 
 // Writer -> every replica after commit: drop any value older than `tag`.
 // This is LDR's garbage collection — it is what keeps the steady state at
-// exactly f + 1 stored copies.
-struct RepReleaseReq final : MessagePayload {
+// exactly f + 1 stored copies. Fire-and-forget: no round, no rid.
+struct RepReleaseReq final
+    : Payload<Msg::kRepReleaseReq, "ldr.rep_release_req"> {
   Tag tag;
   explicit RepReleaseReq(Tag t) : tag(t) {}
-  std::string_view type_name() const override { return "ldr.rep_release_req"; }
   StateBits size_bits() const override { return {0, Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    tag.encode(w);
-  }
+  void encode_content(BufWriter& w) const override { tag.encode(w); }
 };
 
-struct RepGetReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;  // want this tag or newer
-  RepGetReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string_view type_name() const override { return "ldr.rep_get_req"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
+// Reader -> replica: the value at `tag` or newer.
+using RepGetReq = TagMsg<Msg::kRepGetReq, "ldr.rep_get_req">;
 
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
-
-struct RepGetResp final : Reply {
+// Replica -> reader: the value on a hit (value-dependent exactly then), a
+// bare miss otherwise.
+struct RepGetResp final
+    : Payload<Msg::kRepGetResp, "ldr.rep_get_resp", kReply> {
   Tag tag;
   bool hit = false;
   Value value;
-  RepGetResp(std::uint64_t r, Tag t, bool h, Value v)
-      : Reply(r), tag(t), hit(h), value(std::move(v)) {}
-  std::string_view type_name() const override { return "ldr.rep_get_resp"; }
+  RepGetResp(std::uint32_t r, Tag t, bool h, Value v)
+      : Payload(r, h ? ValueClass::kBulk : ValueClass::kNone),
+        tag(t),
+        hit(h),
+        value(std::move(v)) {}
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits + 1};
   }
-  bool value_dependent() const override { return hit; }
-
   void encode_content(BufWriter& w) const override {
-    w.u64(rid);
+    w.u64(rid());
     tag.encode(w);
     w.boolean(hit);
     w.bytes(value);

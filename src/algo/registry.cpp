@@ -60,9 +60,11 @@ Deployment build_strip(const Spec& s) {
   return deploy(strip::make_system(o));
 }
 
+// The family's build put a Writer at every writer id, so the static_cast is
+// exact.
 template <class Writer, auto kPhase>
 bool in_phase(const World& w, NodeId writer) {
-  return dynamic_cast<const Writer&>(w.process(writer)).phase() == kPhase;
+  return static_cast<const Writer&>(w.process(writer)).phase() == kPhase;
 }
 
 constexpr auto kAbdStore = in_phase<abd::Writer, abd::Writer::Phase::kStore>;

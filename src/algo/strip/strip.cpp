@@ -47,7 +47,7 @@ void Server::commit_tag(Context& ctx, const Tag& tag) {
   if (newly) run_gc(ctx);
 }
 
-void Server::answer(Context& ctx, NodeId reader, std::uint64_t rid,
+void Server::answer(Context& ctx, NodeId reader, std::uint32_t rid,
                     const Tag& tag) {
   if (tag < gc_watermark_) {
     ctx.send(reader, make_msg<GetResp>(rid, tag, GetResp::Kind::kGced,
@@ -70,11 +70,11 @@ void Server::answer(Context& ctx, NodeId reader, std::uint64_t rid,
 }
 
 void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* q = dynamic_cast<const QueryReq*>(&msg)) {
-    ctx.send(from, make_msg<QueryResp>(q->rid, highest_committed()));
+  if (const auto* q = msg.as<QueryReq>()) {
+    ctx.send(from, make_msg<QueryResp>(q->rid(), highest_committed()));
     return;
   }
-  if (const auto* s = dynamic_cast<const StoreReq*>(&msg)) {
+  if (const auto* s = msg.as<StoreReq>()) {
     if (s->tag >= gc_watermark_) {
       auto it = store_.find(s->tag);
       if (it == store_.end()) {
@@ -94,22 +94,21 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
           answer(ctx, reader, rid, s->tag);
       }
     }
-    ctx.send(from, make_msg<StoreAck>(s->rid, s->tag));
+    ctx.send(from, make_msg<StoreAck>(s->rid(), s->tag));
     return;
   }
-  if (const auto* c = dynamic_cast<const CommitReq*>(&msg)) {
+  if (const auto* c = msg.as<CommitReq>()) {
     commit_tag(ctx, c->tag);
-    ctx.send(from, make_msg<CommitAck>(c->rid, c->tag));
+    ctx.send(from, make_msg<CommitAck>(c->rid(), c->tag));
     return;
   }
-  if (const auto* g = dynamic_cast<const GetReq*>(&msg)) {
+  if (const auto* g = msg.as<GetReq>()) {
     commit_tag(ctx, g->tag);  // reads commit their target (metadata
                               // write-back, for atomicity)
-    answer(ctx, from, g->rid, g->tag);
+    answer(ctx, from, g->rid(), g->tag);
     return;
   }
-  MEMU_UNREACHABLE("strip.server got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 void Server::run_gc(Context& ctx) {
@@ -208,7 +207,7 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
   ctx.log_op({OpEvent::Kind::kInvoke, ctx.self(), op_id_, OpType::kWrite,
               pending_value_, 0});
   replied_.clear();
-  ++rid_;
+  next_round();
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
@@ -216,12 +215,12 @@ void Writer::on_invoke(Context& ctx, const Invocation& inv) {
 }
 
 void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<QueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kStore;
       tag_ = Tag{max_seen_.seq + 1, writer_id_};
       const auto store = make_msg<StoreReq>(rid_, tag_, pending_value_);
@@ -229,18 +228,18 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (dynamic_cast<const StoreAck*>(&msg) != nullptr) {
+  if (msg.as<StoreAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       replied_.clear();
-      ++rid_;
+      next_round();
       phase_ = Phase::kCommit;
       const auto commit = make_msg<CommitReq>(rid_, tag_);
       ctx.send_all(*servers_, commit);
     }
     return;
   }
-  if (dynamic_cast<const CommitAck*>(&msg) != nullptr) {
+  if (msg.as<CommitAck>() != nullptr) {
     if (!replied_.insert(from)) return;
     if (replied_.size() >= quorum_) {
       phase_ = Phase::kIdle;
@@ -251,8 +250,7 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("strip.writer got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Writer::state_size() const {
@@ -298,7 +296,7 @@ void Reader::start_query(Context& ctx) {
   full_.reset();
   symbols_.clear();
   gc_hits_ = 0;
-  ++rid_;
+  next_round();
   phase_ = Phase::kQuery;
   max_seen_ = Tag::initial();
   const auto msg = make_msg<QueryReq>(rid_);
@@ -338,7 +336,7 @@ void Reader::maybe_complete(Context& ctx) {
 }
 
 void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
-  if (const auto* qr = dynamic_cast<const QueryResp*>(&msg)) {
+  if (const auto* qr = msg.as<QueryResp>()) {
     if (!replied_.insert(from)) return;
     if (qr->tag > max_seen_) max_seen_ = qr->tag;
     if (replied_.size() >= quorum_) {
@@ -346,7 +344,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
       full_.reset();
       symbols_.clear();
       gc_hits_ = 0;
-      ++rid_;
+      next_round();
       phase_ = Phase::kGet;
       target_ = max_seen_;
       const auto get = make_msg<GetReq>(rid_, target_);
@@ -354,7 +352,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  if (const auto* gr = dynamic_cast<const GetResp*>(&msg)) {
+  if (const auto* gr = msg.as<GetResp>()) {
     replied_.insert(from);
     switch (gr->kind) {
       case GetResp::Kind::kFull:
@@ -372,8 +370,7 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     maybe_complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("strip.reader got unexpected message " +
-                   std::string(msg.type_name()));
+  unexpected_message(name(), msg);
 }
 
 StateBits Reader::state_size() const {

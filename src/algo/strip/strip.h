@@ -32,6 +32,7 @@
 #include <set>
 #include <vector>
 
+#include "algo/messages.h"
 #include "codec/codec.h"
 #include "registers/tag.h"
 #include "registers/value.h"
@@ -42,118 +43,44 @@ namespace memu::strip {
 
 // ---- messages -----------------------------------------------------------------
 
-struct QueryReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  explicit QueryReq(std::uint64_t r) : rid(r) {}
-  std::string_view type_name() const override { return "strip.query_req"; }
-  StateBits size_bits() const override { return {0, 64}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-  }
+// STRIP's payload kinds (Payload's K).
+enum class Msg : std::uint8_t {
+  kQueryReq, kQueryResp, kStoreReq, kStoreAck, kCommitReq, kCommitAck,
+  kGetReq, kGetResp
 };
 
-struct QueryResp final : Reply {
-  Tag tag;
-  QueryResp(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
-  std::string_view type_name() const override { return "strip.query_resp"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
-
+using QueryReq = RidMsg<Msg::kQueryReq, "strip.query_req">;
+using QueryResp = TagMsg<Msg::kQueryResp, "strip.query_resp", kReply>;
 // The single value-dependent phase: the full value travels to every server.
-struct StoreReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;
-  Value value;
-  StoreReq(std::uint64_t r, Tag t, Value v)
-      : rid(r), tag(t), value(std::move(v)) {}
-  std::string_view type_name() const override { return "strip.store_req"; }
-  StateBits size_bits() const override {
-    return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
-  }
-  bool value_dependent() const override { return true; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-    w.bytes(value);
-  }
-};
-
-struct StoreAck final : Reply {
-  Tag tag;
-  StoreAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
-  std::string_view type_name() const override { return "strip.store_ack"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
-
-struct CommitReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;
-  CommitReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string_view type_name() const override { return "strip.commit_req"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
-
-struct CommitAck final : Reply {
-  Tag tag;
-  CommitAck(std::uint64_t r, Tag t) : Reply(r), tag(t) {}
-  std::string_view type_name() const override { return "strip.commit_ack"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
-
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
-
+using StoreReq = ValueMsg<Msg::kStoreReq, "strip.store_req">;
+using StoreAck = TagMsg<Msg::kStoreAck, "strip.store_ack", kReply>;
+using CommitReq = TagMsg<Msg::kCommitReq, "strip.commit_req">;
+using CommitAck = TagMsg<Msg::kCommitAck, "strip.commit_ack", kReply>;
 // Reader -> server: send me version `tag` (full or symbol), now or when it
 // arrives; also treat it as committed.
-struct GetReq final : MessagePayload {
-  std::uint64_t rid = 0;
-  Tag tag;
-  GetReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string_view type_name() const override { return "strip.get_req"; }
-  StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
+using GetReq = TagMsg<Msg::kGetReq, "strip.get_req">;
 
-  void encode_content(BufWriter& w) const override {
-    w.u64(rid);
-    tag.encode(w);
-  }
-};
-
-struct GetResp final : Reply {
+// Server -> reader: the full value or this server's symbol, or neither
+// (kNothing: the version has not arrived; kGced: collected). Every reply
+// but kNothing is value-dependent.
+struct GetResp final : Payload<Msg::kGetResp, "strip.get_resp", kReply> {
   enum class Kind : std::uint8_t { kNothing, kFull, kSymbol, kGced };
   Tag tag;
   Kind kind = Kind::kNothing;
   Bytes data;  // full value or symbol
 
-  GetResp(std::uint64_t r, Tag t, Kind k, Bytes d)
-      : Reply(r), tag(t), kind(k), data(std::move(d)) {}
+  GetResp(std::uint32_t r, Tag t, Kind k, Bytes d)
+      : Payload(r, k == Kind::kNothing ? ValueClass::kNone
+                                       : ValueClass::kBulk),
+        tag(t),
+        kind(k),
+        data(std::move(d)) {}
 
-  std::string_view type_name() const override { return "strip.get_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(data.size()) * 8.0, 64 + Tag::kBits + 2};
   }
-  bool value_dependent() const override { return kind != Kind::kNothing; }
-
   void encode_content(BufWriter& w) const override {
-    w.u64(rid);
+    w.u64(rid());
     tag.encode(w);
     w.u8(static_cast<std::uint8_t>(kind));
     w.bytes(data);
@@ -195,14 +122,14 @@ class Server final : public CloneableProcess<Server> {
 
   void commit_tag(Context& ctx, const Tag& tag);
   void run_gc(Context& ctx);
-  void answer(Context& ctx, NodeId reader, std::uint64_t rid, const Tag& tag);
+  void answer(Context& ctx, NodeId reader, std::uint32_t rid, const Tag& tag);
 
   CodecPtr codec_;
   std::size_t index_;
   std::size_t value_size_;
   std::optional<std::size_t> delta_;
   std::map<Tag, Entry> store_;
-  std::map<Tag, std::set<std::pair<NodeId, std::uint64_t>>> waiting_;
+  std::map<Tag, std::set<std::pair<NodeId, std::uint32_t>>> waiting_;
   Tag gc_watermark_ = Tag::initial();
 };
 
@@ -253,8 +180,8 @@ class Reader final : public RoundClient<Reader> {
   std::size_t restarts() const { return restarts_; }
 
   // A get reply for a tag other than the target is stale too.
-  bool ignores_reply(const Reply& reply) const {
-    const auto* gr = dynamic_cast<const GetResp*>(&reply);
+  bool ignores_reply(const MessagePayload& reply) const {
+    const auto* gr = reply.as<GetResp>();
     return gr != nullptr && gr->tag != target_;
   }
 

@@ -6,62 +6,92 @@
 // slot of the sending thread's slab pool (common/arena.h), so a send costs
 // no heap allocation. Every payload reports its size in bits, split into
 // value bits and metadata bits, so channel contents can participate in
-// storage accounting and so the adversary can classify messages as
-// value-dependent or not.
+// storage accounting.
+//
+// A payload's per-type constants are data in the base, set by its
+// constructor: a one-byte kind naming the type within its family, and a
+// flags byte with the value class (Definition 6.4) and the reply bit. A
+// concrete type derives from Payload<kind, "name">, which states both once;
+// handlers dispatch with msg.as<T>(), a kind compare and a static_cast.
+// Kinds are unique within a family, not across families: one World runs
+// one family, so a kind names one payload type in every World, and the
+// canonical encoding writes the kind byte instead of the type name.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/arena.h"
 #include "common/bits.h"
 #include "common/buffer.h"
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/ids.h"
 
 namespace memu {
 
-struct Reply;
+// What a message carries of the value being written: Definition 6.4 in the
+// paper classes send actions as value-dependent or not, and the bulk class
+// refines that by size. Each enumerator is a set of MessagePayload's
+// kDependentBit and kBulkBit.
+enum class ValueClass : std::uint8_t {
+  // Value-independent: queries, acks, tag-only messages.
+  kNone = 0,
+  // Value-dependent but o(log|V|) bits, e.g. a hash sent for client
+  // verification, as in the Byzantine algorithms the paper's Section 6.5
+  // conjecture covers.
+  kDigest = 1,
+  // Theta(log|V|) bits of value information: coded elements, full values.
+  kBulk = 3,
+};
 
 // Base class of all protocol messages.
 class MessagePayload {
  public:
   virtual ~MessagePayload() = default;
 
-  // Human-readable message type, e.g. "abd.write_store". A view of a
-  // string literal: fingerprinting a message names its type without
-  // allocating.
+  // Human-readable message type, e.g. "abd.store_req", for diagnostics
+  // only (traces, aborts, test probes). Views static storage.
   virtual std::string_view type_name() const = 0;
 
   // Size of this message, split into value and metadata bits.
   virtual StateBits size_bits() const = 0;
 
-  // True when the message content depends on the value being written
-  // (Definition 6.4 in the paper: value-dependent send actions). Query
-  // messages, acks, and tag-only messages are value-independent.
-  virtual bool value_dependent() const { return false; }
-
-  // True when the message carries Theta(log|V|) bits of value information
-  // (coded elements, full values). A value-dependent message of o(log|V|)
-  // size — e.g. a hash sent for client verification, as in the Byzantine
-  // algorithms the paper's Section 6.5 conjecture covers — is
-  // value-dependent but NOT bulk.
-  virtual bool value_bulk() const { return value_dependent(); }
-
   // Canonical content encoding: semantically equal messages must encode
-  // equally, distinct ones differently. Used by the exhaustive interleaving
-  // explorer to deduplicate World states. The default covers contentless
-  // markers; any payload with fields must override.
-  virtual void encode_content(BufWriter& w) const { (void)w; }
+  // equally, distinct ones differently — the explorer deduplicates World
+  // states by these bytes, so every field goes in.
+  virtual void encode_content(BufWriter& w) const = 0;
 
-  // The reply view of a server -> client reply (see Reply); null for every
-  // other message.
-  virtual const Reply* as_reply() const { return nullptr; }
+  // The flag bits behind value_dependent() and value_bulk().
+  static constexpr std::uint8_t kDependentBit = 1;
+  static constexpr std::uint8_t kBulkBit = 2;
 
-  // Full canonical encoding (type + content), appended to `w`.
+  ValueClass value_class() const {
+    return static_cast<ValueClass>(flags_ & (kDependentBit | kBulkBit));
+  }
+  bool value_dependent() const { return (flags_ & kDependentBit) != 0; }
+  bool value_bulk() const { return (flags_ & kBulkBit) != 0; }
+  // True for a server -> client reply (see RoundClient in sim/process.h).
+  bool is_reply() const { return (flags_ & kReplyBit) != 0; }
+  // The client round the message belongs to: a request carries its
+  // round's id and a reply echoes it. 0 outside rounds.
+  std::uint32_t rid() const { return rid_; }
+
+  // This payload as a T, or null when it is another kind. T is a payload
+  // type of the family whose World delivered the message.
+  template <class T>
+  const T* as() const {
+    return kind_ == T::kKind ? static_cast<const T*>(this) : nullptr;
+  }
+
+  // Full canonical encoding (kind + content), appended to `w`.
   void encode_into(BufWriter& w) const {
-    w.str(type_name());
+    w.u8(kind_);
     encode_content(w);
   }
 
@@ -75,20 +105,67 @@ class MessagePayload {
     scratch = std::move(w).take();
     return fp;
   }
+
+ protected:
+  static constexpr std::uint8_t kReplyBit = 4;
+
+  MessagePayload(std::uint8_t kind, std::uint8_t flags, std::uint32_t rid)
+      : kind_(kind), flags_(flags), rid_(rid) {}
+
+ private:
+  // With the vptr, one 16-byte word: the rid sits in what would otherwise
+  // be padding, so a rid-only payload and its control block fill a 32-byte
+  // slab slot.
+  std::uint8_t kind_;
+  std::uint8_t flags_;
+  std::uint32_t rid_;
+};
+static_assert(static_cast<std::uint8_t>(ValueClass::kDigest) ==
+                  MessagePayload::kDependentBit &&
+              static_cast<std::uint8_t>(ValueClass::kBulk) ==
+                  (MessagePayload::kDependentBit | MessagePayload::kBulkBit));
+
+// A string literal as a template argument: a payload type's name.
+template <std::size_t N>
+struct TypeName {
+  constexpr TypeName(const char (&s)[N]) { std::copy_n(s, N, text); }
+  char text[N];
 };
 
-// Base of every server -> client reply. A client runs its protocol in
-// rounds, one per quorum phase, and tags each round's requests with a fresh
-// request id; the server echoes that id in its reply, so `rid` names the
-// round the reply answers. RoundClient (sim/process.h) reads it to drop
-// replies to rounds that are over. A reply's encode_content writes `rid`
-// itself, like any other field.
-struct Reply : MessagePayload {
-  explicit Reply(std::uint64_t r) : rid(r) {}
-  const Reply* as_reply() const final { return this; }
+// Payload's IsReply argument for a server -> client reply.
+inline constexpr bool kReply = true;
 
-  std::uint64_t rid = 0;
+// The base of a concrete payload type: its family kind K (an enumerator of
+// the family's kind enum), its type_name() and whether it is a reply
+// (kReply), stated once. Constructors take the rid (omitted outside
+// rounds) and the value class (default kNone).
+template <auto K, TypeName Name, bool IsReply = false>
+struct Payload : MessagePayload {
+  static constexpr std::uint8_t kKind = static_cast<std::uint8_t>(K);
+
+  std::string_view type_name() const final {
+    return {Name.text, sizeof(Name.text) - 1};
+  }
+
+ protected:
+  explicit Payload(std::uint32_t rid, ValueClass value = ValueClass::kNone)
+      : MessagePayload(kKind, flags(value), rid) {}
+  explicit Payload(ValueClass value = ValueClass::kNone)
+      : Payload(0, value) {}
+
+ private:
+  static constexpr std::uint8_t flags(ValueClass value) {
+    return static_cast<std::uint8_t>(value) | (IsReply ? kReplyBit : 0);
+  }
 };
+
+// The one abort for a message a handler has no case for: `who` is the
+// receiving process's name.
+[[noreturn]] inline void unexpected_message(std::string_view who,
+                                            const MessagePayload& msg) {
+  MEMU_UNREACHABLE(std::string(who) + " got unexpected message " +
+                   std::string(msg.type_name()));
+}
 
 using MessagePtr = std::shared_ptr<const MessagePayload>;
 

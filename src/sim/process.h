@@ -22,6 +22,7 @@
 #include "common/arena.h"
 #include "common/bits.h"
 #include "common/buffer.h"
+#include "common/check.h"
 #include "common/ids.h"
 #include "common/nodeset.h"
 #include "sim/message.h"
@@ -235,32 +236,39 @@ class CloneableProcess : public Process {
 };
 
 // The base of every client. A client talks to servers in rounds, one per
-// quorum phase: each round draws a fresh rid_, every request of the round
-// carries it, and every Reply echoes it. Each request kind has one reply
-// type and a round sends one kind, so a reply to the open round is of the
-// type that round awaits.
+// quorum phase: each round draws a fresh rid_ (next_round()), every request
+// of the round carries it, and every reply echoes it. Each request kind has
+// one reply type and a round sends one kind, so a reply to the open round
+// is of the type that round awaits.
 //
 // The stale-reply rule, written once: a reply is stale when the client has
 // no open round (Derived::idle()) or the reply answers another round
-// (rid != rid_). ignores() applies it, plus the one extra condition a
-// family may add by defining a public `bool ignores_reply(const Reply&)
-// const` (the CAS and STRIP readers drop a read reply for a tag other than
-// their target). A message that is not a Reply is always delivered.
+// (rid() != rid_). ignores() applies it, plus the one extra condition a
+// family may add by defining a public `bool ignores_reply(const
+// MessagePayload&) const` (the CAS and STRIP readers drop a read reply for
+// a tag other than their target). A message that is not a reply
+// (MessagePayload::is_reply) is always delivered.
 template <class Derived>
 class RoundClient : public CloneableProcess<Derived> {
  public:
   bool ignores(NodeId /*from*/, const MessagePayload& msg) const final {
-    const Reply* reply = msg.as_reply();
-    if (reply == nullptr) return false;
+    if (!msg.is_reply()) return false;
     const Derived& self = static_cast<const Derived&>(*this);
-    return self.idle() || reply->rid != rid_ || self.ignores_reply(*reply);
+    return self.idle() || msg.rid() != rid_ || self.ignores_reply(msg);
   }
 
   // A family's extra condition on a reply to the open round: none here.
-  bool ignores_reply(const Reply& /*reply*/) const { return false; }
+  bool ignores_reply(const MessagePayload& /*reply*/) const { return false; }
 
  protected:
-  std::uint64_t rid_ = 0;  // the open round's id; the last round's when idle
+  // Opens the next round and returns its rid. Payloads carry rids in 32
+  // bits, so a client stops here rather than reuse one.
+  std::uint32_t next_round() {
+    MEMU_CHECK_MSG(rid_ < UINT32_MAX, "request ids exhausted");
+    return ++rid_;
+  }
+
+  std::uint32_t rid_ = 0;  // the open round's id; the last round's when idle
 };
 
 }  // namespace memu

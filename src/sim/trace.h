@@ -9,6 +9,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bits.h"
@@ -19,7 +20,7 @@ namespace memu {
 struct TraceEvent {
   std::uint64_t step = 0;
   ChannelId chan;
-  std::string type_name;
+  std::string_view type_name;  // MessagePayload::type_name(): static
   StateBits size;
   bool dropped = false;  // delivered to a crashed node
 };
@@ -35,7 +36,7 @@ class Trace {
   // Deliveries per message type.
   std::map<std::string, std::size_t> count_by_type() const {
     std::map<std::string, std::size_t> out;
-    for (const auto& e : events_) ++out[e.type_name];
+    for (const auto& e : events_) ++out[std::string(e.type_name)];
     return out;
   }
 

@@ -141,21 +141,24 @@ void World::enqueue(ChannelId chan, MessagePtr payload) {
   channels_.push(chan, Message{std::move(payload), 0});
 }
 
+std::uint8_t World::held_bits(ChannelId chan) const {
+  if (frozen_.contains(chan.src) || frozen_.contains(chan.dst) ||
+      partition_blocks(chan))
+    return kClosed;
+  return (value_blocked_.contains(chan.src) ? MessagePayload::kDependentBit
+                                             : 0) |
+         (bulk_blocked_.contains(chan.src) ? MessagePayload::kBulkBit : 0);
+}
+
 std::size_t World::first_allowed_index(
     ChannelId chan, const ChannelTable::Queue& queue) const {
   if (queue.empty()) return kNoIndex;
   if (crashed_.contains(chan.dst)) return kNoIndex;  // held; dropped on delivery
-  if (frozen_.contains(chan.src) || frozen_.contains(chan.dst)) return kNoIndex;
-  if (partition_blocks(chan)) return kNoIndex;
-  const bool vblock = value_blocked_.contains(chan.src);
-  const bool bblock = bulk_blocked_.contains(chan.src);
-  if (!vblock && !bblock) return 0;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const auto& payload = *queue[i].payload;
-    if (vblock && payload.value_dependent()) continue;
-    if (bblock && payload.value_bulk()) continue;
-    return i;
-  }
+  const std::uint8_t held = held_bits(chan);
+  if (held == 0) return 0;
+  if (held == kClosed) return kNoIndex;
+  for (std::size_t i = 0; i < queue.size(); ++i)
+    if (admits(held, *queue[i].payload)) return i;
   return kNoIndex;
 }
 
@@ -202,18 +205,10 @@ std::vector<std::pair<ChannelId, std::size_t>> World::channel_contents()
 std::vector<std::size_t> World::deliverable_indices(ChannelId chan) const {
   std::vector<std::size_t> out;
   const ChannelTable::Queue* queue = channels_.find(chan);
-  if (queue == nullptr) return out;
-  if (crashed_.contains(chan.dst)) return out;
-  if (frozen_.contains(chan.src) || frozen_.contains(chan.dst)) return out;
-  if (partition_blocks(chan)) return out;
-  const bool vblock = value_blocked_.contains(chan.src);
-  const bool bblock = bulk_blocked_.contains(chan.src);
-  for (std::size_t i = 0; i < queue->size(); ++i) {
-    const auto& payload = *(*queue)[i].payload;
-    if (vblock && payload.value_dependent()) continue;
-    if (bblock && payload.value_bulk()) continue;
-    out.push_back(i);
-  }
+  if (queue == nullptr || crashed_.contains(chan.dst)) return out;
+  const std::uint8_t held = held_bits(chan);
+  for (std::size_t i = 0; i < queue->size(); ++i)
+    if (admits(held, *(*queue)[i].payload)) out.push_back(i);
   return out;
 }
 
@@ -229,22 +224,16 @@ void World::deliver(ChannelId chan, std::size_t index) {
   const ChannelTable::Queue* queue = channels_.find(chan);
   MEMU_CHECK_MSG(queue != nullptr && index < queue->size(),
                  "no message at " << chan << "[" << index << "]");
-  MEMU_CHECK_MSG(!frozen_.contains(chan.src) && !frozen_.contains(chan.dst),
-                 "delivery on frozen channel " << chan);
-  MEMU_CHECK_MSG(!partition_blocks(chan),
-                 "delivery across partitioned channel " << chan);
-  MEMU_CHECK_MSG(!value_blocked_.contains(chan.src) ||
-                     !(*queue)[index].payload->value_dependent(),
-                 "value-dependent delivery from value-blocked " << chan.src);
-  MEMU_CHECK_MSG(!bulk_blocked_.contains(chan.src) ||
-                     !(*queue)[index].payload->value_bulk(),
-                 "bulk-value delivery from bulk-blocked " << chan.src);
+  MEMU_CHECK_MSG(admits(held_bits(chan), *(*queue)[index].payload),
+                 "delivery of a held message "
+                     << chan << "[" << index
+                     << "] (frozen end, partition, or value/bulk block)");
   Message msg = channels_.pop(chan, index);
 
   ++step_count_;
   const bool dropped = crashed_.contains(chan.dst);
   if (tracing_) {
-    trace_.record({step_count_, chan, std::string(msg.payload->type_name()),
+    trace_.record({step_count_, chan, msg.payload->type_name(),
                    msg.payload->size_bits(), dropped});
   }
   if (dropped) return;  // dropped at a crashed node

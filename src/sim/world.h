@@ -349,7 +349,22 @@ class World {
  private:
   friend class Context;
 
-  // First deliverable index in `queue` under the current freeze and
+  // The delivery predicate, written once. held_bits(chan) is the set of
+  // value-class bits that hold a message on `chan` back —
+  // MessagePayload::kDependentBit while the sender is value-blocked,
+  // kBulkBit while it is bulk-blocked — or kClosed while the channel
+  // delivers nothing (either end frozen, or the partition cuts it).
+  // admits() applies it to one message. A crashed destination is not a hold: deliver() drops the
+  // message; the schedulers' view (first_allowed_index,
+  // deliverable_indices) skips such channels.
+  static constexpr std::uint8_t kClosed = 0xff;
+  std::uint8_t held_bits(ChannelId chan) const;
+  static bool admits(std::uint8_t held, const MessagePayload& msg) {
+    return held != kClosed &&
+           (static_cast<std::uint8_t>(msg.value_class()) & held) == 0;
+  }
+
+  // First deliverable index in `queue` under the current crash, freeze and
   // value-block state, or kNoIndex (shared constant in channel_table.h).
   std::size_t first_allowed_index(ChannelId chan,
                                   const ChannelTable::Queue& queue) const;

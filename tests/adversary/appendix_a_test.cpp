@@ -27,14 +27,14 @@ Value xor_of(const Value& a, const Value& b) {
 }
 
 // Message carrying a raw value to subtract out of the server's XOR cell.
-struct Subtract final : MessagePayload {
+struct Subtract final : Payload<0, "xor.subtract"> {
   Value value;
-  explicit Subtract(Value v) : value(std::move(v)) {}
-  std::string_view type_name() const override { return "xor.subtract"; }
+  explicit Subtract(Value v)
+      : Payload(ValueClass::kBulk), value(std::move(v)) {}
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 0};
   }
-  bool value_dependent() const override { return true; }
+  void encode_content(BufWriter& w) const override { w.bytes(value); }
 };
 
 // A server whose entire state is ONE value-sized XOR cell: the storage

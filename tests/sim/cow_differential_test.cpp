@@ -220,13 +220,13 @@ TEST(CowDifferential, WrongTagReadReplyEqualsDropAndSkipsDetach) {
     if (const auto* rf = dynamic_cast<const cas::ReadFinReq*>(&request)) {
       ASSERT_NE(rf->tag, other);
       w.enqueue({servers[0], reader},
-                make_msg<cas::ReadFinResp>(rf->rid, other, false, false,
+                make_msg<cas::ReadFinResp>(rf->rid(), other, false, false,
                                            ValueRef{}));
     } else {
       const auto& get = dynamic_cast<const strip::GetReq&>(request);
       ASSERT_NE(get.tag, other);
       w.enqueue({servers[0], reader},
-                make_msg<strip::GetResp>(get.rid, other,
+                make_msg<strip::GetResp>(get.rid(), other,
                                          strip::GetResp::Kind::kNothing,
                                          Bytes{}));
     }

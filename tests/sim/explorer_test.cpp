@@ -14,10 +14,9 @@ namespace {
 
 // ---- toy system: exact state counts -------------------------------------------
 
-struct Mark final : MessagePayload {
+struct Mark final : Payload<0, "test.mark"> {
   std::uint64_t id;
   explicit Mark(std::uint64_t i) : id(i) {}
-  std::string_view type_name() const override { return "test.mark"; }
   StateBits size_bits() const override { return {0, 64}; }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };

@@ -68,10 +68,9 @@ TEST(Reorder, SchedulerReorderPolicyKeepsCasAtomic) {
 TEST(Reorder, ExplorerReorderModeCoversMoreStates) {
   // Two distinguishable messages on ONE channel: FIFO explores one order,
   // reorder explores both.
-  struct Item final : MessagePayload {
+  struct Item final : Payload<0, "test.item"> {
     std::uint64_t id;
     explicit Item(std::uint64_t i) : id(i) {}
-    std::string_view type_name() const override { return "test.item"; }
     StateBits size_bits() const override { return {0, 64}; }
     void encode_content(BufWriter& w) const override { w.u64(id); }
   };
@@ -108,15 +107,12 @@ TEST(Reorder, ExplorerReorderModeCoversMoreStates) {
 
 // Payload with an explicit value-dependence class: a full value (bulk), an
 // o(log|V|) hash (value-dependent, not bulk), or pure metadata.
-struct Tagged final : MessagePayload {
+struct Tagged final : Payload<0, "test.tagged"> {
   std::uint64_t id;
-  bool dep;
-  bool bulk;
-  Tagged(std::uint64_t i, bool d, bool b) : id(i), dep(d), bulk(b) {}
-  std::string_view type_name() const override { return "test.tagged"; }
-  StateBits size_bits() const override { return {bulk ? 64.0 : 0.0, 64}; }
-  bool value_dependent() const override { return dep; }
-  bool value_bulk() const override { return bulk; }
+  Tagged(std::uint64_t i, ValueClass value) : Payload(value), id(i) {}
+  StateBits size_bits() const override {
+    return {value_bulk() ? 64.0 : 0.0, 64};
+  }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };
 
@@ -139,9 +135,9 @@ World blocked_world(void (World::*block)(NodeId)) {
   World w;
   const NodeId a = w.add_process(std::make_unique<TaggedSink>());
   const NodeId b = w.add_process(std::make_unique<TaggedSink>());
-  w.enqueue({a, b}, make_msg<Tagged>(0, /*dep=*/true, /*bulk=*/true));
-  w.enqueue({a, b}, make_msg<Tagged>(1, /*dep=*/false, /*bulk=*/false));
-  w.enqueue({a, b}, make_msg<Tagged>(2, /*dep=*/true, /*bulk=*/false));
+  w.enqueue({a, b}, make_msg<Tagged>(0, ValueClass::kBulk));
+  w.enqueue({a, b}, make_msg<Tagged>(1, ValueClass::kNone));
+  w.enqueue({a, b}, make_msg<Tagged>(2, ValueClass::kDigest));
   (w.*block)(a);
   return w;
 }

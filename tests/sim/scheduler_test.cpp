@@ -8,11 +8,11 @@
 namespace memu {
 namespace {
 
-struct Token final : MessagePayload {
+struct Token final : Payload<0, "test.token"> {
   std::uint64_t hops;
   explicit Token(std::uint64_t h) : hops(h) {}
-  std::string_view type_name() const override { return "test.token"; }
   StateBits size_bits() const override { return {0, 64}; }
+  void encode_content(BufWriter& w) const override { w.u64(hops); }
 };
 
 // Passes a token to the next node in a ring, `limit` times.

@@ -20,10 +20,9 @@
 namespace memu {
 namespace {
 
-struct Item final : MessagePayload {
+struct Item final : Payload<0, "test.item"> {
   std::uint64_t id;
   explicit Item(std::uint64_t i) : id(i) {}
-  std::string_view type_name() const override { return "test.item"; }
   StateBits size_bits() const override { return {0, 64}; }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };

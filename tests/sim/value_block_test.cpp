@@ -7,15 +7,15 @@ namespace memu {
 namespace {
 
 // Toy payloads for exercising selective value-blocking.
-struct MetaMsg final : MessagePayload {
-  std::string_view type_name() const override { return "test.meta"; }
+struct MetaMsg final : Payload<0, "test.meta"> {
   StateBits size_bits() const override { return {0, 8}; }
+  void encode_content(BufWriter&) const override {}
 };
 
-struct ValueMsg final : MessagePayload {
-  std::string_view type_name() const override { return "test.value"; }
+struct ValueMsg final : Payload<1, "test.value"> {
+  ValueMsg() : Payload(ValueClass::kBulk) {}
   StateBits size_bits() const override { return {64, 0}; }
-  bool value_dependent() const override { return true; }
+  void encode_content(BufWriter&) const override {}
 };
 
 class Sink final : public CloneableProcess<Sink> {

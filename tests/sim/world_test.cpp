@@ -9,11 +9,11 @@ namespace memu {
 namespace {
 
 // Toy payload carrying one integer.
-struct Ping final : MessagePayload {
+struct Ping final : Payload<0, "test.ping"> {
   std::uint64_t n;
   explicit Ping(std::uint64_t v) : n(v) {}
-  std::string_view type_name() const override { return "test.ping"; }
   StateBits size_bits() const override { return {0, 64}; }
+  void encode_content(BufWriter& w) const override { w.u64(n); }
 };
 
 // Toy process: counts received pings; echoes each ping back with n + 1 when
