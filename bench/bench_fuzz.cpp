@@ -23,7 +23,7 @@
 
 #include "bench_json.h"
 #include "common/arena.h"
-#include "common/env.h"
+#include "common/cli.h"
 #include "fuzz/campaign.h"
 #include "fuzz/minimizer.h"
 #include "fuzz/plan.h"
@@ -35,13 +35,6 @@ namespace {
 
 using namespace memu;
 using namespace memu::fuzz;
-
-// Walk-count override for CI smoke runs: MEMU_FUZZ_WALKS shrinks the
-// campaign so a Release bench-smoke job finishes in seconds. Unset (the
-// default) runs the size the committed baseline records.
-std::size_t env_walks(std::size_t def) {
-  return env::u64_or(env::kFuzzWalks, def);
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -93,9 +86,23 @@ FuzzTrace violating_trace() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   const unsigned cores = std::thread::hardware_concurrency();
-  const std::size_t walks = env_walks(256);
+  // `--walks N` shrinks the campaign so a Release bench-smoke job finishes
+  // in seconds. Unset (the default) runs the size the committed baseline
+  // records.
+  std::size_t walks = 256;
+  try {
+    const cli::Args a = cli::parse(argc, argv, {}, {"walks"});
+    MEMU_CHECK_MSG(a.positional.empty(),
+                   "unexpected argument '" << a.positional.front() << "'");
+    walks = a.num("walks", walks);
+    MEMU_CHECK_MSG(walks > 0, "--walks must be positive");
+  } catch (const std::exception& e) {
+    std::cerr << "bench_fuzz: " << e.what()
+              << "\nusage: bench_fuzz [--walks N]\n";
+    return 2;
+  }
 
   SystemSpec spec;
   spec.algo = "abd";

@@ -28,7 +28,7 @@
 #include "algo/cas/system.h"
 #include "bench_json.h"
 #include "common/arena.h"
-#include "common/env.h"
+#include "common/cli.h"
 #include "common/table.h"
 #include "consistency/checker.h"
 #include "engine/frontier.h"
@@ -41,12 +41,12 @@ using namespace memu;
 
 constexpr std::size_t kValueBytes = 12;
 
-// State-budget override for CI smoke runs: MEMU_EXPLORE_MAX_STATES caps the
-// expensive explorations so a Release bench-smoke job finishes in seconds.
-// Unset (the default) runs the full spaces the committed baselines record.
-std::size_t env_max_states(std::size_t def) {
-  return env::u64_or(env::kExploreMaxStates, def);
-}
+// State cap for CI smoke runs: `--max-states N` caps the expensive
+// explorations so a Release bench-smoke job finishes in seconds. Unset (the
+// default) runs the full spaces the committed baselines record.
+std::optional<std::size_t> g_max_states;
+
+std::size_t max_states(std::size_t def) { return g_max_states.value_or(def); }
 
 // Budget for the --mem engine run: `--mem <bytes|512M|4G>` on the command
 // line, else 64 MiB — deliberately below the ~115 MB the unbudgeted
@@ -221,7 +221,7 @@ void cas_exhaustive() {
   sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
 
   ExploreOptions eopt;
-  eopt.max_states = env_max_states(2'000'000);
+  eopt.max_states = max_states(2'000'000);
   const auto res = engine::frontier_search(
       sys.world, eopt, {},
       [&](const World& w) -> std::optional<std::string> {
@@ -282,7 +282,7 @@ TimedExplore timed_explore(const ExploreOptions& opt,
 
 void engine_benchmark() {
   ExploreOptions base;
-  base.max_states = env_max_states(2'000'000);
+  base.max_states = max_states(2'000'000);
 
   ExploreOptions seq = base;
   ExploreOptions par = base;
@@ -305,7 +305,7 @@ void engine_benchmark() {
   red.reduction.symmetry = true;
   ExploreOptions full_ro = base;
   full_ro.reorder = true;
-  full_ro.max_states = env_max_states(4'000'000);
+  full_ro.max_states = max_states(4'000'000);
   ExploreOptions red_ro = full_ro;
   red_ro.reduction.sleep_sets = true;
   red_ro.reduction.symmetry = true;
@@ -583,18 +583,25 @@ void engine_benchmark() {
 
 int main(int argc, char** argv) {
   // The explicit flag beats the 64 MiB default.
-  std::optional<std::string> mem_flag;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--mem" && i + 1 < argc) {
-      mem_flag = argv[++i];
-    } else {
-      std::cerr << "usage: explore_exhaustive [--mem <bytes|512M|4G>]\n";
-      return 2;
+  bool mem_explicit = false;
+  try {
+    const cli::Args a = cli::parse(argc, argv, {}, {"mem", "max-states"});
+    MEMU_CHECK_MSG(a.positional.empty(),
+                   "unexpected argument '" << a.positional.front() << "'");
+    if (const auto mem = a.opt("mem")) {
+      g_mem_budget = MemBudget::parse(*mem);
+      mem_explicit = true;
     }
+    if (a.has("max-states")) {
+      g_max_states = a.num("max-states", 0);
+      MEMU_CHECK_MSG(*g_max_states > 0, "--max-states must be positive");
+    }
+  } catch (const std::exception& e) {
+    std::cerr << "explore_exhaustive: " << e.what() << '\n'
+              << "usage: explore_exhaustive [--mem <bytes|512M|4G>]"
+                 " [--max-states N]\n";
+    return 2;
   }
-  const bool mem_explicit = mem_flag.has_value();
-  if (mem_explicit) g_mem_budget = MemBudget::parse(*mem_flag);
   // An explicitly requested budget also caps the World slab pools
   // (process blocks, channel slots, oplog chunks — the "COW snapshot
   // slack" the --mem split leaves unmetered): exhausting it CHECK-fails

@@ -2,7 +2,7 @@
 // engine's measurement helpers (src/sweep/measure.h): instead of quoting
 // the analytic upper bounds, run the real algorithms in the simulator with
 // nu parked (active) writes and measure peak total storage. The same
-// parked_*/steady_* calls back `memu_sweep --measure`, so the bench and the
+// parked_*/steady_* calls back `memu sweep --measure`, so the bench and the
 // sweep CSV cannot disagree.
 //
 // Shape claims to reproduce:

@@ -1,5 +1,5 @@
 // Figure 1 regeneration (analytic series) — a thin console wrapper over the
-// sweep engine: the same evaluate_bounds() that powers `memu_sweep` produces
+// sweep engine: the same evaluate_bounds() that powers `memu sweep` produces
 // every row here, so this bench can never drift from the sweep CSV.
 //
 // The paper's only figure plots normalized total-storage bounds against the

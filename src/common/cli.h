@@ -1,17 +1,16 @@
-// The one command-line parser behind memu, memu_fuzz and memu_sweep.
+// The one command-line parser behind `memu` and the console benches.
 //
-// Each tool names its flags up front: `switches` take no value, `values`
-// take the next argument. Anything else spelled "--name" is an error, as is
-// a value flag in the last position or a flag given twice; all three throw
-// ContractError naming the flag, so a misspelled `--thread 1` fails loudly
-// instead of running with the default. Arguments without "--" are
-// positional. Count values go through env::parse_count, the same strict
-// digit loop the MEMU_* overrides use.
+// Each subcommand names its flags up front: `switches` take no value,
+// `values` take the next argument. Anything else spelled "--name" is an
+// error, as is a value flag in the last position or a flag given twice; all
+// three throw ContractError naming the flag, so a misspelled `--thread 1`
+// fails loudly instead of running with the default. Arguments without "--"
+// are positional. Count values go through parse_count.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <initializer_list>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -19,9 +18,26 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 
 namespace memu::cli {
+
+// A decimal count: ASCII digits only, no sign, no whitespace, no suffix,
+// and no wrap past 2^64 - 1. Anything else throws ContractError naming
+// `what` (a flag like "--threads" or a positional like "N"), so "-1",
+// "12abc" and "" fail loudly everywhere.
+inline std::uint64_t parse_count(const std::string& text, const char* what) {
+  MEMU_CHECK_MSG(!text.empty(), what << " is empty");
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    MEMU_CHECK_MSG(c >= '0' && c <= '9',
+                   what << "='" << text << "' is not a decimal count");
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    MEMU_CHECK_MSG(v <= (UINT64_MAX - digit) / 10,
+                   what << "='" << text << "' overflows");
+    v = v * 10 + digit;
+  }
+  return v;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -31,7 +47,7 @@ struct Args {
   std::size_t num(const std::string& f, std::size_t fallback) const {
     const auto it = flags.find(f);
     if (it == flags.end()) return fallback;
-    return env::parse_count(it->second, ("--" + f).c_str());
+    return parse_count(it->second, ("--" + f).c_str());
   }
   std::string str(const std::string& f, const std::string& fallback) const {
     const auto it = flags.find(f);
@@ -44,10 +60,11 @@ struct Args {
   }
 };
 
+// Parses argv[1..argc); argv[0] is the program (or subcommand) name.
 inline Args parse(int argc, const char* const* argv,
-                  std::initializer_list<std::string_view> switches,
-                  std::initializer_list<std::string_view> values) {
-  const auto named = [](std::initializer_list<std::string_view> names,
+                  const std::vector<std::string_view>& switches,
+                  const std::vector<std::string_view>& values) {
+  const auto named = [](const std::vector<std::string_view>& names,
                         const std::string& key) {
     return std::find(names.begin(), names.end(), key) != names.end();
   };

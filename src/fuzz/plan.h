@@ -97,7 +97,7 @@ struct FuzzPlan {
   // deliberately excluded from to_json() and the trace format. Purely a
   // wall-clock knob; 1 = in-line serial execution.
   std::size_t threads = 1;
-  // Memory budget for the campaign (`--mem` on memu_fuzz). Walk memory is
+  // Memory budget for the campaign (`--mem` on `memu fuzz`). Walk memory is
   // transient — each walk's World replica and history die with the walk —
   // so the budget is validated up front against the concurrent-walk
   // envelope (run_campaign CHECK-fails with a sizing hint if `threads`

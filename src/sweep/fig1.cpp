@@ -18,7 +18,7 @@ class Fig1CsvSink : public RowSink {
     out_ << "# Figure 1 reproduction: normalized total storage vs active "
             "writes (grid "
          << opt.grid.to_string() << ")\n"
-         << "# regenerate with: memu_sweep --fig1\n"
+         << "# regenerate with: memu fig1\n"
          << "nu,thm_b1,thm_41,thm_51,thm_65,abd,erasure,"
             "abd_meas,cas_meas,casgc_meas,ldr_meas\n";
   }
@@ -47,7 +47,7 @@ class Fig1CsvSink : public RowSink {
 const char* const kGnuplotScript =
     R"(# Figure 1 — Information-Theoretic Lower Bounds on the Storage Cost of
 # Shared Memory Emulation (PODC 2016), N = 21, f = 10.
-# Data: fig1_data.csv (regenerate both files with: memu_sweep --fig1)
+# Data: fig1_data.csv (regenerate both files with: memu fig1)
 # Render: gnuplot fig1_plot.gp   (writes fig1.svg)
 set datafile separator ','
 set terminal svg size 900,600 dynamic background rgb 'white'

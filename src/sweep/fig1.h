@@ -1,6 +1,6 @@
 // The committed Figure 1 reproduction artifact.
 //
-// `memu_sweep --fig1` drives one sweep over the paper's exact
+// `memu fig1` drives one sweep over the paper's exact
 // configuration (N = 21, f = 10, nu = 1..16, B = 960) with measurement
 // enabled, and writes two files into the output directory:
 //

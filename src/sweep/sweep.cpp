@@ -140,7 +140,7 @@ void append_json_field(std::string& body, const char* name, double v) {
 }  // namespace
 
 void CsvSink::begin(const SweepOptions& opt) {
-  out_ << "# memu_sweep grid=" << opt.grid.to_string()
+  out_ << "# memu sweep grid=" << opt.grid.to_string()
        << " measure=" << (opt.measure ? 1 : 0) << '\n'
        << kBoundsHeader << (opt.measure ? kMeasuredHeader : "") << '\n';
 }
@@ -169,7 +169,7 @@ void CsvSink::row(const Cell& cell, const BoundsRow& bounds,
 }
 
 void JsonSink::begin(const SweepOptions& opt) {
-  out_ << "{\"sweep\":\"memu_sweep\",\"grid\":\"" << opt.grid.to_string()
+  out_ << "{\"sweep\":\"memu sweep\",\"grid\":\"" << opt.grid.to_string()
        << "\",\"measure\":" << (opt.measure ? "true" : "false")
        << ",\"rows\":[";
   first_ = true;

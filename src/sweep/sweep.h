@@ -132,7 +132,7 @@ SweepStats run_sweep(const SweepOptions& opt, RowSink& sink);
 // Shared by both sinks so CSV and JSON agree on every digit.
 std::string format_value(double v);
 
-// Streaming CSV: a `# memu_sweep grid=... measure=...` comment, a header
+// Streaming CSV: a `# memu sweep grid=... measure=...` comment, a header
 // row, then one line per cell. Deliberately excludes threads, --mem, and
 // timing — anything that may differ between byte-identical runs.
 class CsvSink : public RowSink {

@@ -44,5 +44,26 @@ TEST(CliParse, RejectsMisuseNamingTheFlag) {
   }
 }
 
+TEST(ParseCount, AcceptsPlainDecimals) {
+  EXPECT_EQ(parse_count("0", "--k"), 0u);
+  EXPECT_EQ(parse_count("12", "--max-states"), 12u);
+  EXPECT_EQ(parse_count("18446744073709551615", "--seed"), UINT64_MAX);
+}
+
+TEST(ParseCount, RejectsMalformedCountsNamingTheFlag) {
+  // Each of these used to slip through std::stoull: "-1" wrapped to
+  // 2^64 - 1, "12abc" read as 12, and "x" failed as a bare "stoull".
+  for (const char* text :
+       {"-1", "12abc", "x", "", "18446744073709551616", " 7", "+3"}) {
+    try {
+      parse_count(text, "--threads");
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace memu::cli
