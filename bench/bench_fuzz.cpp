@@ -86,23 +86,16 @@ FuzzTrace violating_trace() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const unsigned cores = std::thread::hardware_concurrency();
   // `--walks N` shrinks the campaign so a Release bench-smoke job finishes
   // in seconds. Unset (the default) runs the size the committed baseline
   // records.
-  std::size_t walks = 256;
-  try {
-    const cli::Args a = cli::parse(argc, argv, {}, {"walks"});
-    MEMU_CHECK_MSG(a.positional.empty(),
-                   "unexpected argument '" << a.positional.front() << "'");
-    walks = a.num("walks", walks);
-    MEMU_CHECK_MSG(walks > 0, "--walks must be positive");
-  } catch (const std::exception& e) {
-    std::cerr << "bench_fuzz: " << e.what()
-              << "\nusage: bench_fuzz [--walks N]\n";
-    return 2;
-  }
+  const cli::Args a = cli::parse(argc, argv, {}, {"walks"});
+  MEMU_CHECK_MSG(a.positional.empty(),
+                 "unexpected argument '" << a.positional.front() << "'");
+  const std::size_t walks = a.num("walks", 256);
+  MEMU_CHECK_MSG(walks > 0, "--walks must be positive");
 
   SystemSpec spec;
   spec.algo = "abd";
@@ -236,4 +229,9 @@ int main(int argc, char** argv) {
   }
   benchjson::write("fuzz", root);
   return determinism_ok && minimize_ok ? 0 : 1;
+} catch (const std::exception& e) {
+  // A bad flag or an error raised during the run is no verdict: one line
+  // and exit 2, as memu does.
+  std::cerr << "bench_fuzz: " << error_message(e) << '\n';
+  return 2;
 }

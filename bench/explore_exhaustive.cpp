@@ -2,6 +2,9 @@
 // seed-sweep evidence ("no violation in 20 random schedules") to a proof
 // over ALL per-channel-FIFO schedules for small systems.
 //
+// Flags: --mem <bytes|512M|4G> (a ceiling for every exploration and the
+// World slab pools; default 64 MiB per exploration) and --max-states N.
+//
 // Verifies, for every reachable state / terminal state:
 //   * ABD (write-back reads): atomicity of every terminal history, liveness
 //     (quiescence implies responses), and unreachability of the new-old
@@ -581,34 +584,24 @@ void engine_benchmark() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // The explicit flag beats the 64 MiB default.
-  bool mem_explicit = false;
-  try {
-    const cli::Args a = cli::parse(argc, argv, {}, {"mem", "max-states"});
-    MEMU_CHECK_MSG(a.positional.empty(),
-                   "unexpected argument '" << a.positional.front() << "'");
-    if (const auto mem = a.opt("mem")) {
-      g_mem_budget = MemBudget::parse(*mem);
-      mem_explicit = true;
-    }
-    if (a.has("max-states")) {
-      g_max_states = a.num("max-states", 0);
-      MEMU_CHECK_MSG(*g_max_states > 0, "--max-states must be positive");
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "explore_exhaustive: " << e.what() << '\n'
-              << "usage: explore_exhaustive [--mem <bytes|512M|4G>]"
-                 " [--max-states N]\n";
-    return 2;
+int main(int argc, char** argv) try {
+  const cli::Args a = cli::parse(argc, argv, {}, {"mem", "max-states"});
+  MEMU_CHECK_MSG(a.positional.empty(),
+                 "unexpected argument '" << a.positional.front() << "'");
+  if (a.has("max-states")) {
+    g_max_states = a.num("max-states", 0);
+    MEMU_CHECK_MSG(*g_max_states > 0, "--max-states must be positive");
   }
-  // An explicitly requested budget also caps the World slab pools
-  // (process blocks, channel slots, oplog chunks — the "COW snapshot
-  // slack" the --mem split leaves unmetered): exhausting it CHECK-fails
-  // with a diagnostic naming the slab pool instead of silently growing
-  // past the cap. The 64 MiB default stays a per-run exploration budget
-  // only — this process runs unbudgeted configurations too.
-  if (mem_explicit) worldmem::set_limit(g_mem_budget.total);
+  // An explicitly requested budget beats the 64 MiB default and also caps
+  // the World slab pools (process blocks, channel slots, oplog chunks — the
+  // "COW snapshot slack" the --mem split leaves unmetered): exhausting it
+  // CHECK-fails with a diagnostic naming the slab pool instead of silently
+  // growing past the cap. The 64 MiB default stays a per-run exploration
+  // budget only — this process runs unbudgeted configurations too.
+  if (const auto mem = a.opt("mem")) {
+    g_mem_budget = MemBudget::parse(*mem);
+    worldmem::set_limit(g_mem_budget.total);
+  }
   std::cout << "=== Exhaustive interleaving exploration (all FIFO "
                "schedules, canonical-state dedup) ===\n\n";
   abd_exhaustive();
@@ -624,4 +617,9 @@ int main(int argc, char** argv) {
                "space of the configuration, not a sample; 'counterexample "
                "FOUND' exhibits the regular-vs-atomic gap automatically.\n";
   return 0;
+} catch (const std::exception& e) {
+  // A bad flag or an error raised during the run (an exhausted --mem) is
+  // no verdict: one line and exit 2, as memu does.
+  std::cerr << "explore_exhaustive: " << error_message(e) << '\n';
+  return 2;
 }

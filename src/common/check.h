@@ -8,14 +8,29 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace memu {
 
-// Thrown when a MEMU_CHECK contract is violated.
+// Thrown when a MEMU_CHECK contract is violated. what() names the checked
+// expression and its source location; message() is the caller's text alone,
+// the part a command line shows its user (empty when there is none).
 class ContractError : public std::logic_error {
  public:
-  explicit ContractError(const std::string& what) : std::logic_error(what) {}
+  explicit ContractError(const std::string& what, std::string message = {})
+      : std::logic_error(what), message_(std::move(message)) {}
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
+
+// The line a command line prints for `e`: a ContractError's message when it
+// has one, else what().
+inline std::string error_message(const std::exception& e) {
+  const auto* c = dynamic_cast<const ContractError*>(&e);
+  return c != nullptr && !c->message().empty() ? c->message() : e.what();
+}
 
 namespace detail {
 
@@ -24,7 +39,7 @@ namespace detail {
   std::ostringstream os;
   os << "contract violated: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw ContractError(os.str());
+  throw ContractError(os.str(), msg);
 }
 
 }  // namespace detail

@@ -58,23 +58,9 @@ double parked_cas(std::size_t n, std::size_t f, std::size_t k, std::size_t nu,
                                                       .delta = delta});
 }
 
-double steady_abd(std::size_t n, std::size_t f, std::size_t writes,
-                  std::size_t value_size) {
-  return steady("abd", {.n_servers = n, .f = f, .value_size = value_size},
-                writes);
-}
-
 double steady_ldr(std::size_t n, std::size_t f, std::size_t writes,
                   std::size_t value_size) {
   return steady("ldr", {.n_servers = n, .f = f, .value_size = value_size},
-                writes);
-}
-
-double steady_strip(std::size_t n, std::size_t f, std::size_t writes,
-                    std::size_t value_size) {
-  // delta = 0: keep only the newest committed version.
-  return steady("strip",
-                {.n_servers = n, .f = f, .value_size = value_size, .delta = 0},
                 writes);
 }
 

@@ -10,10 +10,10 @@
 //
 // Parked measurements (`parked_*`) reproduce Section 2.3's worst case: nu
 // writes driven to their value-dependent phase and frozen there, so every
-// server holds all nu unfinished versions. Steady-state measurements
-// (`steady_*`) drain the system after sequential writes and report the
-// quiescent footprint — the regime where LDR's f + 1 replica placement and
-// StripStore's strip-on-commit pay off.
+// server holds all nu unfinished versions. The steady-state measurement
+// (`steady_ldr`) drains the system after sequential writes and reports the
+// quiescent footprint — the regime where LDR's f + 1 replica placement
+// pays off.
 #pragma once
 
 #include <cstddef>
@@ -30,15 +30,10 @@ double parked_abd(std::size_t n, std::size_t f, std::size_t nu,
 double parked_cas(std::size_t n, std::size_t f, std::size_t k, std::size_t nu,
                   std::optional<std::size_t> delta, std::size_t value_size);
 
-// Quiescent total value storage / B after `writes` sequential writes.
-double steady_abd(std::size_t n, std::size_t f, std::size_t writes,
-                  std::size_t value_size);
+// Quiescent total value storage / B after `writes` sequential writes of
 // LDR (Fan-Lynch): values on f + 1 replicas only — Figure 1's idealized
 // replication line, achieved.
 double steady_ldr(std::size_t n, std::size_t f, std::size_t writes,
                   std::size_t value_size);
-// StripStore with delta = 0 (newest committed version only): ~N/(N-f).
-double steady_strip(std::size_t n, std::size_t f, std::size_t writes,
-                    std::size_t value_size);
 
 }  // namespace memu::sweep

@@ -17,6 +17,9 @@ namespace memu::sweep {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+// Cells per shard unit: the grain of work stealing and of the in-order
+// flush. Output does not depend on it.
+constexpr std::size_t kBlockCells = 256;
 
 bounds::Params params_for(const Cell& c) {
   bounds::Params p;
@@ -218,7 +221,7 @@ void JsonSink::end() { out_ << "]}\n"; }
 SweepStats run_sweep(const SweepOptions& opt, RowSink& sink) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t total = opt.grid.cells();
-  const std::size_t block = std::max<std::size_t>(1, opt.block_cells);
+  const std::size_t block = kBlockCells;
   const std::size_t nblocks = (total + block - 1) / block;
   const std::size_t threads = std::max<std::size_t>(1, opt.threads);
 

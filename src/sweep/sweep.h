@@ -94,7 +94,6 @@ struct SweepOptions {
   bool measure = false;
   std::size_t threads = 1;
   MemBudget mem;            // 0 = unbudgeted; else key table + window shares
-  std::size_t block_cells = 256;  // cells per shard unit
 };
 
 struct SweepStats {

@@ -40,28 +40,44 @@ TEST(Strip, ReadBeforeWriteDecodesInitialFromSymbols) {
 }
 
 TEST(Strip, CommitStripsFullCopiesToSymbols) {
-  // THE mechanism: after a committed, quiesced write every server holds a
-  // B/(N-f)-bit symbol, not a B-bit copy — total N/(N-f) * B.
-  Options opt;
-  opt.n_servers = 5;
-  opt.f = 2;           // k = 3
-  opt.value_size = 60;  // symbol = 20 bytes
-  opt.delta = 0;        // keep only the newest committed version
-  System sys = make_system(opt);
-  Scheduler sched;
+  // THE mechanism: after a committed, quiesced write every server holds one
+  // RS(N, N-f) symbol of ceil(value_size / (N-f)) bytes, not a B-bit copy —
+  // total N/(N-f) * B up to shard padding.
+  struct Case {
+    std::size_t n, f, value_size, total_bits;
+  };
+  for (const Case c : {
+           // k = 3, symbol = 20 bytes: exactly N/(N-f) * B, Singleton-optimal.
+           Case{5, 2, 60, 5 * 20 * 8},
+           // B = 960 bits: k = 3, 7, 11, 16, so 1.667, 1.35, 1.925 and 1.4
+           // times B against N/(N-f) = 1.667, 1.286, 1.909 and 1.312.
+           // Figure 1's N=21, f=10 pays ceil(120/11) = 11-byte symbols.
+           Case{5, 2, 120, 5 * 40 * 8},
+           Case{9, 2, 120, 9 * 18 * 8},
+           Case{21, 10, 120, 21 * 11 * 8},
+           Case{21, 5, 120, 21 * 8 * 8},
+       }) {
+    Options opt;
+    opt.n_servers = c.n;
+    opt.f = c.f;
+    opt.value_size = c.value_size;
+    opt.delta = 0;  // keep only the newest committed version
+    System sys = make_system(opt);
+    Scheduler sched;
 
-  sys.world.invoke(sys.writers[0],
-                   write_of(unique_value(1, 1, opt.value_size)));
-  ASSERT_TRUE(sched.run_until_responses(sys.world, 1, 100000));
-  ASSERT_TRUE(sched.drain(sys.world, 100000));
+    sys.world.invoke(sys.writers[0],
+                     write_of(unique_value(1, 1, opt.value_size)));
+    ASSERT_TRUE(sched.run_until_responses(sys.world, 1, 100000)) << c.n;
+    ASSERT_TRUE(sched.drain(sys.world, 100000)) << c.n;
 
-  for (std::size_t i = 0; i < opt.n_servers; ++i) {
-    EXPECT_EQ(server_at(sys, i).full_copies(), 0u) << i;
-    EXPECT_EQ(server_at(sys, i).symbols(), 1u) << i;
+    for (std::size_t i = 0; i < opt.n_servers; ++i) {
+      EXPECT_EQ(server_at(sys, i).full_copies(), 0u) << c.n << ' ' << i;
+      EXPECT_EQ(server_at(sys, i).symbols(), 1u) << c.n << ' ' << i;
+    }
+    EXPECT_DOUBLE_EQ(sys.world.total_server_storage().value_bits,
+                     static_cast<double>(c.total_bits))
+        << c.n;
   }
-  const double B = 8.0 * 60;
-  EXPECT_DOUBLE_EQ(sys.world.total_server_storage().value_bits,
-                   5.0 * B / 3.0);  // N/(N-f) * B: Singleton-optimal
 }
 
 TEST(Strip, ActiveWriteCostsFullValues) {

@@ -37,6 +37,16 @@ TEST(Bounds, NoGossipIsTwiceSingletonAsymptotically) {
   EXPECT_NEAR(ratio_large, 2.0, 0.01);
 }
 
+TEST(Bounds, UniversalIsTwiceSingletonAsymptotically) {
+  // 2N/(N-f+2) vs N/(N-f) = 2(N-f)/(N-f+2): 22/13 at Figure 1's parameters,
+  // -> 2 as N grows with f fixed.
+  EXPECT_NEAR(universal_normalized(kN, kF) / singleton_normalized(kN, kF),
+              22.0 / 13.0, 1e-12);
+  EXPECT_NEAR(universal_normalized(10001, kF) /
+                  singleton_normalized(10001, kF),
+              2.0, 0.001);
+}
+
 TEST(Bounds, NoGossipExactForm) {
   const Params p{kN, kF, 4096};
   // N (log|V| + log(|V|-1) - log(N-f)) / (N-f+1); log(|V|-1) == 4096 at this
@@ -56,6 +66,7 @@ TEST(Bounds, UniversalExactForm) {
   const Params p{kN, kF, 4096};
   const double expected = 21.0 * (4096 + 4096 - 2 * std::log2(11.0)) / 13.0;
   EXPECT_NEAR(universal_total(p), expected, 1e-6);
+  EXPECT_NEAR(universal_max(p), expected / 21.0, 1e-6);
   EXPECT_NEAR(universal_normalized(kN, kF), 42.0 / 13.0, 1e-12);
 }
 
@@ -110,6 +121,7 @@ TEST(Bounds, RestrictedExactFormLargeV) {
       3 * 4096.0 - std::log2(6.0) - 3 * std::log2(13.0) - std::log2(6.0);
   EXPECT_NEAR(thm_65_rhs(p, nu), expected, 1e-6);
   EXPECT_NEAR(restricted_total(p, nu), 21.0 * expected / 13.0, 1e-4);
+  EXPECT_NEAR(restricted_max(p, nu), expected / 13.0, 1e-6);
 }
 
 TEST(Bounds, RestrictedExactFormSmallV) {

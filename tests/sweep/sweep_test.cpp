@@ -81,7 +81,7 @@ TEST(MemoKeyFor, LogVBucketsByByteAndClampsToMinimum) {
 SweepOptions bounds_grid_options() {
   SweepOptions opt;
   opt.grid = GridSpec::parse("N=3:21:2,f=1:10,nu=1:4,logV=8:64:8");
-  return opt;  // 3200 cells, bounds only
+  return opt;  // 3200 cells, bounds only: 12.5 blocks of 256
 }
 
 TEST(RunSweep, CsvByteIdenticalAcrossThreadWidths) {
@@ -92,10 +92,6 @@ TEST(RunSweep, CsvByteIdenticalAcrossThreadWidths) {
     opt.threads = threads;
     EXPECT_EQ(run_csv(opt), serial) << "threads=" << threads;
   }
-  // Odd block sizes shift every shard boundary; output must not care.
-  opt.threads = 4;
-  opt.block_cells = 7;
-  EXPECT_EQ(run_csv(opt), serial);
 }
 
 TEST(RunSweep, JsonByteIdenticalAcrossThreadWidths) {

@@ -627,7 +627,7 @@ int main(int argc, char** argv) {
     }
     return cmd->run(a) ? kPassed : kNegative;
   } catch (const std::exception& e) {
-    std::cerr << "memu " << cmd->name << ": " << e.what() << '\n';
+    std::cerr << "memu " << cmd->name << ": " << error_message(e) << '\n';
     return kNoVerdict;
   }
 }
