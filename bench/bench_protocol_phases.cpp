@@ -16,6 +16,7 @@
 #include "algo/cas/system.h"
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
+#include "common/cli.h"
 #include "common/table.h"
 #include "engine/scheduler.h"
 #include "workload/driver.h"
@@ -57,8 +58,11 @@ LatencyStats run_workload(System sys, std::size_t writers_quota,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
   using namespace memu;
+  const cli::Args a = cli::parse(argc, argv, {}, {});
+  MEMU_CHECK_MSG(a.positional.empty(),
+                 "unexpected argument '" << a.positional.front() << "'");
   constexpr std::size_t kValueSize = 64;
   constexpr std::size_t kQuota = 4;
 
@@ -177,4 +181,9 @@ int main() {
       << "Exactly one phase per write carries value-dependent messages: the "
          "Assumption-3 class of Theorem 6.5.\n";
   return 0;
+} catch (const std::exception& e) {
+  // It takes no arguments; any argument, or an error raised during the
+  // run, is no verdict: one line and exit 2, as memu does.
+  std::cerr << "bench_protocol_phases: " << memu::error_message(e) << '\n';
+  return 2;
 }

@@ -86,9 +86,20 @@ SingletonReport verify_singleton_injectivity(
 
   report.distinct_states = vectors.size();
   report.injective = vectors.size() == domain_size;
-  for (const auto& [id, states] : per_server)
+  for (const auto& [id, states] : per_server) {
     report.per_server_distinct.push_back(states.size());
+    report.certificate_log2 += std::log2(static_cast<double>(states.size()));
+  }
   return report;
+}
+
+// The certificates are sums of logarithms; the slack absorbs rounding when
+// the inequality is tight (STRIP at |V| = 16 meets it with equality).
+constexpr double kLog2Slack = 1e-9;
+
+bool holds(const SingletonReport& r) {
+  return r.injective && r.probes_consistent &&
+         r.certificate_log2 + kLog2Slack >= r.bound_log2;
 }
 
 CriticalPointInfo find_critical_pair(
@@ -226,6 +237,12 @@ PairReport verify_pair_injectivity(
     report.certificate_log2 += std::log2(static_cast<double>(states.size()));
   }
   return report;
+}
+
+bool holds(const PairReport& r) {
+  return r.injective && r.all_found && r.all_consistent &&
+         r.all_single_change &&
+         r.certificate_log2 + kLog2Slack >= r.bound_log2;
 }
 
 }  // namespace memu::adversary

@@ -43,6 +43,7 @@ struct SingletonReport {
   // Distinct per-server states observed across the executions; the empirical
   // counterpart of |S_i| (sum of log2 of these >= bound_log2 if injective).
   std::vector<std::size_t> per_server_distinct;
+  double certificate_log2 = 0;  // sum_i log2(per_server_distinct[i])
 };
 
 // `crash_indices`: which servers (by position in Sut::servers) fail at the
@@ -52,6 +53,10 @@ SingletonReport verify_singleton_injectivity(
     const SutFactory& factory, std::size_t domain_size,
     const ProbeOptions& probe = {},
     const std::vector<std::size_t>& crash_indices = {});
+
+// Theorem B.1 held on this run: the map is injective, every alpha(v) probe
+// read v back, and certificate_log2 >= bound_log2.
+bool holds(const SingletonReport& r);
 
 // ---- Theorem 4.1 harness -------------------------------------------------------
 
@@ -98,5 +103,11 @@ PairReport verify_pair_injectivity(
     const SutFactory& factory, std::size_t domain_size,
     const ProbeOptions& probe = {},
     const std::vector<std::size_t>& crash_indices = {});
+
+// Theorem 4.1 (5.1 under the gossip-flushing probe) held on this run: every
+// execution had a critical pair whose probes flipped v1 -> v2 with exactly
+// one server changing (Lemma 4.8), the map is injective, and
+// certificate_log2 >= bound_log2.
+bool holds(const PairReport& r);
 
 }  // namespace memu::adversary

@@ -176,9 +176,8 @@ StagedExecution run_staged_execution(const MwSutFactory& factory,
   }
   out.completed = true;
 
-  const World final_point = build_point(st, out.sigma, out.a);
-  out.final_state_encoding_bytes = final_point.canonical_encoding().size();
-  const Bytes final_states = live_state_vector(final_point);
+  const Bytes final_states =
+      live_state_vector(build_point(st, out.sigma, out.a));
 
   BufWriter head;
   head.u64(nu);
@@ -257,6 +256,10 @@ Theorem65Report verify_staged_injectivity(const MwSutFactory& factory,
     report.live_servers = probe.servers.size() - (probe.f + 1 - nu);
   }
   return report;
+}
+
+bool holds(const Theorem65Report& r) {
+  return r.all_parked && r.all_completed && r.a_monotone && r.injective;
 }
 
 }  // namespace memu::adversary

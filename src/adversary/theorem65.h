@@ -78,10 +78,6 @@ struct StagedExecution {
   // coded elements), but NOT for overwriting storage like ABD, where the
   // final point has forgotten all but the tag-dominant value.
   Bytes single_point_signature;
-  // canonical_encoding().size() of the final point P_nu: what one deep copy
-  // of a staged world would cost. Benches use it as the baseline for the
-  // COW bytes-materialized-per-fork comparison. 0 unless `completed`.
-  std::size_t final_state_encoding_bytes = 0;
 };
 
 // Runs the full staged construction for one value tuple (values[i] is
@@ -109,5 +105,11 @@ struct Theorem65Report {
 // from a `domain`-element value set and checks injectivity.
 Theorem65Report verify_staged_injectivity(const MwSutFactory& factory,
                                           std::size_t domain, std::size_t nu);
+
+// Theorem 6.5 held on this run: every writer parked in its value phase,
+// every staged execution completed with weakly increasing prefixes, and the
+// multi-point map is injective. The paper's single-point map is reported,
+// not required: overwriting storage (ABD, LDR) fails it by design.
+bool holds(const Theorem65Report& r);
 
 }  // namespace memu::adversary

@@ -5,8 +5,9 @@
 // (deep-copy) only when a mutation hits a block another World still
 // references. These process-wide counters record how often snapshots are
 // taken and how many bytes the detaches actually materialize, so the
-// explorer and proof-harness benches can report bytes-copied-per-state —
-// the cost the COW refactor exists to shrink.
+// explorer bench and the proof-harness case tests can report the bytes
+// copied per state or per fork — the cost the COW refactor exists to
+// shrink.
 //
 // Layout: the counters are per-thread. Every thread bumps its own
 // cache-line-aligned block (single writer, so increments never contend or

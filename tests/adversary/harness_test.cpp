@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "engine/scheduler.h"
+#include "fork_cost.h"
 
 namespace memu::adversary {
 namespace {
@@ -265,6 +269,111 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{3, 1, false, 0}, SweepCase{5, 2, false, 0},
                       SweepCase{7, 3, false, 0}, SweepCase{4, 1, true, 2},
                       SweepCase{6, 2, true, 2}, SweepCase{7, 2, true, 3}));
+
+// ---- Every case of the executed proofs --------------------------------------
+//
+// One input per (family, shape) the paper's counting arguments are executed
+// on; each asserts every condition holds() checks, then holds() itself. A
+// deployment is named by registry family and built inside the test (the
+// registry is not ready during static initialization).
+struct Deploy {  // sut_factory's arguments
+  std::string_view algo;
+  std::size_t n, f, k, value_size;
+  std::optional<std::size_t> delta;
+
+  SutFactory factory() const {
+    return sut_factory(algo, n, f, k, value_size, delta);
+  }
+};
+
+// The deployments the tables run on. Coded families store 18-byte values,
+// which k = 3 divides.
+constexpr Deploy kAbd5{"abd", 5, 2, 0, kValueSize, {}};
+constexpr Deploy kAbd7{"abd", 7, 3, 0, kValueSize, {}};
+constexpr Deploy kSwmr5{"abd-swmr", 5, 2, 0, kValueSize, {}};
+constexpr Deploy kCas5{"cas", 5, 1, 3, kValueSize + 2, {}};
+constexpr Deploy kCas7{"cas", 7, 2, 3, kValueSize + 2, {}};
+constexpr Deploy kCasgc5{"casgc", 5, 1, 3, kValueSize + 2, 1};
+constexpr Deploy kGossip5{"gossip", 5, 2, 0, kValueSize, {}};
+constexpr Deploy kLdr5{"ldr", 5, 1, 0, kValueSize, {}};
+constexpr Deploy kStrip5{"strip", 5, 2, 0, kValueSize, {}};
+
+// A case prints as its name, so test listings stay stable across builds.
+struct B1Case {
+  const char* name;
+  Deploy sut;
+};
+void PrintTo(const B1Case& c, std::ostream* os) { *os << c.name; }
+
+class TheoremB1Cases : public ::testing::TestWithParam<B1Case> {};
+
+TEST_P(TheoremB1Cases, Holds) {
+  const auto r = verify_singleton_injectivity(GetParam().sut.factory(), 16);
+  EXPECT_TRUE(r.injective);
+  EXPECT_TRUE(r.probes_consistent);
+  EXPECT_GE(r.certificate_log2 + 1e-9, r.bound_log2);
+  EXPECT_TRUE(holds(r));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paper, TheoremB1Cases,
+    ::testing::Values(B1Case{"abd_n5_f2", kAbd5}, B1Case{"abd_n7_f3", kAbd7},
+                      B1Case{"abd_swmr_n5_f2", kSwmr5},
+                      B1Case{"cas_n5_f1_k3", kCas5},
+                      B1Case{"cas_n7_f2_k3", kCas7},
+                      B1Case{"casgc_n5_f1_k3_d1", kCasgc5},
+                      B1Case{"gossip_n5_f2", kGossip5},
+                      B1Case{"ldr_n5_f1", kLdr5},
+                      // Meets the inequality with equality:
+                      // sum log2|S_i| = log2 16.
+                      B1Case{"strip_n5_f2", kStrip5}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+struct PairCase {
+  const char* name;
+  Deploy sut;
+  std::size_t domain;
+  bool flush_gossip;  // Theorem 5.1's probe (Definition 5.3)
+  double cow_bytes_per_fork;  // measured when the ceiling was set
+};
+void PrintTo(const PairCase& c, std::ostream* os) { *os << c.name; }
+
+class Theorem41Cases : public ::testing::TestWithParam<PairCase> {};
+
+TEST_P(Theorem41Cases, Holds) {
+  const PairCase& c = GetParam();
+  ProbeOptions probe;
+  probe.flush_gossip = c.flush_gossip;
+  const SutFactory factory = c.sut.factory();
+  PairReport r;
+  const double cost = testing::cow_bytes_per_fork(
+      [&] { r = verify_pair_injectivity(factory, c.domain, probe); });
+  EXPECT_TRUE(r.all_found);
+  EXPECT_TRUE(r.all_consistent);
+  EXPECT_TRUE(r.all_single_change);
+  EXPECT_TRUE(r.injective);
+  EXPECT_GE(r.certificate_log2 + 1e-9, r.bound_log2);
+  EXPECT_TRUE(holds(r));
+  EXPECT_GT(cost, 0.0);
+  EXPECT_LE(cost, testing::kForkCostSlack * c.cow_bytes_per_fork);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paper, Theorem41Cases,
+    ::testing::Values(
+        PairCase{"abd_n5_f2", kAbd5, 5, false, 48},
+        PairCase{"abd_n7_f3", kAbd7, 4, false, 54.4},
+        PairCase{"abd_swmr_n5_f2", kSwmr5, 5, false, 51},
+        PairCase{"cas_n5_f1_k3", kCas5, 5, false, 135.028},
+        PairCase{"cas_n7_f2_k3", kCas7, 4, false, 155.864},
+        PairCase{"casgc_n5_f1_k3_d1", kCasgc5, 4, false, 134.361},
+        PairCase{"ldr_n5_f1", kLdr5, 4, false, 124.75},
+        PairCase{"strip_n5_f2", kStrip5, 4, false, 151.714},
+        // Theorem 5.1: inter-server channels flushed before each probe.
+        PairCase{"abd_n5_f2_flushed", kAbd5, 4, true, 48},
+        PairCase{"gossip_n5_f2_flushed", kGossip5, 4, true, 91},
+        PairCase{"cas_n5_f1_k3_flushed", kCas5, 4, true, 135.028}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace memu::adversary

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "fork_cost.h"
+
 namespace memu::adversary {
 namespace {
 
@@ -169,6 +173,63 @@ TEST(Theorem65, ValueBlockedWriterStillFinalizes) {
   // directed probe finalized through the value-block.
   EXPECT_EQ(ex.a[0], 4u);
 }
+
+// ---- Every case of the executed construction --------------------------------
+//
+// One input per (family, shape, nu) Theorem 6.5 and the Section 6.5
+// conjecture are executed on (cas-hash: CAS plus an o(log|V|) hash phase,
+// probed with bulk-only blocking). Each asserts every condition holds()
+// checks, then holds() itself, and whether the paper's single-final-point
+// map is injective: it is for accreting storage (CAS, STRIP) and is not for
+// overwriting storage (ABD, LDR), whose final point forgets all but the
+// tag-dominant value.
+struct StagedCase {
+  const char* name;
+  const char* algo;
+  std::size_t n, f, k, nu, domain;
+  bool single_point_injective;
+  double cow_bytes_per_fork;  // measured when the ceiling was set
+};
+void PrintTo(const StagedCase& c, std::ostream* os) { *os << c.name; }
+
+class Theorem65Cases : public ::testing::TestWithParam<StagedCase> {};
+
+TEST_P(Theorem65Cases, Holds) {
+  const StagedCase& c = GetParam();
+  const MwSutFactory factory =
+      mw_factory(c.algo, c.n, c.f, c.k, c.nu, kValueSize);
+  Theorem65Report r;
+  const double cost = testing::cow_bytes_per_fork(
+      [&] { r = verify_staged_injectivity(factory, c.domain, c.nu); });
+  EXPECT_TRUE(r.all_parked);
+  EXPECT_TRUE(r.all_completed);
+  EXPECT_TRUE(r.a_monotone);
+  EXPECT_TRUE(r.injective);
+  EXPECT_TRUE(holds(r));
+  EXPECT_EQ(r.single_point_injective, c.single_point_injective);
+  EXPECT_GT(cost, 0.0);
+  EXPECT_LE(cost, testing::kForkCostSlack * c.cow_bytes_per_fork);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paper, Theorem65Cases,
+    ::testing::Values(
+        StagedCase{"abd_n5_f2_nu2", "abd", 5, 2, 0, 2, 4, false, 60},
+        StagedCase{"abd_n5_f2_nu3", "abd", 5, 2, 0, 3, 3, false, 69.2308},
+        StagedCase{"abd_n7_f3_nu2", "abd", 7, 3, 0, 2, 4, false, 65.1429},
+        StagedCase{"cas_n5_f1_k3_nu2", "cas", 5, 1, 3, 2, 4, true, 166.824},
+        StagedCase{"cas_n7_f2_k3_nu2", "cas", 7, 2, 3, 2, 3, true, 192.524},
+        StagedCase{"cas_n7_f2_k3_nu3", "cas", 7, 2, 3, 3, 3, true, 222.548},
+        StagedCase{"strip_n5_f1_nu2", "strip", 5, 1, 0, 2, 3, true, 235.412},
+        StagedCase{"strip_n7_f2_nu3", "strip", 7, 2, 0, 3, 3, true, 327.903},
+        StagedCase{"ldr_n5_f2_nu2", "ldr", 5, 2, 0, 2, 3, false, 161.143},
+        StagedCase{"cas_hash_n5_f1_k3_nu2", "cas-hash", 5, 1, 3, 2, 4, true,
+                   317.412},
+        StagedCase{"cas_hash_n7_f2_k3_nu2", "cas-hash", 7, 2, 3, 2, 3, true,
+                   373.476},
+        StagedCase{"cas_hash_n7_f2_k3_nu3", "cas-hash", 7, 2, 3, 3, 3, true,
+                   522.548}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace memu::adversary

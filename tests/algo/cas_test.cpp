@@ -3,6 +3,7 @@
 #include "algo/cas/system.h"
 #include "engine/scheduler.h"
 #include "tests/algo/probe.h"
+#include "workload/driver.h"
 
 namespace memu::cas {
 namespace {
@@ -88,41 +89,90 @@ TEST(Cas, ServerStoresShardsNotFullValues) {
   }
 }
 
+// Runs `writes` sequential writes from writer 0, then drains the world.
+void write_sequentially(System& sys, const Options& opt,
+                        std::uint64_t writes) {
+  Scheduler sched;
+  for (std::uint64_t s = 1; s <= writes; ++s) {
+    sys.world.invoke(sys.writers[0],
+                     write_of(unique_value(1, s, opt.value_size)));
+    ASSERT_TRUE(sched.run_until_responses(sys.world, 1, 10000));
+  }
+  sched.drain(sys.world, 100000);
+}
+
 TEST(Cas, PlainCasNeverGarbageCollects) {
   Options opt;
   opt.delta = std::nullopt;
   System sys = make_system(opt);
-  Scheduler sched;
-
-  for (std::uint64_t s = 1; s <= 5; ++s) {
-    sys.world.invoke(sys.writers[0],
-                     write_of(unique_value(1, s, opt.value_size)));
-    ASSERT_TRUE(sched.run_until_responses(sys.world, 1, 10000));
-  }
-  sched.drain(sys.world, 100000);
-  EXPECT_EQ(server_at(sys, 0).stored_versions(), 6u);  // v0 + 5 writes
+  ASSERT_NO_FATAL_FAILURE(write_sequentially(sys, opt, 8));
+  // v0 + 8 writes on every server: 9 elements of B/3 bits on 5 servers.
+  for (std::size_t i = 0; i < opt.n_servers; ++i)
+    EXPECT_EQ(server_at(sys, i).stored_versions(), 9u) << i;
+  EXPECT_DOUBLE_EQ(sys.world.total_server_storage().value_bits /
+                       (8.0 * static_cast<double>(opt.value_size)),
+                   15.0);
 }
 
 TEST(Cas, CasgcBoundsStoredVersions) {
-  Options opt;
-  opt.delta = 1;
-  System sys = make_system(opt);
-  Scheduler sched;
-
-  for (std::uint64_t s = 1; s <= 6; ++s) {
-    sys.world.invoke(sys.writers[0],
-                     write_of(unique_value(1, s, opt.value_size)));
+  // After 8 sequential writes CASGC(delta) holds exactly delta + 1 versions
+  // per server, (delta + 1) N / k times B in all.
+  for (const std::size_t delta : {0u, 1u, 3u}) {
+    Options opt;
+    opt.delta = delta;
+    System sys = make_system(opt);
+    ASSERT_NO_FATAL_FAILURE(write_sequentially(sys, opt, 8));
+    for (std::size_t i = 0; i < opt.n_servers; ++i) {
+      EXPECT_EQ(server_at(sys, i).stored_versions(), delta + 1)
+          << "delta=" << delta << " server " << i;
+      EXPECT_GT(server_at(sys, i).gc_watermark(), Tag::initial()) << i;
+    }
+    EXPECT_DOUBLE_EQ(sys.world.total_server_storage().value_bits /
+                         (8.0 * static_cast<double>(opt.value_size)),
+                     static_cast<double>(delta + 1) * 5.0 / 3.0)
+        << "delta=" << delta;
+    // Reads still work after GC.
+    Scheduler sched;
+    sys.world.invoke(sys.readers[0], read_op());
     ASSERT_TRUE(sched.run_until_responses(sys.world, 1, 10000));
+    EXPECT_EQ(value_identity(sys.world.oplog().events().back().value).seq,
+              8u);
   }
-  sched.drain(sys.world, 100000);
-  for (std::size_t i = 0; i < opt.n_servers; ++i) {
-    EXPECT_LE(server_at(sys, i).stored_versions(), *opt.delta + 1) << i;
-    EXPECT_GT(server_at(sys, i).gc_watermark(), Tag::initial());
+}
+
+// Plain CAS never collects garbage, so under a fair schedule its peak is
+// every version ever written, whatever the interleaving. Two writers x three
+// writes leave v0 + 6 versions, a B/3-bit element each, on 5 servers:
+// 35/3 B under round-robin and each random seed below. That is above the
+// 5 B of two parked writes; the parked-write driver pins the number of
+// active writes, not the largest peak.
+TEST(Cas, PlainCasPeakIsEveryVersionUnderAnySchedule) {
+  struct Schedule {
+    Scheduler::Policy policy;
+    std::uint64_t seed;
+  };
+  for (const Schedule sch : {Schedule{Scheduler::Policy::kRoundRobin, 0},
+                             Schedule{Scheduler::Policy::kRandom, 1},
+                             Schedule{Scheduler::Policy::kRandom, 7},
+                             Schedule{Scheduler::Policy::kRandom, 42},
+                             Schedule{Scheduler::Policy::kRandom, 1337}}) {
+    Options opt;
+    opt.n_writers = 2;
+    opt.n_readers = 0;
+    opt.value_size = 120;
+    System sys = make_system(opt);
+    workload::Options wopt;
+    wopt.writes_per_writer = 3;
+    wopt.reads_per_reader = 0;
+    wopt.value_size = opt.value_size;
+    wopt.policy = sch.policy;
+    wopt.seed = sch.seed;
+    const workload::RunResult res =
+        workload::run(sys.world, sys.writers, sys.readers, wopt);
+    ASSERT_TRUE(res.completed) << "seed " << sch.seed;
+    EXPECT_DOUBLE_EQ(res.storage.normalized_peak_total(8.0 * 120), 35.0 / 3.0)
+        << "seed " << sch.seed;
   }
-  // Reads still work after GC.
-  sys.world.invoke(sys.readers[0], read_op());
-  ASSERT_TRUE(sched.run_until_responses(sys.world, 1, 10000));
-  EXPECT_EQ(value_identity(sys.world.oplog().events().back().value).seq, 6u);
 }
 
 // The heart of the paper's erasure-coding upper bound: storage grows

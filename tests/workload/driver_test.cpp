@@ -165,20 +165,72 @@ TEST(Driver, BeforeStepHookGetsRetriesWhileStalled) {
 }
 
 TEST(Park, CasStorageScalesWithParkedWrites) {
-  const std::size_t value_size = 60;
-  const double shard_bits = 8.0 * 60 / 3;
+  // Each server holds v0 plus nu parked versions, one B/k-bit element each:
+  // (nu + 1) N / k times B. The N = 9, f = 2 shapes span the code dimension
+  // from replication per version (k = 1) to maximal erasure coding
+  // (k = N - 2f = 5), the horizontal axis of the replication-vs-coding
+  // tradeoff. Every value size is a multiple of k, so the ratios are exact.
+  struct Shape {
+    std::size_t n, f, k, nu, value_size;
+  };
   const algo::Family& cas = algo::family("cas");
-  for (const std::size_t nu : {1u, 2u, 3u}) {
-    algo::Deployment sys = cas.build({.n_servers = 5,
-                                      .f = 1,
-                                      .k = 3,
-                                      .n_writers = nu,
-                                      .value_size = value_size});
-    const StorageReport rep = park_active_writes(sys, cas, nu, value_size);
-    // v0 + nu parked versions on each of 5 servers.
-    EXPECT_DOUBLE_EQ(rep.peak_total.value_bits,
-                     5.0 * shard_bits * static_cast<double>(nu + 1))
-        << "nu=" << nu;
+  for (const Shape s : {Shape{5, 1, 3, 1, 60}, Shape{5, 1, 3, 2, 60},
+                        Shape{5, 1, 3, 3, 60}, Shape{9, 2, 1, 2, 120},
+                        Shape{9, 2, 2, 2, 120}, Shape{9, 2, 3, 2, 120},
+                        Shape{9, 2, 4, 2, 120}, Shape{9, 2, 5, 2, 120}}) {
+    algo::Deployment sys = cas.build({.n_servers = s.n,
+                                      .f = s.f,
+                                      .k = s.k,
+                                      .n_writers = s.nu,
+                                      .value_size = s.value_size});
+    const StorageReport rep = park_active_writes(sys, cas, s.nu, s.value_size);
+    const double b = 8.0 * static_cast<double>(s.value_size);
+    const double want = static_cast<double>((s.nu + 1) * s.n) /
+                        static_cast<double>(s.k);
+    // The value-bit supremum, and the value bits where the total peaked.
+    EXPECT_DOUBLE_EQ(rep.normalized_peak_total(b), want)
+        << "N=" << s.n << " k=" << s.k << " nu=" << s.nu;
+    EXPECT_DOUBLE_EQ(rep.peak_total.value_bits / b, want)
+        << "N=" << s.n << " k=" << s.k << " nu=" << s.nu;
+  }
+}
+
+// Tags and other metadata are the paper's o(log|V|) term: with one parked
+// write, the value-bit peak / B stays put as B = log2|V| grows, while the
+// metadata at the peak stays the same number of bits, so its share of the
+// with-metadata peak vanishes.
+TEST(Park, MetadataIsLittleOOfValueBits) {
+  struct Shape {
+    const char* algo;
+    std::size_t f, k;
+  };
+  for (const Shape s : {Shape{"abd", 2, 0}, Shape{"cas", 1, 3}}) {
+    const algo::Family& fam = algo::family(s.algo);
+    double first_metadata_bits = 0;
+    double overhead = 0;
+    for (const std::size_t value_size : {16u, 120u, 1024u, 8192u}) {
+      algo::Deployment sys = fam.build(
+          {.n_servers = 5, .f = s.f, .k = s.k, .value_size = value_size});
+      const StorageReport rep = park_active_writes(sys, fam, 1, value_size);
+      const double b = 8.0 * static_cast<double>(value_size);
+      const double value = rep.normalized_peak_total(b);
+      // ABD: a full copy on each of N = 5 servers. CAS: v0 and the parked
+      // version, a ceil(B/k)-bit element each, on each of 5 servers.
+      const double elements = static_cast<double>((value_size + 2) / 3);
+      EXPECT_DOUBLE_EQ(value, s.k == 0 ? 5.0 : 10.0 * elements /
+                                                   static_cast<double>(
+                                                       value_size))
+          << s.algo << " B=" << b;
+      const double metadata_bits =
+          (rep.normalized_peak_total_with_metadata(b) - value) * b;
+      EXPECT_GT(metadata_bits, 0.0) << s.algo << " B=" << b;
+      if (first_metadata_bits == 0) first_metadata_bits = metadata_bits;
+      EXPECT_DOUBLE_EQ(metadata_bits, first_metadata_bits)
+          << s.algo << " B=" << b;
+      overhead = metadata_bits / b / value;
+    }
+    // At B = 65536 the metadata is under 1% of the value bits.
+    EXPECT_LT(overhead, 0.01) << s.algo;
   }
 }
 

@@ -16,11 +16,10 @@ and one loop evaluates them. Rules:
     same      current == baseline                     (verdict, exact count)
 
 A path is dotted (`reduction.verdict_match`) and may start with a list
-selector: `runs[mode].states_per_sec` pairs each run with the baseline run of
-the same `mode`; `cases[case,gossip_variant]` keys on both fields;
-`scaling[threads=4]` picks the one element whose `threads` is 4. `where`
-conditions decide whether a row applies to a pair; a row that does not
-apply prints why.
+selector on one key: `runs[mode].states_per_sec` pairs each run with the
+baseline run of the same `mode`; `scaling[threads=4]` picks the one element
+whose `threads` is 4. `where` conditions decide whether a row applies to a
+pair; a row that does not apply prints why.
 
 Missing fields follow one policy: absent from the baseline, the row is
 skipped with an `ok ... no baseline` line; present in the baseline but
@@ -44,10 +43,8 @@ import sys
 from typing import NamedTuple
 
 EXPLORE = "BENCH_explore_exhaustive.json"
-HARNESS_41 = "BENCH_proof_harness_41.json"
-HARNESS_65 = "BENCH_proof_harness_65.json"
 FUZZ = "BENCH_fuzz.json"
-BENCHES = [EXPLORE, HARNESS_41, HARNESS_65, FUZZ]
+BENCHES = [EXPLORE, FUZZ]
 
 failures = []
 
@@ -133,10 +130,6 @@ PARALLEL_RUNNER = unless(
 
 RUN = (SAME_DEDUPE,)
 SPEEDUP_AT_GATE = f"scaling[threads={SCALING_GATE_THREADS}].speedup_x"
-HARNESS_41_VERDICTS = ["holds", "injective", "all_found", "all_consistent",
-                       "all_single_change"]
-HARNESS_65_VERDICTS = ["all_parked", "all_completed", "a_monotone",
-                       "multi_point_injective", "single_point_injective"]
 
 ROWS = [
     # Explorer: per-run throughput, COW traffic and memory.
@@ -173,20 +166,6 @@ ROWS = [
     Row(EXPLORE, "reduction.n4_reduction_x", "higher", where=(N4_COMPLETE,)),
     Row(EXPLORE, "reduction.n4_reduction_x", "at_least", REDUCTION_MIN_X,
         (N4_COMPLETE,)),
-    # Proof harnesses: the theorem verdicts hold exactly as committed, and
-    # the fork cost stays put. Per-case wall times are microsecond-noisy, so
-    # only the all-cases fork rate is gated.
-    # Theorem 4.1 runs some cases twice, with and without gossip, under one
-    # name; gossip_variant tells them apart.
-    *[Row(HARNESS_41, f"cases[case,gossip_variant].{f}", "same")
-      for f in HARNESS_41_VERDICTS],
-    Row(HARNESS_41, "cases[case,gossip_variant].cow_bytes_per_copy", "lower"),
-    *[Row(HARNESS_65, f"cases[case].{f}", "same")
-      for f in HARNESS_65_VERDICTS],
-    Row(HARNESS_65, "cases[case].cow_bytes_per_copy", "lower"),
-    *[row for bench in (HARNESS_41, HARNESS_65) for row in (
-        Row(bench, "world_copies_per_sec", "higher"),
-        Row(bench, "peak_rss_kb", "lower", where=(BASE_RSS_POSITIVE,)))],
     # Fuzz: determinism is a correctness property; throughput is compared
     # only between campaigns of the same size.
     Row(FUZZ, "thread_determinism_ok", "true"),
@@ -246,7 +225,7 @@ def lookup(doc, dotted):
     return doc
 
 
-SELECTOR = re.compile(r"(\w+)\[([\w,]+)(?:=([^\]]*))?\]\.(.+)")
+SELECTOR = re.compile(r"(\w+)\[(\w+)(?:=([^\]]*))?\]\.(.+)")
 
 
 def pairs(path, cur_doc, base_doc):
@@ -256,19 +235,15 @@ def pairs(path, cur_doc, base_doc):
     if m is None:
         yield path, cur_doc, base_doc, path
         return
-    name, keys, only, field = m.groups()
-    keys = keys.split(",")
-
-    def key(el):
-        return tuple(el.get(k) for k in keys)
+    name, key, only, field = m.groups()
 
     def keyed(doc):
         els = [el for el in doc.get(name, [])
-               if only is None or str(el.get(keys[0])) == only]
-        by_key = {key(el): el for el in els}
+               if only is None or str(el.get(key)) == only]
+        by_key = {el.get(key): el for el in els}
         if len(by_key) != len(els):
-            fail(f"{name}[{','.join(keys)}]: two elements share a key, so "
-                 "one would be compared against the other's baseline")
+            fail(f"{name}[{key}]: two elements share a key, so one would be "
+                 "compared against the other's baseline")
         return by_key
 
     cur, base = keyed(cur_doc), keyed(base_doc)
@@ -277,10 +252,8 @@ def pairs(path, cur_doc, base_doc):
                next(iter(base.values()), MISSING), field)
         return
     for k in [*cur, *(k for k in base if k not in cur)]:
-        label = ",".join(
-            f"{n}={v.strip() if isinstance(v, str) else json.dumps(v)}"
-            for n, v in zip(keys, k))
-        yield (f"{name}[{label}].{field}", cur.get(k, MISSING),
+        label = k if isinstance(k, str) else json.dumps(k)
+        yield (f"{name}[{key}={label}].{field}", cur.get(k, MISSING),
                base.get(k, MISSING), field)
 
 

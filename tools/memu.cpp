@@ -9,9 +9,10 @@
 //
 // Exit codes, applied in main() only:
 //   0  the command passed;
-//   1  a verdict came back negative: a violation, "not injective",
-//      `completed: NO`, a replay that did not reproduce, a shrink input that
-//      did not violate, or `--expect-violations` finding none;
+//   1  a verdict came back negative: a violation, a `verify` condition
+//      that failed (-> VIOLATED), `completed: NO`, a replay that did not
+//      reproduce, a shrink input that did not violate, or
+//      `--expect-violations` finding none;
 //   2  no verdict: a usage error, malformed input, an exhausted --mem
 //      budget, or any other exception (one line, "memu <subcommand>: ...").
 #include <algorithm>
@@ -198,6 +199,10 @@ bool cmd_run(const Args& a) {
   return res.completed && weak.ok;
 }
 
+const char* yes_no(bool b) { return b ? "yes" : "NO"; }
+
+// Each theorem's line names every condition its adversary::holds() checks,
+// and the exit code is that function's verdict.
 bool cmd_verify(const Args& a) {
   const std::string& which = a.positional[0];
   MEMU_CHECK_MSG(which == "b1" || which == "41" || which == "51" ||
@@ -209,6 +214,10 @@ bool cmd_verify(const Args& a) {
   const std::size_t domain = a.num("domain", 4);
   // N = 5; coded families need N >= 2f + k, so they run at f = 1 (k = 3).
   const std::size_t f = fam.reads_field(algo::kK) ? 1 : 2;
+  const auto verdict = [](bool held) {
+    std::cout << (held ? " -> HOLDS" : " -> VIOLATED") << '\n';
+    return held;
+  };
 
   if (which == "65") {
     const char* why = fam.in_value_phase == nullptr
@@ -223,12 +232,14 @@ bool cmd_verify(const Args& a) {
     const auto r = adversary::verify_staged_injectivity(
         adversary::mw_factory(fam.name, 5, f, 0, nu, 18), domain, nu);
     std::cout << "theorem 6.5 on " << fam.name << ": tuples=" << r.tuples
-              << " staged=" << (r.all_completed ? "yes" : "NO")
-              << " injective=" << (r.injective ? "yes" : "NO")
+              << " parked=" << yes_no(r.all_parked)
+              << " staged=" << yes_no(r.all_completed)
+              << " a-monotone=" << yes_no(r.a_monotone)
+              << " injective=" << yes_no(r.injective)
               << " (paper single-point map: "
               << (r.single_point_injective ? "injective" : "not injective")
-              << ")\n";
-    return r.injective;
+              << ")";
+    return verdict(adversary::holds(r));
   }
 
   const adversary::SutFactory factory =
@@ -236,19 +247,23 @@ bool cmd_verify(const Args& a) {
   if (which == "b1") {
     const auto r = adversary::verify_singleton_injectivity(factory, domain);
     std::cout << "theorem B.1 on " << fam.name << ": |V|=" << r.domain
-              << " injective=" << (r.injective ? "yes" : "NO")
-              << " probes=" << (r.probes_consistent ? "ok" : "BAD") << '\n';
-    return r.injective;
+              << " injective=" << yes_no(r.injective)
+              << " probes=" << yes_no(r.probes_consistent)
+              << " certificate=" << r.certificate_log2 << " >= "
+              << r.bound_log2;
+    return verdict(adversary::holds(r));
   }
   adversary::ProbeOptions probe;
   probe.flush_gossip = which == "51";
   const auto r = adversary::verify_pair_injectivity(factory, domain, probe);
   std::cout << "theorem " << (which == "51" ? "5.1" : "4.1") << " on "
             << fam.name << ": pairs=" << r.pairs
-            << " injective=" << (r.injective ? "yes" : "NO")
-            << " certificate=" << r.certificate_log2 << " >= " << r.bound_log2
-            << '\n';
-  return r.injective;
+            << " found=" << yes_no(r.all_found)
+            << " flips=" << yes_no(r.all_consistent)
+            << " single-change=" << yes_no(r.all_single_change)
+            << " injective=" << yes_no(r.injective)
+            << " certificate=" << r.certificate_log2 << " >= " << r.bound_log2;
+  return verdict(adversary::holds(r));
 }
 
 bool cmd_explore(const Args& a) {

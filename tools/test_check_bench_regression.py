@@ -96,24 +96,6 @@ def reduction_doc(ratio, complete=True):
         "reorder_both_complete": complete, "reorder_reduction_x": ratio}}
 
 
-def harness_case(name, gossip, **verdicts):
-    return {"case": name, "gossip_variant": gossip, "holds": True,
-            "injective": True, "cow_bytes_per_copy": 48, **verdicts}
-
-
-# Theorem 4.1 runs two cases under one name, told apart by gossip_variant.
-ABD = "ABD   N=5 f=2        "
-H41 = {"cases": [harness_case(ABD, False), harness_case(ABD, True)]}
-H41_NO_GOSSIP = f"cases[case={ABD.strip()},gossip_variant=false]"
-H41_GOSSIP = f"cases[case={ABD.strip()},gossip_variant=true]"
-
-
-def h41_with(index, **fields):
-    doc = copy.deepcopy(H41)
-    doc["cases"][index].update(fields)
-    return doc
-
-
 def fuzz_doc(walks=256, rate=1000.0, tests_run=10):
     return {"walks": walks, "walks_per_sec": rate,
             "thread_determinism_ok": True,
@@ -255,21 +237,6 @@ CASES = [
          reduction_doc(6.0),
          {"reduction.verdict_match", "reduction.pinned_violation_found",
           "reduction.reorder_both_complete"}),
-
-    # Proof harnesses: verdicts keyed by (case, gossip_variant).
-    # Keyed by name alone, both current cases would be compared against the
-    # gossip case's 60-byte baseline and pass.
-    Case("harness_duplicate_names_compare_per_gossip_variant",
-         gate.HARNESS_41, h41_with(0, cow_bytes_per_copy=61),
-         h41_with(1, cow_bytes_per_copy=60),
-         {f"{H41_NO_GOSSIP}.cow_bytes_per_copy"}),
-    Case("harness_violated_certificate_fails", gate.HARNESS_41,
-         h41_with(0, holds=False), H41, {f"{H41_NO_GOSSIP}.holds"}),
-    Case("harness_non_injective_gossip_case_fails", gate.HARNESS_41,
-         h41_with(1, injective=False), H41, {f"{H41_GOSSIP}.injective"}),
-    Case("harness_expected_non_injective_map_passes", gate.HARNESS_65,
-         {"cases": [{"case": "ABD", "single_point_injective": False}]},
-         {"cases": [{"case": "ABD", "single_point_injective": False}]}),
 
     # Fuzz: determinism always, throughput only at equal campaign size.
     Case("fuzz_walk_count_change_skips_throughput", gate.FUZZ,
