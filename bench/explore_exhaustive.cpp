@@ -16,7 +16,6 @@
 //     reachable state — the replication cost is exact, not just typical.
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -36,7 +35,6 @@
 #include "consistency/checker.h"
 #include "engine/frontier.h"
 #include "sim/cow_stats.h"
-#include "spin.h"
 
 namespace {
 
@@ -236,8 +234,8 @@ void cas_exhaustive() {
   report("CAS  N=3 f=1 k=1, write || read, atomic + live", res);
 }
 
-// Engine benchmark: the same CAS configuration explored sequentially and
-// with 8 worker threads, plus fingerprint-vs-exact visited-set memory.
+// Engine benchmark: the CAS configuration explored with fingerprint and
+// exact dedupe, under --mem, and reduced, plus the N=4 space.
 // Results land in BENCH_explore_exhaustive.json so CI can track them.
 World cas_bench_world(std::size_t n_servers = 3) {
   cas::Options opt;
@@ -288,8 +286,6 @@ void engine_benchmark() {
   base.max_states = max_states(2'000'000);
 
   ExploreOptions seq = base;
-  ExploreOptions par = base;
-  par.threads = 8;
   ExploreOptions exact = base;
   exact.exact_dedupe = true;
 
@@ -314,7 +310,6 @@ void engine_benchmark() {
   red_ro.reduction.symmetry = true;
 
   const TimedExplore s = timed_explore(seq);
-  const TimedExplore p = timed_explore(par);
   const TimedExplore e = timed_explore(exact);
   const TimedExplore m = timed_explore(mem);
   const TimedExplore r = timed_explore(red);
@@ -331,22 +326,6 @@ void engine_benchmark() {
   const TimedExplore n4f = timed_explore(n4_full, /*n_servers=*/4);
   const TimedExplore n4r = timed_explore(n4_red_mem, /*n_servers=*/4);
 
-  // Work-stealing scaling curve: the same space at 1/2/4/8 workers (the 1-
-  // and 8-thread points reuse the runs above). How far the curve climbs is
-  // bounded by the host's core count, recorded alongside.
-  std::vector<std::pair<std::size_t, const TimedExplore*>> scaling;
-  ExploreOptions two = base;
-  two.threads = 2;
-  ExploreOptions four = base;
-  four.threads = 4;
-  const TimedExplore t2 = timed_explore(two);
-  // The CPU share the machine gave around the 4-thread leg (see spin.h).
-  const double spin_before = bench::spin_parallelism();
-  const TimedExplore t4 = timed_explore(four);
-  const double parallelism =
-      std::min(spin_before, bench::spin_parallelism());
-  scaling = {{1, &s}, {2, &t2}, {4, &t4}, {8, &p}};
-
   const auto sem_match = [&s](const TimedExplore& t) {
     return s.result.states_visited == t.result.states_visited &&
            s.result.terminal_states == t.result.terminal_states &&
@@ -355,9 +334,7 @@ void engine_benchmark() {
            s.result.deduped == t.result.deduped &&
            s.result.complete == t.result.complete;
   };
-  const bool counts_match = sem_match(p);
   const bool budget_counts_match = sem_match(m);
-  const double speedup = p.seconds > 0 ? s.seconds / p.seconds : 0;
 
   // Reduction ratios and verdict agreement. The ratios are only meaningful
   // when both sides covered their full space (a smoke run truncates both at
@@ -404,12 +381,8 @@ void engine_benchmark() {
       per_state(s) > 0 ? deep_copy_bytes_per_state / per_state(s) : 0;
 
   std::cout << "  CAS N=3 f=1 (states=" << s.result.states_visited << "):\n"
-            << "    sequential: " << s.seconds << " s, 8 threads: "
-            << p.seconds << " s  -> speedup " << speedup << "x on " << cores
-            << " core(s), " << parallelism << " CPUs for "
-            << bench::kScalingGateThreads << " spinning threads\n"
-            << "    parallel counters "
-            << (counts_match ? "IDENTICAL to sequential" : "MISMATCH") << '\n'
+            << "    fingerprint dedupe: " << s.seconds << " s on " << cores
+            << " core(s)\n"
             << "    visited-set memory: fingerprint=" << s.result.dedupe_bytes
             << " B, exact=" << e.result.dedupe_bytes << " B  -> "
             << exact_over_fp << "x smaller\n"
@@ -481,11 +454,6 @@ void engine_benchmark() {
         .set("symmetry_merged", t.result.symmetry_merged)
         .set("symmetry_applied", t.result.symmetry_applied)
         .set("replay_steps", t.result.replay_steps)
-        // Work-stealing telemetry (0 on sequential runs): batch steals and
-        // the tasks they moved; the quotient is the realized steal-unit
-        // size (engine/thread_pool.h).
-        .set("steal_batches", t.result.steal_batches)
-        .set("tasks_stolen", t.result.tasks_stolen)
         .set("world_copies", t.cow.world_copies)
         .set("cow_detaches", t.cow.detaches())
         .set("cow_bytes_copied", t.cow.bytes_copied)
@@ -497,36 +465,11 @@ void engine_benchmark() {
         // popped node in exact mode.
         .set("canonical_encodings", t.cow.canonical_encodings);
   };
-  benchjson::Json scaling_json = benchjson::Json::array();
-  for (const auto& [threads, t] : scaling) {
-    scaling_json.push(
-        benchjson::Json::object()
-            .set("threads", threads)
-            .set("seconds", t->seconds)
-            .set("states_per_sec",
-                 t->seconds > 0 ? static_cast<double>(
-                                      t->result.states_visited) /
-                                      t->seconds
-                                : 0)
-            .set("speedup_x", t->seconds > 0 ? s.seconds / t->seconds : 0)
-            .set("steal_batches", t->result.steal_batches)
-            .set("tasks_stolen", t->result.tasks_stolen));
-    std::cout << "    scaling: threads=" << threads << " " << t->seconds
-              << " s, "
-              << (t->seconds > 0
-                      ? static_cast<double>(t->result.states_visited) /
-                            t->seconds
-                      : 0)
-              << " states/s\n";
-  }
   benchjson::Json root = benchjson::Json::object();
   root.set("bench", "explore_exhaustive")
       .set("config", "cas_n3_f1_k1_write_read")
       .set("hardware_concurrency", cores)
       .set("cores", cores)
-      // What the scaling gate keys on (see spin.h): `cores` is what the OS
-      // lists, this is what the machine delivered.
-      .set("spin_parallelism", parallelism)
       // World slab-pool footprint (common/arena.h): bytes of slab pages
       // carved for process blocks, channel slots, and oplog chunks across
       // the whole process so far. Pages recycle through pool freelists and
@@ -535,7 +478,6 @@ void engine_benchmark() {
       .set("slab_bytes_reserved", worldmem::reserved_bytes())
       .set("runs", benchjson::Json::array()
                        .push(run_json("sequential_fingerprint", s))
-                       .push(run_json("parallel8_fingerprint", p))
                        .push(run_json("sequential_exact", e))
                        .push(run_json("sequential_fingerprint_mem", m))
                        .push(run_json("sequential_reduced", r))
@@ -543,8 +485,6 @@ void engine_benchmark() {
                        .push(run_json("sequential_reorder_reduced", rro))
                        .push(run_json("cas_n4_full", n4f))
                        .push(run_json("cas_n4_reduced_mem", n4r)))
-      .set("scaling", scaling_json)
-      .set("parallel_counters_match_sequential", counts_match)
       .set("mem_budget", g_mem_budget.to_string())
       .set("budgeted_counters_match_sequential", budget_counts_match)
       // Partial-order-reduction gate record: ratios are gated only when
@@ -573,7 +513,6 @@ void engine_benchmark() {
                .set("symmetry_merged", rro.result.symmetry_merged)
                .set("pinned_violation_found",
                     g_pinned_violation_under_reduction))
-      .set("parallel_speedup_x", speedup)
       .set("exact_over_fingerprint_dedupe_bytes_x", exact_over_fp)
       .set("state_encoding_bytes", s.state_bytes)
       .set("deep_copy_bytes_per_state", deep_copy_bytes_per_state)
@@ -610,8 +549,8 @@ int main(int argc, char** argv) try {
   std::cout << "\n--- State-space census (the theorems' |S_i|, measured) "
                "---\n";
   state_space_census();
-  std::cout << "\n--- Engine benchmark (sequential vs parallel, fingerprint "
-               "vs exact dedupe) ---\n";
+  std::cout << "\n--- Engine benchmark (fingerprint vs exact dedupe, --mem, "
+               "reduction) ---\n";
   engine_benchmark();
   std::cout << "\nEvery 'VERIFIED' line quantifies over the FULL schedule "
                "space of the configuration, not a sample; 'counterexample "

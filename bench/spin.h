@@ -1,11 +1,11 @@
-// Measured parallelism for the benches' scaling records.
+// Measured parallelism for bench_fuzz's scaling record.
 //
 // std::thread::hardware_concurrency() counts the CPUs the OS lists, not the
 // CPU time a shared runner actually hands out: a container can list 4 and
 // deliver ~2, and the share it delivers drifts from one second to the next.
-// The explore and fuzz benches therefore spin kScalingGateThreads busy
-// threads right before and right after their 4-thread scaling leg and record
-// the smaller of the two CPU-seconds-per-wall-second readings;
+// bench_fuzz therefore spins kScalingGateThreads busy threads right before
+// and right after its 4-thread scaling leg and records the smaller of the
+// two CPU-seconds-per-wall-second readings;
 // tools/check_bench_regression.py enforces the speedup@4 floor only when
 // that figure shows the threads really ran side by side.
 #pragma once

@@ -12,7 +12,7 @@
 // 16 bytes per 128-bit multiply, with the length folded in at both ends
 // and the splitmix64 finalizer on top, so low-entropy single-byte
 // differences in canonical encodings diffuse across all 64 output bits
-// before the fingerprint is truncated into hash-table shards.
+// before the fingerprint is truncated into a hash-table index.
 #pragma once
 
 #include <cstdint>

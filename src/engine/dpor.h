@@ -25,7 +25,7 @@
 // server/client bitmap taken from the root World); no per-algorithm
 // knowledge is consulted. It is exact commutation, not an approximation:
 // that is what makes sleep sets compose soundly with fingerprint dedupe
-// and with the work-stealing parallel mode (see DESIGN.md).
+// (see DESIGN.md).
 //
 // Sleep sets (Godefroid): a node carries the set of steps `Z` such that
 // every interleaving starting with a step in Z has already been covered

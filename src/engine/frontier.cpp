@@ -1,9 +1,7 @@
 #include "engine/frontier.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -11,7 +9,6 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "engine/dpor.h"
-#include "engine/thread_pool.h"
 #include "engine/visited.h"
 #include "sim/symmetry.h"
 
@@ -22,16 +19,15 @@ namespace {
 // An expanded state, shared by all of its children: its World and the
 // delivery sequence from the initial state to it (the prefix of every
 // child's replayable counterexample), stored once here rather than once
-// per child. Immutable while any child holds it: workers copy the World,
-// never mutate it, so sharing one across threads is safe. Records are
-// recycled (Search::retire): once its last child is visited, a record is
-// cleared and kept by that worker, and its next expansion swaps the
-// scratch World into it, so neither the World's vectors nor the path
-// reallocate.
+// per child. Immutable while any child holds it: a visit copies the
+// World, never mutates it. Records are recycled (Search::retire): once its
+// last child is visited, a record is cleared and kept, and the next
+// expansion swaps the scratch World into it, so neither the World's
+// vectors nor the path reallocate.
 struct Parent {
   World world;
   std::vector<ExploreStep> path;
-  std::atomic<std::uint32_t> refs{0};
+  std::uint32_t refs = 0;
 };
 
 // Counted handle on a Parent record: one pointer, the count lives in the
@@ -42,7 +38,7 @@ class ParentRef {
  public:
   ParentRef() = default;
   explicit ParentRef(Parent* p) : p_(p) {
-    if (p_ != nullptr) p_->refs.fetch_add(1, std::memory_order_relaxed);
+    if (p_ != nullptr) ++p_->refs;
   }
   ParentRef(const ParentRef& o) : ParentRef(o.p_) {}
   ParentRef(ParentRef&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
@@ -52,13 +48,11 @@ class ParentRef {
   }
   ~ParentRef() { delete release(); }
 
-  // Drops this handle. Returns the record iff this was its last handle
-  // (the acq_rel decrement orders every other holder's reads before the
-  // caller reuses it), else nullptr.
+  // Drops this handle. Returns the record iff this was its last handle,
+  // else nullptr.
   Parent* release() {
     Parent* p = std::exchange(p_, nullptr);
-    if (p != nullptr && p->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      return p;
+    if (p != nullptr && --p->refs == 0) return p;
     return nullptr;
   }
 
@@ -71,7 +65,7 @@ class ParentRef {
 
 // A frontier entry: its parent plus the one step that leads here. The
 // node's own World is not stored; popping it assigns the parent's World
-// into the worker's scratch World (COW — pointer bumps into warm vectors)
+// into the scratch World (COW — pointer bumps into warm vectors)
 // and delivers `step`. The root is its own parent and delivers nothing.
 struct Node {
   ParentRef parent;
@@ -94,19 +88,20 @@ struct Node {
   }
 };
 
-// One worker's buffers, reused across every node it visits: the World
+// The search's buffers, reused across every node it visits: the World
 // each node materializes into, the steps enumerated from it, the
-// sleep-set accumulator, the children it emits, and the retired parent
-// records it expands into. Once they are warm the visit's own bookkeeping
-// allocates nothing; what is left happens inside delivery (the handler's
-// state changes and sends), and tests/engine/alloc_count_test.cpp counts
-// it.
+// sleep-set accumulator, the children it emits, the retired parent
+// records it expands into, and (exact mode) the dedupe key's encoding.
+// Once they are warm the visit's own bookkeeping allocates nothing; what
+// is left happens inside delivery (the handler's state changes and
+// sends), and tests/engine/alloc_count_test.cpp counts it.
 struct Scratch {
   World world;
   std::vector<ExploreStep> steps;
   std::vector<ExploreStep> acc;
   std::vector<Node> children;
   std::vector<std::unique_ptr<Parent>> spare;  // cleared, ready for reuse
+  Bytes key;
 };
 
 class Search {
@@ -117,8 +112,7 @@ class Search {
         invariant_(invariant),
         terminal_(terminal),
         leaf_(leaf),
-        visited_({opt.exact_dedupe, auto_shard_count(opt.threads), opt.mem}),
-        scratch_(std::max<std::size_t>(opt.threads, 1)) {}
+        visited_({opt.exact_dedupe, opt.mem}) {}
 
   ExploreResult run(const World& initial) {
     sleep_on_ = opt_.reduction.sleep_sets;
@@ -132,45 +126,35 @@ class Search {
       // Telemetry twin-detector for symmetry_merged: an auxiliary plain-
       // fingerprint set, deliberately NOT maintained under a --mem budget
       // (it is unmetered and would roughly double visited memory).
-      plain_seen_ = std::make_unique<VisitedSet>(
-          VisitedSet::Options{false, auto_shard_count(opt_.threads)});
+      plain_seen_ = std::make_unique<VisitedSet>(VisitedSet::Options{});
     }
     Node root;  // the default step marks the root
     auto* record = new Parent;
     record->world = initial;
     root.parent = ParentRef(record);
-    if (opt_.threads <= 1) {
-      push_bytes(root);
-      frontier_.push_back(std::move(root));
-      run_sequential();
-    } else {
-      run_parallel(std::move(root));
-    }
+    push_bytes(root);
+    frontier_.push_back(std::move(root));
+    drain();
 
     ExploreResult result;
-    result.states_visited = states_visited_.load();
-    result.terminal_states = terminal_states_.load();
-    result.transitions = transitions_.load();
-    result.deduped = deduped_.load();
-    result.truncated = truncated_.load();
+    result.states_visited = states_visited_;
+    result.terminal_states = terminal_states_;
+    result.transitions = transitions_;
+    result.deduped = deduped_;
+    result.truncated = truncated_;
     result.dedupe_bytes = visited_.memory_bytes();
     result.dedupe_entries = visited_.size();
     result.exact_dedupe = opt_.exact_dedupe;
-    result.frontier_bytes = frontier_peak_.load();
-    result.depth_cut = depth_cut_.load();
-    result.steal_batches = steal_batches_;
-    result.tasks_stolen = tasks_stolen_;
-    result.sleep_blocked = sleep_blocked_.load();
-    result.symmetry_merged = symmetry_merged_.load();
+    result.frontier_bytes = frontier_peak_;
+    result.depth_cut = depth_cut_;
+    result.sleep_blocked = sleep_blocked_;
+    result.symmetry_merged = symmetry_merged_;
     result.symmetry_applied = symmetry_on_;
     result.replay_steps = result.transitions;
-    result.complete = complete_.load() && !aborted_.load();
-    {
-      std::lock_guard<std::mutex> lock(violation_mu_);
-      result.ok = ok_;
-      result.violation = violation_;
-      result.violation_path = violation_path_;
-    }
+    result.complete = complete_ && !aborted_;
+    result.ok = ok_;
+    result.violation = violation_;
+    result.violation_path = violation_path_;
     return result;
   }
 
@@ -190,32 +174,27 @@ class Search {
   // is twice the bytes the frontier would have held.
   void push_bytes(const Node& n) {
     const std::size_t bytes = node_bytes(n);
-    const std::size_t now = frontier_bytes_.fetch_add(bytes) + bytes;
+    const std::size_t now = frontier_bytes_ += bytes;
     const std::size_t share = opt_.mem.total / 8;
     MEMU_CHECK_MSG(!opt_.mem.bounded() || now <= share,
                    "frontier at its --mem ceiling after "
-                       << states_visited_.load() << " states: a " << bytes
+                       << states_visited_ << " states: a " << bytes
                        << " B node next to the " << now - bytes
                        << " B held passes the " << share
                        << " B frontier share (an eighth) of --mem "
                        << opt_.mem.to_string() << "; rerun with --mem >= "
                        << MemBudget::rounded_up(16 * now).to_string());
-    std::size_t peak = frontier_peak_.load();
-    while (now > peak && !frontier_peak_.compare_exchange_weak(peak, now)) {
-    }
+    frontier_peak_ = std::max(frontier_peak_, now);
   }
 
-  void pop_bytes(const Node& n) { frontier_bytes_.fetch_sub(node_bytes(n)); }
+  void pop_bytes(const Node& n) { frontier_bytes_ -= node_bytes(n); }
 
-  // Records the first violation, found at `node`, and aborts the search.
+  // Records the violation found at `node` and aborts the search.
   void record_violation(const std::string& why, const Node& node) {
-    std::lock_guard<std::mutex> lock(violation_mu_);
-    if (ok_) {
-      ok_ = false;
-      violation_ = why;
-      violation_path_ = node.path();
-    }
-    aborted_.store(true);
+    ok_ = false;
+    violation_ = why;
+    violation_path_ = node.path();
+    aborted_ = true;
   }
 
   // Dedupe keys. Default: the state as-is. Under symmetry reduction the
@@ -245,76 +224,64 @@ class Search {
   // per-node serialization at all) happens here; under symmetry reduction
   // the key is the relabeled state hash, which re-encodes only the
   // processes whose state names server ids (the clients). Exact mode pays
-  // the full encoding, through one recycled thread-local buffer.
+  // the full encoding, through one recycled buffer.
   bool admit(const World& world) {
-    if (states_visited_.load() >= opt_.max_states) {
+    if (states_visited_ >= opt_.max_states) {
       // Expansion budget exhausted: classify WITHOUT inserting — this
       // state is never expanded, so a later re-encounter must not count
       // as a dedupe merge (and could legitimately be expanded by a re-run
       // with a larger budget).
       bool seen;
       if (opt_.exact_dedupe) {
-        Bytes& buf = encode_buffer();
-        dedupe_key(world, buf);
-        seen = visited_.contains(buf);
+        dedupe_key(world, scratch_.key);
+        seen = visited_.contains(scratch_.key);
       } else {
         seen = visited_.contains(dedupe_fingerprint(world));
       }
       if (seen) {
-        deduped_.fetch_add(1);
+        ++deduped_;
       } else {
-        complete_.store(false);
-        truncated_.fetch_add(1);
+        complete_ = false;
+        ++truncated_;
       }
       return false;
     }
     bool fresh;
     if (opt_.exact_dedupe) {
-      Bytes& buf = encode_buffer();
-      dedupe_key(world, buf);
-      fresh = visited_.try_insert(buf);
+      dedupe_key(world, scratch_.key);
+      fresh = visited_.try_insert(scratch_.key);
     } else {
       fresh = visited_.try_insert(dedupe_fingerprint(world));
     }
-    if (!fresh) deduped_.fetch_add(1);  // includes losing an insert race
+    if (!fresh) ++deduped_;
     if (plain_seen_ != nullptr) {
       // symmetry_merged telemetry: a canonical-key hit whose PLAIN
       // fingerprint is new merged a symmetric twin, not a literal revisit.
       const bool plain_fresh = plain_seen_->try_insert(world.state_hash());
-      if (!fresh && plain_fresh) symmetry_merged_.fetch_add(1);
+      if (!fresh && plain_fresh) ++symmetry_merged_;
     }
     return fresh;
   }
 
-  static Bytes& encode_buffer() {
-    // One encode buffer per worker thread, reused across every visited
-    // node: exact mode serializes into warm capacity instead of growing a
-    // fresh Bytes per state.
-    static thread_local Bytes buf;
-    return buf;
-  }
-
   // Visits one frontier node: reconstitution, dedupe, bounds, invariant,
-  // leaf, terminal, and child generation, in the worker's scratch buffers.
-  // Children are passed to `emit` in deterministic (channel, index) order;
-  // the caller decides where they go.
-  template <class Emit>
-  void visit(const Node& node, Scratch& scratch, Emit&& emit) {
+  // leaf, terminal, and child generation, in the scratch buffers. Children
+  // go to scratch_.children in deterministic (channel, index) order.
+  void visit(const Node& node) {
     // Entry bookkeeping. The recursive DFS incremented `transitions` once
     // per child call; counting at entry (non-root nodes only) yields the
     // same totals in the same order, including under aborts.
-    if (!node.is_root()) transitions_.fetch_add(1);
+    if (!node.is_root()) ++transitions_;
 
     // Materialize: COW copy of the parent plus its one step, assigned into
     // the scratch World so its vectors keep their capacity. Delivery is
     // deterministic, so this World is state-identical (and canonical-
     // encoding byte-identical) to one built by replaying the whole path.
-    World& world = scratch.world;
+    World& world = scratch_.world;
     world = node.parent->world;
     if (!node.is_root()) world.deliver(node.step.chan, node.step.index);
 
     if (!admit(world)) return;
-    states_visited_.fetch_add(1);
+    ++states_visited_;
 
     if (invariant_) {
       if (const auto why = invariant_(world); why.has_value()) {
@@ -324,7 +291,7 @@ class Search {
     }
     if (leaf_ && leaf_(world)) return;  // admitted and counted, not expanded
 
-    std::vector<ExploreStep>& steps = scratch.steps;
+    std::vector<ExploreStep>& steps = scratch_.steps;
     steps.clear();
     world.for_each_deliverable([&](ChannelId chan, std::size_t first) {
       // FIFO: the first allowed index (may be > 0 under value/bulk
@@ -341,7 +308,7 @@ class Search {
         steps.push_back({chan, index});
     });
     if (steps.empty()) {
-      terminal_states_.fetch_add(1);
+      ++terminal_states_;
       if (terminal_) {
         if (const auto why = terminal_(world); why.has_value())
           record_violation("terminal: " + *why, node);
@@ -349,8 +316,8 @@ class Search {
       return;
     }
     if (node.depth() >= opt_.max_depth) {
-      complete_.store(false);
-      depth_cut_.fetch_add(1);
+      complete_ = false;
+      ++depth_cut_;
       return;
     }
 
@@ -358,7 +325,7 @@ class Search {
     // already shared; any other state swaps the scratch World into a
     // recycled record with its path, shared by every child.
     const ParentRef parent =
-        node.is_root() ? node.parent : expand_into_record(node, scratch);
+        node.is_root() ? node.parent : expand_into_record(node);
 
     // Sleep-set filtering (engine/dpor.h): an enumerated step found in the
     // node's sleep set is skipped — every interleaving it starts is
@@ -368,63 +335,63 @@ class Search {
     // (dependent steps wake up). A node whose steps are ALL asleep emits
     // nothing and simply retires — it is not terminal (its channels are
     // non-empty), just redundant.
-    std::vector<ExploreStep>& acc = scratch.acc;  // inherited + emitted
+    std::vector<ExploreStep>& acc = scratch_.acc;  // inherited + emitted
+    std::vector<Node>& children = scratch_.children;
     if (sleep_on_) acc.assign(node.sleep.begin(), node.sleep.end());
     for (const ExploreStep& step : steps) {
       if (!sleep_on_) {
-        emit(Node{parent, step, {}});
+        children.push_back(Node{parent, step, {}});
         continue;
       }
       if (dpor::sleeps(node.sleep, step)) {
-        sleep_blocked_.fetch_add(1);
+        ++sleep_blocked_;
         continue;
       }
-      emit(Node{parent, step, dpor::child_sleep(acc, step, server_mask_)});
+      children.push_back(
+          Node{parent, step, dpor::child_sleep(acc, step, server_mask_)});
       acc.push_back(step);
     }
   }
 
-  // The record `node`'s children share: a retired record of this worker
-  // (or a fresh one) takes the scratch World by swap — the scratch World
-  // gets the record's cleared one, capacity intact — and the node's path.
-  static ParentRef expand_into_record(const Node& node, Scratch& scratch) {
+  // The record `node`'s children share: a retired record (or a fresh one)
+  // takes the scratch World by swap — the scratch World gets the record's
+  // cleared one, capacity intact — and the node's path.
+  ParentRef expand_into_record(const Node& node) {
     std::unique_ptr<Parent> record;
-    if (scratch.spare.empty()) {
+    if (scratch_.spare.empty()) {
       record = std::make_unique<Parent>();
     } else {
-      record = std::move(scratch.spare.back());
-      scratch.spare.pop_back();
+      record = std::move(scratch_.spare.back());
+      scratch_.spare.pop_back();
     }
-    std::swap(record->world, scratch.world);
+    std::swap(record->world, scratch_.world);
     record->path.assign(node.parent->path.begin(), node.parent->path.end());
     record->path.push_back(node.step);
     return ParentRef(record.release());
   }
 
-  // Drops a visited node's handle on its parent; the worker that drops the
-  // last one clears the record and keeps it for its next expansion.
-  static void retire(Node& node, Scratch& scratch) {
+  // Drops a visited node's handle on its parent; dropping the last one
+  // clears the record and keeps it for the next expansion.
+  void retire(Node& node) {
     if (Parent* record = node.parent.release()) {
       record->world.clear();
-      scratch.spare.emplace_back(record);
+      scratch_.spare.emplace_back(record);
     }
   }
 
-  // Sequential mode: LIFO frontier, children pushed in reverse generation
-  // order, so pops happen in exactly the recursive-DFS entry order — every
-  // counter and the first counterexample match the seed explorer, at any
-  // --mem the run fits.
-  void run_sequential() {
-    Scratch& scratch = scratch_[0];
-    std::vector<Node>& children = scratch.children;
-    while (!frontier_.empty() && !aborted_.load()) {
+  // LIFO frontier, children pushed in reverse generation order, so pops
+  // happen in exactly the recursive-DFS entry order — every counter and
+  // the first counterexample match the seed explorer, at any --mem the run
+  // fits.
+  void drain() {
+    std::vector<Node>& children = scratch_.children;
+    while (!frontier_.empty() && !aborted_) {
       Node node = std::move(frontier_.back());
       frontier_.pop_back();
       pop_bytes(node);
       children.clear();
-      visit(node, scratch,
-            [&](Node&& child) { children.push_back(std::move(child)); });
-      retire(node, scratch);
+      visit(node);
+      retire(node);
       for (auto it = children.rbegin(); it != children.rend(); ++it) {
         push_bytes(*it);
         frontier_.push_back(std::move(*it));
@@ -432,51 +399,13 @@ class Search {
     }
   }
 
-  // Parallel mode: the shared work-stealing pool (engine/thread_pool.h —
-  // per-worker deques, randomized front steals, atomic in-flight
-  // termination; the machinery was extracted from here so the fuzz
-  // campaign runner drains through the same implementation). Children are
-  // batch-submitted onto the visiting worker's own deque before the
-  // parent retires.
-  //
-  // Counter guarantees are unchanged from the shared-queue engine: every
-  // generated node is popped exactly once by some worker, and dedupe is
-  // atomic per state, so states/terminals/transitions/deduped match the
-  // sequential run regardless of thread count or steal order. A --mem
-  // ceiling hit inside a worker's visit surfaces here as the same
-  // ContractError the sequential run throws: the pool stops the other
-  // workers and rethrows it on this thread.
-  void run_parallel(Node&& root) {
-    WorkStealingPool<Node> pool(opt_.threads);
-    push_bytes(root);
-    pool.seed(std::move(root));
-    pool.run(
-        [this, &pool](std::size_t id, Node&& node) {
-          if (aborted_.load()) {
-            pool.stop();
-            return;
-          }
-          pop_bytes(node);
-          Scratch& scratch = scratch_[id];
-          std::vector<Node>& children = scratch.children;
-          children.clear();
-          visit(node, scratch,
-                [&](Node&& child) { children.push_back(std::move(child)); });
-          retire(node, scratch);
-          for (const Node& child : children) push_bytes(child);
-          pool.submit(id, children);
-        });
-    steal_batches_ = pool.steal_batches();
-    tasks_stolen_ = pool.tasks_stolen();
-  }
-
   const ExploreOptions& opt_;
   const StateCheck& invariant_;
   const StateCheck& terminal_;
   const LeafCheck& leaf_;
   VisitedSet visited_;
-  std::vector<Scratch> scratch_;  // one per worker; [0] in sequential mode
-  std::vector<Node> frontier_;    // sequential mode only
+  Scratch scratch_;
+  std::vector<Node> frontier_;
 
   // --- partial-order reduction ---------------------------------------------
   bool sleep_on_ = false;
@@ -485,24 +414,20 @@ class Search {
   std::optional<symmetry::Groups> groups_;  // built iff symmetry_on_
   std::unique_ptr<VisitedSet> plain_seen_;  // symmetry_merged telemetry
 
-  std::atomic<std::size_t> frontier_bytes_{0};
-  std::atomic<std::size_t> frontier_peak_{0};
+  std::size_t frontier_bytes_ = 0;
+  std::size_t frontier_peak_ = 0;
 
-  std::atomic<std::size_t> states_visited_{0};
-  std::atomic<std::size_t> terminal_states_{0};
-  std::atomic<std::size_t> transitions_{0};
-  std::atomic<std::size_t> deduped_{0};
-  std::atomic<std::size_t> truncated_{0};
-  std::atomic<std::size_t> depth_cut_{0};
-  std::atomic<std::size_t> sleep_blocked_{0};
-  std::atomic<std::size_t> symmetry_merged_{0};
-  // Written once, after pool.run() returns (workers joined) — plain fields.
-  std::size_t steal_batches_ = 0;
-  std::size_t tasks_stolen_ = 0;
-  std::atomic<bool> complete_{true};
-  std::atomic<bool> aborted_{false};
+  std::size_t states_visited_ = 0;
+  std::size_t terminal_states_ = 0;
+  std::size_t transitions_ = 0;
+  std::size_t deduped_ = 0;
+  std::size_t truncated_ = 0;
+  std::size_t depth_cut_ = 0;
+  std::size_t sleep_blocked_ = 0;
+  std::size_t symmetry_merged_ = 0;
+  bool complete_ = true;
+  bool aborted_ = false;
 
-  std::mutex violation_mu_;
   bool ok_ = true;
   std::string violation_;
   std::vector<ExploreStep> violation_path_;

@@ -1,45 +1,29 @@
 // Frontier-based exhaustive exploration: engine::frontier_search().
 //
 // The original explorer was a recursive single-threaded DFS. The engine
-// replaces it with an iterative work-queue search over explicit frontier
-// nodes: a LIFO frontier in sequential mode, which reproduces the recursive
-// DFS visit order (and therefore every counter and the first
-// counterexample) exactly, and per-worker deques with randomized work
-// stealing in parallel mode (owners pop LIFO from their own deque and
-// batch-push children locally; idle workers steal the shallowest node from
-// a random victim; termination is a single in-flight node counter).
+// replaces it with an iterative search over an explicit LIFO frontier of
+// nodes, which reproduces the recursive DFS visit order (and therefore
+// every counter and the first counterexample) exactly. The search runs on
+// the calling thread; independent searches may run concurrently.
 // A frontier node holds a shared parent record (the parent's World and its
 // delivery path, stored once for all of its children) plus the one
 // ExploreStep that leads to it, and is materialized when popped by
-// assigning the parent's World into a per-worker scratch World (COW) and
-// delivering that step. Deduplication runs
-// through engine::VisitedSet — keyed on World::state_hash(), the 64-bit
-// incremental fingerprint maintained through every mutation, so the default
-// mode performs zero canonical encodings per visited state; opt-in exact
-// mode keys on full canonical encodings instead.
+// assigning the parent's World into a scratch World (COW) and delivering
+// that step. Deduplication runs through engine::VisitedSet — keyed on
+// World::state_hash(), the 64-bit incremental fingerprint maintained
+// through every mutation, so the default mode performs zero canonical
+// encodings per visited state; opt-in exact mode keys on full canonical
+// encodings instead.
 //
-// Parallel-mode guarantees: on a run that completes within its bounds with
-// no violation, states_visited, terminal_states, transitions, deduped, and
-// ok are identical to the sequential result regardless of thread count or
-// interleaving (every generated node is popped exactly once; dedupe is
-// atomic per state). What MAY differ under parallelism: which violation is
-// reported first, and the exact cut point when max_states truncates the
-// search. Invariant and terminal callbacks run concurrently when
-// threads > 1 and must be thread-safe.
-//
-// Exception: with Reduction::symmetry engaged, the COUNTERS are visit-order
-// dependent and may differ across thread counts (and between sequential
-// runs with different pop orders). The canonical key's signature tie-break
-// can under-merge, and which tie-sibling becomes the representative — and
-// whether its twins later re-merge — depends on interleaving. Sequential
-// reduced runs reach every terminal-state ORBIT the full search reaches.
-// Parallel reduced runs are NOT known to: sleep sets combined with
-// visited-set merging depend on visit order, and a 4-thread sleep-set +
-// symmetry run of ABD N=3 (reorder) has been seen, under TSan, to reach 2
-// terminal orbits where the sequential run reaches 4. That is an open
-// defect (ROADMAP); tests/engine/reduction_test.cpp
-// (ParallelReducedMatchesSequentialReduced) checks the orbit set and fails
-// intermittently under TSan.
+// With Reduction::symmetry engaged, the COUNTERS are visit-order
+// dependent: the canonical key's signature tie-break can under-merge, and
+// which tie-sibling becomes the representative — and whether its twins
+// later re-merge — depends on the pop order. Reduced runs reach every
+// terminal-state ORBIT the full search reaches in each differential test
+// (tests/engine/reduction_test.cpp: ABD, CAS and LDR). That is checked,
+// not proven: sleep sets combined with visited-set merging depend on
+// visit order, and a state first reached with a larger sleep set is
+// never re-expanded with a smaller one (ROADMAP "sound sleep sets").
 #pragma once
 
 #include <cstdint>
@@ -62,9 +46,6 @@ struct ExploreOptions {
   bool reorder = false;
 
   // --- engine knobs ---------------------------------------------------------
-  // Worker threads; 1 = sequential (DFS-order identical to the seed
-  // explorer). With more threads the frontier is drained concurrently.
-  std::size_t threads = 1;
   // Store full canonical encodings in the visited set instead of the
   // incremental 64-bit state hash (collision-paranoid mode; pays one
   // canonical encoding per visited state and ~encoding-length x the
@@ -144,13 +125,6 @@ struct ExploreResult {
   // Whether symmetry reduction actually engaged (requested AND the root
   // World was eligible).
   bool symmetry_applied = false;
-  // Work-stealing telemetry (parallel mode; 0 sequential): successful
-  // steal operations and the tasks they moved (engine/thread_pool.h steals
-  // in batches — tasks_stolen / steal_batches is the realized steal-unit
-  // size). Scheduling telemetry only: legitimately varies across runs,
-  // thread counts, and machines.
-  std::size_t steal_batches = 0;
-  std::size_t tasks_stolen = 0;
   // Replay work: steps delivered materializing popped nodes, one per
   // non-root pop, so always equal to `transitions`.
   std::size_t replay_steps = 0;
@@ -176,8 +150,8 @@ namespace engine {
 //
 // `leaf` (optional) runs after `invariant`, before child generation. A
 // state it accepts is admitted and counted in states_visited but not
-// expanded: not terminal, and `terminal` is not run on it. It runs
-// concurrently when threads > 1. Under sleep sets what the caller collects
+// expanded: not terminal, and `terminal` is not run on it. Under sleep
+// sets what the caller collects
 // at leaves is kept if the leaf predicate stays true, with the same
 // value, under any step that commutes with the step that made it true. A
 // read response does: a delivery to the reader produces it, and any step

@@ -152,7 +152,7 @@ CampaignSummary run_campaign(const SystemSpec& spec, const FuzzPlan& plan) {
   summary.plan = plan;
 
   // Every walk is a pure function of (spec, plan, walk_seed): dispatch
-  // them onto the work-stealing pool and write each result into its own
+  // them through parallel_for and write each result into its own
   // slot. Violating walks minimize inside their own task (the minimizer
   // runs serially there — walk-level parallelism already owns the cores).
   std::vector<WalkResult> walks(plan.walks);

@@ -19,8 +19,8 @@
 // exactly. The minimizer and the CLI `replay` verb are both built on it.
 //
 // Parallelism: walks are independent pure functions of (spec, plan,
-// walk_seed), so FuzzPlan::threads dispatches them onto the shared
-// engine::WorkStealingPool and the results merge back in walk_index
+// walk_seed), so FuzzPlan::threads dispatches them through
+// engine::parallel_for and the results merge back in walk_index
 // order. The summary and every trace are byte-identical for any thread
 // count. Each worker thread keeps one prototype FuzzSystem per spec and
 // serves walks from COW copies of it (cowstats::fuzz_system_builds /

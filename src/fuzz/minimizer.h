@@ -9,7 +9,7 @@
 //
 // Probing is round-based: every round materializes its full candidate set
 // (the n chunks, the n complements, or the single-event removals), replays
-// ALL of them — concurrently across `threads` pool workers — and commits
+// ALL of them — concurrently across `threads` workers — and commits
 // the lowest-index candidate that still violates. Committing the lowest
 // index makes the reduction sequence, the final trace, and `tests_run`
 // (which counts every probe launched, round by round) identical for every

@@ -91,8 +91,8 @@ struct FuzzPlan {
   FaultMix mix = FaultMix::standard();
   bool minimize = true;  // shrink each violating walk's trace before reporting
   // Worker threads for the campaign. Every walk is an independent pure
-  // function of (spec, plan, walk_seed), so walks dispatch onto the shared
-  // work-stealing pool and results merge in walk_index order: the summary
+  // function of (spec, plan, walk_seed), so walks dispatch through
+  // engine::parallel_for and results merge in walk_index order: the summary
   // (and every trace) is BYTE-IDENTICAL for any value of `threads` —
   // deliberately excluded from to_json() and the trace format. Purely a
   // wall-clock knob; 1 = in-line serial execution.

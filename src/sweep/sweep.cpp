@@ -17,8 +17,8 @@ namespace memu::sweep {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-// Cells per shard unit: the grain of work stealing and of the in-order
-// flush. Output does not depend on it.
+// Cells per block: the grain of parallel_for and of the in-order flush.
+// Output does not depend on it.
 constexpr std::size_t kBlockCells = 256;
 
 bounds::Params params_for(const Cell& c) {

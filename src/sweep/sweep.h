@@ -8,8 +8,8 @@
 //   * Deterministic cell -> result ordering. Rows are emitted in the
 //     grid's row-major order (see grid.h) no matter how many threads
 //     computed them: cells are sharded into fixed-size blocks, a bounded
-//     window of blocks is evaluated in parallel on the shared
-//     WorkStealingPool, and the window is flushed to the sink in block
+//     window of blocks is evaluated in parallel through
+//     engine::parallel_for, and the window is flushed to the sink in block
 //     order. Every cell's value is a pure function of the cell, so the
 //     output is byte-identical at any thread count — the same contract
 //     the fuzz campaigns pin.

@@ -249,7 +249,18 @@ struct SweepCase {
   std::size_t n, f;
   bool cas;
   std::size_t k;
+
+  // abd_n3_f1, cas_n4_f1_k2: what the case prints as and is named by, so
+  // test listings stay stable across builds (the struct's raw bytes
+  // include padding).
+  std::string name() const {
+    std::string out = std::string(cas ? "cas" : "abd") + "_n" +
+                      std::to_string(n) + "_f" + std::to_string(f);
+    if (cas) out += "_k" + std::to_string(k);
+    return out;
+  }
 };
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name(); }
 
 class InjectivitySweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -268,7 +279,8 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, InjectivitySweep,
     ::testing::Values(SweepCase{3, 1, false, 0}, SweepCase{5, 2, false, 0},
                       SweepCase{7, 3, false, 0}, SweepCase{4, 1, true, 2},
-                      SweepCase{6, 2, true, 2}, SweepCase{7, 2, true, 3}));
+                      SweepCase{6, 2, true, 2}, SweepCase{7, 2, true, 3}),
+    [](const auto& info) { return info.param.name(); });
 
 // ---- Every case of the executed proofs --------------------------------------
 //

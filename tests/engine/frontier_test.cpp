@@ -199,36 +199,6 @@ ExploreResult explore_cas(const ExploreOptions& opt) {
   return engine::frontier_search(sys.world, opt, {}, {});
 }
 
-TEST(FrontierSearch, ParallelMatchesSequentialOnAbd) {
-  ExploreOptions seq;
-  ExploreOptions par;
-  par.threads = 8;
-  const auto s = explore_abd(seq);
-  const auto p = explore_abd(par);
-  EXPECT_TRUE(s.complete);
-  EXPECT_TRUE(p.complete);
-  EXPECT_EQ(s.states_visited, p.states_visited);
-  EXPECT_EQ(s.terminal_states, p.terminal_states);
-  EXPECT_EQ(s.transitions, p.transitions);
-  EXPECT_EQ(s.deduped, p.deduped);
-  EXPECT_EQ(s.ok, p.ok);
-  expect_accounting_identity(p);
-}
-
-TEST(FrontierSearch, ParallelMatchesSequentialInReorderMode) {
-  ExploreOptions seq;
-  seq.reorder = true;
-  ExploreOptions par = seq;
-  par.threads = 4;
-  const auto s = explore_abd(seq);
-  const auto p = explore_abd(par);
-  EXPECT_TRUE(s.complete);
-  EXPECT_EQ(s.states_visited, p.states_visited);
-  EXPECT_EQ(s.terminal_states, p.terminal_states);
-  EXPECT_EQ(s.transitions, p.transitions);
-  EXPECT_EQ(s.deduped, p.deduped);
-}
-
 TEST(FrontierSearch, ExactDedupeMatchesFingerprintAndCostsMore) {
   ExploreOptions fp;
   ExploreOptions exact;
@@ -285,23 +255,6 @@ TEST(FrontierSearch, FingerprintModeNeverCallsCanonicalEncoding) {
   EXPECT_GE(exact_encodings, b.states_visited);
 }
 
-TEST(FrontierSearch, AccountingIdentityHoldsUnderParallelTruncation) {
-  // Truncation under concurrency: workers race the max_states guard, so
-  // the exact cut point (and states_visited) may differ run to run — but
-  // every popped non-root node must still be classified exactly once, so
-  // the identity holds regardless of where the cap lands.
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    ExploreOptions opt;
-    opt.threads = threads;
-    opt.max_states = 50;  // well under the full ABD space
-    const auto r = explore_abd(opt);
-    EXPECT_FALSE(r.complete) << "threads=" << threads;
-    EXPECT_GT(r.truncated, 0u) << "threads=" << threads;
-    EXPECT_GE(r.states_visited, opt.max_states) << "threads=" << threads;
-    expect_accounting_identity(r);
-  }
-}
-
 TEST(FrontierSearch, DedupeFieldsReportTheRunsOwnMode) {
   // dedupe_bytes is only meaningful relative to the run's mode; the result
   // must carry the mode and the entry count so consumers (bench JSON)
@@ -319,31 +272,23 @@ TEST(FrontierSearch, DedupeFieldsReportTheRunsOwnMode) {
   EXPECT_GT(b.dedupe_bytes, 8 * b.dedupe_entries);
 }
 
-TEST(FrontierSearch, ParallelFindsTheSameInvariantViolation) {
-  // Both modes must report a violation (parallel may find a different
-  // witness, but ok/violation_path replayability hold in both).
-  auto run = [](std::size_t threads) {
-    World w;
-    const NodeId a = w.add_process(std::make_unique<MarkSink>());
-    const NodeId b = w.add_process(std::make_unique<MarkSink>());
-    w.enqueue({a, b}, make_msg<Mark>(0));
-    w.enqueue({a, b}, make_msg<Mark>(1));
-    ExploreOptions opt;
-    opt.threads = threads;
-    return engine::frontier_search(
-        w, opt,
-        [](const World& world) -> std::optional<std::string> {
-          if (world.in_flight() == 0) return "drained";
-          return std::nullopt;
-        },
-        {});
-  };
-  const auto s = run(1);
-  const auto p = run(4);
-  EXPECT_FALSE(s.ok);
-  EXPECT_FALSE(p.ok);
-  EXPECT_EQ(s.violation_path.size(), 2u);
-  EXPECT_EQ(p.violation_path.size(), 2u);
+TEST(FrontierSearch, InvariantViolationPathReachesTheViolatingState) {
+  // The invariant fails only once both messages are delivered, so the
+  // reported path is exactly those two deliveries.
+  World w;
+  const NodeId a = w.add_process(std::make_unique<MarkSink>());
+  const NodeId b = w.add_process(std::make_unique<MarkSink>());
+  w.enqueue({a, b}, make_msg<Mark>(0));
+  w.enqueue({a, b}, make_msg<Mark>(1));
+  const auto r = engine::frontier_search(
+      w, ExploreOptions{},
+      [](const World& world) -> std::optional<std::string> {
+        if (world.in_flight() == 0) return "drained";
+        return std::nullopt;
+      },
+      {});
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.violation_path.size(), 2u);
 }
 
 // ---- memory budget ---------------------------------------------------------
@@ -403,17 +348,13 @@ TEST(FrontierSearch, DepthLimitCutsAreCountedAndUnsetComplete) {
   EXPECT_TRUE(full.complete);
 }
 
-TEST(FrontierSearch, DepthCutSurvivesParallelAndBudgetedRuns) {
-  for (const auto& [threads, mem] :
-       {std::pair<std::size_t, const char*>{4, "0"}, {1, "64K"}}) {
-    ExploreOptions opt;
-    opt.max_depth = 4;
-    opt.threads = threads;
-    opt.mem = MemBudget::parse(mem);
-    const auto r = explore_abd(opt);
-    EXPECT_GT(r.depth_cut, 0u) << threads << "/" << mem;
-    EXPECT_FALSE(r.complete) << threads << "/" << mem;
-  }
+TEST(FrontierSearch, DepthCutSurvivesABudgetedRun) {
+  ExploreOptions opt;
+  opt.max_depth = 4;
+  opt.mem = MemBudget::parse("64K");
+  const auto r = explore_abd(opt);
+  EXPECT_GT(r.depth_cut, 0u);
+  EXPECT_FALSE(r.complete);
 }
 
 TEST(FrontierSearch, InsufficientVisitedBudgetFailsLoudly) {
@@ -525,13 +466,12 @@ TEST(FrontierSearch, FrontierSizingHintGetsPastTheFailingSize) {
   EXPECT_TRUE(saw_visited) << "the visited set's ceiling never fired";
 }
 
-TEST(FrontierSearch, ParallelCeilingThrowsInsteadOfAborting) {
-  // A ceiling hit inside a pool worker surfaces on the calling thread as
-  // the same catchable ContractError a sequential run throws. 16K trips
-  // the frontier share early; 200K gets further before a ceiling fires.
+TEST(FrontierSearch, CeilingThrowsAContractErrorWithAHint) {
+  // A ceiling hit surfaces as a catchable ContractError naming a --mem to
+  // rerun with. 16K trips the frontier share early; 200K gets further
+  // before a ceiling fires.
   for (const char* mem : {"16K", "200K"}) {
     ExploreOptions opt;
-    opt.threads = 4;
     opt.mem = MemBudget::parse(mem);
     EXPECT_THROW(explore_cas(opt), ContractError) << mem;
     try {
@@ -542,10 +482,9 @@ TEST(FrontierSearch, ParallelCeilingThrowsInsteadOfAborting) {
           << e.what();
     }
   }
-  // A budget the space fits completes with the sequential counters, each
+  // A budget the space fits completes with the unbudgeted counters, each
   // structure inside its share.
   ExploreOptions opt;
-  opt.threads = 4;
   opt.mem = MemBudget::parse("64M");
   const auto p = explore_cas(opt);
   EXPECT_TRUE(p.complete);

@@ -1,56 +1,16 @@
-// TSan smoke for the shared work-stealing pool's two clients: the parallel
-// frontier explorer (ABD write||read state space with 8 workers, several
-// times, checked against the sequential counters) and a 4-thread fuzz
-// campaign (checked byte-for-byte against the serial summary). Built as a
-// plain binary (no gtest) so it can be compiled standalone with
-// -fsanitize=thread; exits non-zero on any mismatch.
+// TSan smoke for engine::parallel_for through its busiest client: a
+// 4-thread fuzz campaign, checked byte-for-byte against the serial
+// summary. Built as a plain binary (no gtest) so it can be compiled
+// standalone with -fsanitize=thread; exits non-zero on any mismatch.
 #include <cstdio>
 #include <string>
 
-#include "algo/abd/system.h"
-#include "engine/frontier.h"
 #include "fuzz/campaign.h"
 
-namespace {
-
-memu::ExploreResult run(std::size_t threads, bool exact = false) {
-  memu::abd::Options opt;
-  opt.n_servers = 3;
-  opt.f = 1;
-  opt.single_writer = true;
-  opt.value_size = 12;
-  memu::abd::System sys = memu::abd::make_system(opt);
-  sys.world.invoke(sys.writers[0],
-                   {memu::OpType::kWrite, memu::unique_value(1, 1, 12)});
-  sys.world.invoke(sys.readers[0], {memu::OpType::kRead, {}});
-  memu::ExploreOptions eopt;
-  eopt.threads = threads;
-  eopt.exact_dedupe = exact;
-  return memu::engine::frontier_search(sys.world, eopt, {}, {});
-}
-
-}  // namespace
-
 int main() {
-  const memu::ExploreResult seq = run(1);
-  for (int round = 0; round < 4; ++round) {
-    // Round 3 runs exact dedupe: the per-worker thread-local encode buffer
-    // and the byte-keyed visited set under the same stealing schedule.
-    const memu::ExploreResult par = run(8, /*exact=*/round == 3);
-    if (par.states_visited != seq.states_visited ||
-        par.terminal_states != seq.terminal_states ||
-        par.transitions != seq.transitions || par.deduped != seq.deduped ||
-        par.ok != seq.ok || par.complete != seq.complete) {
-      std::fprintf(stderr,
-                   "round %d: parallel counters diverged from sequential "
-                   "(states %zu vs %zu)\n",
-                   round, par.states_visited, seq.states_visited);
-      return 1;
-    }
-  }
-  // Fuzz-campaign round: the pool's other client. 4 workers race over the
-  // walk indices (and the per-thread prototype cache and replay buffers)
-  // while the summary must stay byte-identical to the serial run.
+  // 4 workers race over the walk indices (and the per-thread prototype
+  // cache and replay buffers) while the summary must stay byte-identical
+  // to the serial run.
   memu::fuzz::SystemSpec spec;
   spec.algo = "abd";
   memu::fuzz::FuzzPlan plan;
@@ -66,8 +26,6 @@ int main() {
                  "fuzz campaign summary diverged between 1 and 4 threads\n");
     return 1;
   }
-  std::printf("tsan smoke ok: %zu states, parallel == sequential x4 "
-              "(fingerprint + exact); 4-thread campaign byte-identical\n",
-              seq.states_visited);
+  std::printf("tsan smoke ok: 4-thread campaign byte-identical\n");
   return 0;
 }

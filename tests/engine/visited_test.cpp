@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 
 namespace memu::engine {
 namespace {
@@ -16,7 +14,7 @@ Bytes key(std::uint64_t i) {
 }
 
 TEST(VisitedSet, TryInsertOnceThenContains) {
-  VisitedSet set({/*exact=*/false, /*shards=*/1});
+  VisitedSet set({/*exact=*/false});
   EXPECT_FALSE(set.contains(key(7)));
   EXPECT_TRUE(set.try_insert(key(7)));
   EXPECT_TRUE(set.contains(key(7)));
@@ -28,7 +26,7 @@ TEST(VisitedSet, FingerprintOverloadMatchesByteKeys) {
   // try_insert(fp) with fingerprint64(key) must land in the same slot the
   // byte-key overload would have used — the frontier mixes neither, but the
   // equivalence is the contract that makes the direct overload correct.
-  VisitedSet set({/*exact=*/false, /*shards=*/4});
+  VisitedSet set({/*exact=*/false});
   EXPECT_TRUE(set.try_insert(fingerprint64(key(3))));
   EXPECT_FALSE(set.try_insert(key(3)));
   EXPECT_TRUE(set.contains(fingerprint64(key(3))));
@@ -39,8 +37,8 @@ TEST(VisitedSet, FingerprintOverloadMatchesByteKeys) {
 }
 
 TEST(VisitedSet, ExactModeBehavesIdentically) {
-  VisitedSet fp({/*exact=*/false, /*shards=*/4});
-  VisitedSet exact({/*exact=*/true, /*shards=*/4});
+  VisitedSet fp({/*exact=*/false});
+  VisitedSet exact({/*exact=*/true});
   for (std::uint64_t i = 0; i < 1000; ++i) {
     EXPECT_EQ(fp.try_insert(key(i % 300)), exact.try_insert(key(i % 300)));
   }
@@ -55,13 +53,13 @@ TEST(VisitedSet, MemoryBytesIsExactAndExceedsTheLegacyEstimate) {
   // new accounting reports real allocated bytes (slot tables + slabs),
   // which is strictly larger — pin both the relation and the exact value
   // so the undercount can never creep back.
-  VisitedSet fp({/*exact=*/false, /*shards=*/1});
+  VisitedSet fp({/*exact=*/false});
   for (std::uint64_t i = 0; i < 100; ++i) fp.try_insert(key(i));
   EXPECT_GT(fp.memory_bytes(), 8u * fp.size());
   // 100 entries at a 75% load limit land in a 256-slot table, 8 B/slot.
   EXPECT_EQ(fp.memory_bytes(), 256u * 8u);
 
-  VisitedSet exact({/*exact=*/true, /*shards=*/1});
+  VisitedSet exact({/*exact=*/true});
   for (std::uint64_t i = 0; i < 100; ++i) exact.try_insert(key(i));
   std::size_t key_payload = 0;
   for (std::uint64_t i = 0; i < 100; ++i) key_payload += key(i).size();
@@ -74,8 +72,8 @@ TEST(VisitedSet, BudgetedSetHoldsWhatTheUnbudgetedSetHolds) {
   // --mem is a ceiling, not an allocation: under a budget the space fits,
   // the set grows exactly as the unbudgeted one does, in both modes.
   for (const bool exact : {false, true}) {
-    VisitedSet free_set({exact, /*shards=*/4});
-    VisitedSet capped({exact, /*shards=*/4, MemBudget::parse("64M")});
+    VisitedSet free_set({exact});
+    VisitedSet capped({exact, MemBudget::parse("64M")});
     EXPECT_EQ(capped.memory_bytes(), free_set.memory_bytes());
     for (std::uint64_t i = 0; i < 5000; ++i) {
       EXPECT_TRUE(capped.try_insert(key(i)));
@@ -94,7 +92,7 @@ TEST(VisitedSet, OverfilledBudgetFailsLoudlyWithSizingHint) {
   // footprint past it before the failing insert.
   constexpr std::size_t kMem = 64 << 10;  // a 32 KB share
   for (const bool exact : {false, true}) {
-    VisitedSet set({exact, /*shards=*/1, MemBudget{kMem}});
+    VisitedSet set({exact, MemBudget{kMem}});
     try {
       for (std::uint64_t i = 0; i < 100'000; ++i) {
         set.try_insert(key(i));
@@ -118,7 +116,7 @@ TEST(VisitedSet, ImpossiblySmallBudgetFailsAtConstruction) {
   // Not even the first table fits: fail at construction, again with the
   // --mem sizing hint — and the hinted budget does construct.
   try {
-    VisitedSet set({/*exact=*/false, /*shards=*/16, MemBudget{512}});
+    VisitedSet set({/*exact=*/false, MemBudget{512}});
     FAIL() << "construction should have thrown";
   } catch (const ContractError& e) {
     const std::string what = e.what();
@@ -127,13 +125,13 @@ TEST(VisitedSet, ImpossiblySmallBudgetFailsAtConstruction) {
     ASSERT_NE(at, std::string::npos) << what;
     const MemBudget hint = MemBudget::parse(what.substr(at + flag.size()));
     EXPECT_GT(hint.total, 512u);
-    EXPECT_NO_THROW(VisitedSet({/*exact=*/false, /*shards=*/16, hint}));
+    EXPECT_NO_THROW(VisitedSet({/*exact=*/false, hint}));
   }
 }
 
 TEST(VisitedSet, BudgetedExactModeKeepsEncodingsAndStaysWithinBudget) {
   constexpr std::size_t kShare = 1 << 20;  // half of a 2 MiB --mem
-  VisitedSet set({/*exact=*/true, /*shards=*/2, MemBudget{2 * kShare}});
+  VisitedSet set({/*exact=*/true, MemBudget{2 * kShare}});
   EXPECT_LE(set.memory_bytes(), kShare);
   for (std::uint64_t i = 0; i < 500; ++i) {
     EXPECT_TRUE(set.try_insert(key(i)));
@@ -141,48 +139,6 @@ TEST(VisitedSet, BudgetedExactModeKeepsEncodingsAndStaysWithinBudget) {
   }
   EXPECT_EQ(set.size(), 500u);
   EXPECT_LE(set.memory_bytes(), kShare);
-}
-
-TEST(VisitedSet, ConcurrentInsertersAgreeOnFreshness) {
-  // 4 threads racing over an overlapping key range: exactly one inserter
-  // per distinct key may see "fresh".
-  VisitedSet set({/*exact=*/false, /*shards=*/16});
-  constexpr std::uint64_t kKeys = 5000;
-  std::atomic<std::size_t> fresh{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (std::uint64_t i = 0; i < kKeys; ++i) {
-        if (set.try_insert(key(i)))
-          fresh.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(fresh.load(), kKeys);
-  EXPECT_EQ(set.size(), kKeys);
-}
-
-TEST(AutoShardCount, SequentialIsUnsharded) {
-  EXPECT_EQ(auto_shard_count(0), 1u);
-  EXPECT_EQ(auto_shard_count(1), 1u);
-}
-
-TEST(AutoShardCount, ScalesWithThreadsAndStaysPowerOfTwo) {
-  EXPECT_EQ(auto_shard_count(2), 16u);
-  EXPECT_EQ(auto_shard_count(4), 32u);
-  EXPECT_EQ(auto_shard_count(8), 64u);
-  EXPECT_EQ(auto_shard_count(12), 128u);  // 96 rounds up to the next pow2
-  for (std::size_t t = 2; t <= 64; ++t) {
-    const std::size_t n = auto_shard_count(t);
-    EXPECT_TRUE(std::has_single_bit(n)) << t;
-    EXPECT_GE(n, 8 * t) << t;
-  }
-}
-
-TEST(AutoShardCount, CappedAtFixedCeiling) {
-  EXPECT_EQ(auto_shard_count(128), 1024u);
-  EXPECT_EQ(auto_shard_count(10'000), 1024u);
 }
 
 }  // namespace

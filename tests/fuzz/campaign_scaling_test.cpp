@@ -1,9 +1,9 @@
 // Slow fuzz scaling soak (nightly, label `slow`): larger campaigns across
 // every supported algorithm and thread count, byte-compared against the
 // serial run. The tier1 determinism tests cover the same contract on small
-// configurations; this soak gives the work-stealing pool enough walks per
-// campaign for steals, prototype-cache churn, and in-walk minimization to
-// actually interleave.
+// configurations; this soak gives parallel_for enough walks per campaign
+// for prototype-cache churn and in-walk minimization to actually
+// interleave.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,7 +40,8 @@ TEST(CampaignScaling, EveryAlgoIsByteIdenticalAcrossThreadCounts) {
 
 TEST(CampaignScaling, MinimizingCampaignIsByteIdenticalAtEightThreads) {
   // The violation-rich configuration: every violating walk also runs the
-  // minimizer inside the pool, so this covers nested replay under stealing.
+  // minimizer inside its worker, so this covers nested replay across
+  // threads.
   SystemSpec spec;
   spec.algo = "abd-regular";
   spec.n_servers = 5;

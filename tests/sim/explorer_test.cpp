@@ -304,27 +304,6 @@ TEST(Explorer, SequentialTerminalViolationPathIsPinned) {
   EXPECT_EQ(triples(res.violation_path), pinned);
 }
 
-TEST(Explorer, ParallelViolationPathsReplayToTheViolation) {
-  ExploreOptions opt;
-  opt.threads = 4;
-  for (int run = 0; run < 3; ++run) {
-    const Inversion inv;
-    const auto res =
-        engine::frontier_search(inv.sys.world, opt, std::cref(inv), {});
-    ASSERT_FALSE(res.ok);
-    EXPECT_TRUE(inv(replay_path(inv.sys.world, res.violation_path)))
-        << "invariant path does not replay, run " << run;
-
-    const abd::System sys = stuck_system();
-    const auto term =
-        engine::frontier_search(sys.world, opt, {}, stuck_check);
-    ASSERT_FALSE(term.ok);
-    const World end = replay_path(sys.world, term.violation_path);
-    EXPECT_FALSE(end.has_deliverable()) << "terminal path stops early";
-    EXPECT_TRUE(stuck_check(end)) << "terminal path does not replay";
-  }
-}
-
 TEST(Explorer, DeterministicAcrossRuns) {
   abd::Options opt;
   opt.n_servers = 3;

@@ -216,33 +216,6 @@ TEST(Reorder, BulkBlockedReorderExplorationAndReplay) {
   EXPECT_FALSE(got & 0b001u);  // the bulk value never did
 }
 
-TEST(Reorder, ParallelReorderAgreesWithSequentialOnAbd) {
-  // Fixed ABD configuration, reorder mode: 8-thread and sequential runs
-  // must agree on every interleaving-independent counter.
-  auto run = [](std::size_t threads) {
-    abd::Options opt;
-    opt.n_servers = 3;
-    opt.f = 1;
-    opt.single_writer = true;
-    opt.value_size = 12;
-    abd::System sys = abd::make_system(opt);
-    sys.world.invoke(sys.writers[0],
-                     {OpType::kWrite, unique_value(1, 1, opt.value_size)});
-    ExploreOptions ro;
-    ro.reorder = true;
-    ro.threads = threads;
-    return engine::frontier_search(sys.world, ro, {}, {});
-  };
-  const auto seq = run(1);
-  const auto par = run(8);
-  EXPECT_TRUE(seq.complete);
-  EXPECT_EQ(seq.states_visited, par.states_visited);
-  EXPECT_EQ(seq.terminal_states, par.terminal_states);
-  EXPECT_EQ(seq.transitions, par.transitions);
-  EXPECT_EQ(seq.deduped, par.deduped);
-  EXPECT_EQ(seq.ok, par.ok);
-}
-
 TEST(Reorder, ExhaustiveReorderedAbdStillAtomic) {
   // The strongest schedule adversary we can run: ALL interleavings AND all
   // in-channel reorderings of a one-phase write concurrent with a read.

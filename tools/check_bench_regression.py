@@ -53,7 +53,7 @@ failures = []
 # nodes on spaces this small means node compression stopped working.
 FRONTIER_ABS_FLOOR_BYTES = 1 << 20
 
-# Multi-core scaling contract: the work-stealing pool must deliver
+# Multi-core scaling contract: parallel fuzz campaigns must deliver
 # SCALING_MIN_SPEEDUP_X the serial throughput at SCALING_GATE_THREADS
 # workers. It is enforced only when the runner really gave that many threads
 # that many CPUs: the benches spin SCALING_GATE_THREADS busy threads and
@@ -98,10 +98,6 @@ def unless(reason, applies):
 SAME_DEDUPE = unless(
     "dedupe_mode differs from baseline, byte counts are not comparable",
     lambda c, b, *_: c.get("dedupe_mode") == b.get("dedupe_mode"))
-# The parallel frontier peak depends on worker timing; only sequential runs
-# have a stable byte count.
-SEQUENTIAL = unless("parallel run",
-                    lambda c, *_: "parallel" not in c.get("mode", ""))
 # Fingerprint and symmetry keys are folds of the incremental state hash;
 # neither may serialize a canonical encoding.
 HASHED_DEDUPE = unless(
@@ -140,16 +136,12 @@ ROWS = [
         "at_most", COW_BYTES_PER_STATE_ABS_MAX, RUN),
     Row(EXPLORE, "runs[mode].visited_bytes", "lower", where=RUN),
     Row(EXPLORE, "runs[mode].frontier_bytes", "lower",
-        FRONTIER_ABS_FLOOR_BYTES, RUN + (SEQUENTIAL,)),
+        FRONTIER_ABS_FLOOR_BYTES, RUN),
     Row(EXPLORE, "runs[mode].canonical_encodings", "at_most", 0,
         RUN + (HASHED_DEDUPE,)),
-    # The --mem contract: the parallel and budgeted runs reproduce the
-    # sequential unbudgeted counters.
-    Row(EXPLORE, "parallel_counters_match_sequential", "true"),
+    # The --mem contract: the budgeted run reproduces the unbudgeted
+    # counters.
     Row(EXPLORE, "budgeted_counters_match_sequential", "true"),
-    Row(EXPLORE, "scaling[threads].states_per_sec", "higher"),
-    Row(EXPLORE, SPEEDUP_AT_GATE, "at_least", SCALING_MIN_SPEEDUP_X,
-        (PARALLEL_RUNNER,)),
     Row(EXPLORE, "cow_copy_reduction_x", "higher"),
     Row(EXPLORE, "peak_rss_kb", "lower", where=(BASE_RSS_POSITIVE,)),
     # Partial-order reduction: sound (same verdicts, the pinned abd-regular

@@ -72,7 +72,7 @@ def explore_doc(frontier=None, **run_fields):
         run["frontier_bytes"] = frontier
     return {
         "runs": [run],
-        "parallel_counters_match_sequential": True,
+        "budgeted_counters_match_sequential": True,
         "cow_copy_reduction_x": 10.0,
     }
 
@@ -103,6 +103,7 @@ def fuzz_doc(walks=256, rate=1000.0, tests_run=10):
 
 
 E = gate.EXPLORE
+F = gate.FUZZ
 
 CASES = [
     # Tolerance rules (higher / lower) at, below and beyond their bounds.
@@ -159,26 +160,26 @@ CASES = [
          {"runs": [{"mode": "m1", "x": 1}]}, {"runs[mode]"}),
 
     # Multi-core scaling: gated only where the spin measured real CPUs.
-    Case("scaling_fails_below_floor_on_parallel_runner", E,
+    Case("scaling_fails_below_floor_on_parallel_runner", F,
          scaling_doc(1.2, 4.0), scaling_doc(1.0), {SPEEDUP}),
-    Case("scaling_passes_at_floor_on_parallel_runner", E,
+    Case("scaling_passes_at_floor_on_parallel_runner", F,
          scaling_doc(gate.SCALING_MIN_SPEEDUP_X, 8.0), scaling_doc(1.0)),
-    Case("scaling_small_runner_skips_loudly", E, scaling_doc(1.0, 2.2),
+    Case("scaling_small_runner_skips_loudly", F, scaling_doc(1.0, 2.2),
          scaling_doc(1.0), prints=f"{SPEEDUP}: not gated"),
-    Case("scaling_parallelism_at_threshold_is_gated", E,
+    Case("scaling_parallelism_at_threshold_is_gated", F,
          scaling_doc(1.0, gate.SCALING_MIN_PARALLELISM), scaling_doc(1.0),
          {SPEEDUP}),
-    Case("scaling_cores_alone_do_not_enable_the_gate", E,
+    Case("scaling_cores_alone_do_not_enable_the_gate", F,
          with_(scaling_doc(1.0), cores=16), scaling_doc(1.0),
          prints=f"{SPEEDUP}: not gated"),
-    Case("scaling_no_speedup_entry_skips_loudly", E, {"scaling": []},
+    Case("scaling_no_speedup_entry_skips_loudly", F, {"scaling": []},
          {"scaling": []}, prints="not gated"),
-    Case("scaling_wrong_thread_count_entry_is_not_gated", E,
+    Case("scaling_wrong_thread_count_entry_is_not_gated", F,
          scaling_doc(0.5, 16.0, threads=gate.SCALING_GATE_THREADS + 1),
          scaling_doc(0.5, threads=gate.SCALING_GATE_THREADS + 1)),
 
     # frontier_bytes: relative ceiling, absolute ceiling at a zero
-    # baseline, sequential runs only.
+    # baseline.
     Case("frontier_zero_baseline_enforces_absolute_ceiling", E,
          explore_doc(FLOOR + 1), explore_doc(0), {f"{SEQ}.frontier_bytes"}),
     Case("frontier_zero_baseline_allows_small_frontier", E,
@@ -191,15 +192,11 @@ CASES = [
          explore_doc(1000), explore_doc(100), {f"{SEQ}.frontier_bytes"}),
     Case("frontier_positive_baseline_passes_when_flat", E,
          explore_doc(100), explore_doc(100)),
-    Case("frontier_parallel_run_is_never_gated", E,
-         explore_doc(10 * FLOOR, mode="parallel_fingerprint"),
-         explore_doc(0, mode="parallel_fingerprint"),
-         prints="not gated (parallel run)"),
 
     # Explorer hard invariants.
-    Case("parallel_counter_divergence_fails", E,
-         with_(explore_doc(), parallel_counters_match_sequential=False),
-         explore_doc(), {"parallel_counters_match_sequential"}),
+    Case("budgeted_counter_divergence_fails", E,
+         with_(explore_doc(), budgeted_counters_match_sequential=False),
+         explore_doc(), {"budgeted_counters_match_sequential"}),
     Case("canonical_encodings_in_fingerprint_mode_fail", E,
          explore_doc(canonical_encodings=7), explore_doc(),
          {f"{SEQ}.canonical_encodings"}),
