@@ -4,8 +4,8 @@
 // queues, and the oplog live behind shared immutable blocks that detach
 // (deep-copy) only when a mutation hits a block another World still
 // references. These process-wide counters record how often snapshots are
-// taken and how many bytes the detaches actually materialize, so the
-// explorer bench and the proof-harness case tests can report the bytes
+// taken and how many bytes the detaches actually materialize, so perfbench,
+// the explorer tests and the proof-harness case tests can bound the bytes
 // copied per state or per fork — the cost the COW refactor exists to
 // shrink.
 //
@@ -16,11 +16,10 @@
 // across a registry of every block ever created. Blocks are leaked on
 // purpose: a finished worker's counts must keep contributing to the
 // process-wide totals, and a block is 128 bytes. The fields stay relaxed
-// atomics because snapshot()/reset() run concurrently with other threads'
-// bumps; with one writer per block that costs nothing on x86 and keeps
-// TSan clean. Counters are cumulative per process; benches reset() around
-// the region they measure (while quiescent — reset() racing live workers
-// yields torn-but-benign telemetry, never UB).
+// atomics because snapshot() runs concurrently with other threads' bumps;
+// with one writer per block that costs nothing on x86 and keeps TSan
+// clean. Counters are cumulative per process; a reader takes the
+// difference of two snapshots around the region it measures.
 #pragma once
 
 #include <atomic>
@@ -37,10 +36,8 @@ namespace memu::cowstats {
 //                         bytes: the oplog is a persistent chunk chain, so a
 //                         shared head chunk is frozen in place and a fresh
 //                         chunk is linked in front of it (see sim/oplog.h).
-//   bytes_copied          bytes materialized by the detaches, split by
-//   process_bytes_copied  source (process clones vs message re-homes; oplog
-//   queue_bytes_copied    chains are always 0-byte) so the benches can
-//                         attribute the copy traffic.
+//   bytes_copied          bytes materialized by the detaches (oplog chains
+//                         are always 0-byte).
 //   canonical_encodings   full canonical_encoding() serializations. The
 //                         incremental state hash exists so the
 //                         fingerprint-mode explorer performs ZERO of these
@@ -58,8 +55,6 @@ namespace memu::cowstats {
   X(queue_detaches)               \
   X(oplog_detaches)               \
   X(bytes_copied)                 \
-  X(process_bytes_copied)         \
-  X(queue_bytes_copied)           \
   X(canonical_encodings)          \
   X(fuzz_system_builds)           \
   X(fuzz_system_reuses)
@@ -84,7 +79,7 @@ struct Snapshot {
 
 namespace detail {
 
-// One thread's counters: two cache lines (10 x 8-byte counters + the
+// One thread's counters: two cache lines (8 x 8-byte counters + the
 // registry link), aligned so no two threads' hot fields share a line.
 struct alignas(64) Block {
 #define MEMU_COWSTATS_FIELD(name) std::atomic<std::uint64_t> name{0};
@@ -130,14 +125,12 @@ inline void note_process_detach(std::uint64_t bytes) {
   detail::Block& b = detail::local();
   b.process_detaches.fetch_add(1, std::memory_order_relaxed);
   b.bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
-  b.process_bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 inline void note_queue_detach(std::uint64_t bytes) {
   detail::Block& b = detail::local();
   b.queue_detaches.fetch_add(1, std::memory_order_relaxed);
   b.bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
-  b.queue_bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 inline void note_oplog_detach(std::uint64_t bytes) {
@@ -167,14 +160,6 @@ inline Snapshot snapshot() {
 #undef MEMU_COWSTATS_ADD
   });
   return s;
-}
-
-inline void reset() {
-  detail::for_each_block([](detail::Block& b) {
-#define MEMU_COWSTATS_ZERO(name) b.name.store(0, std::memory_order_relaxed);
-    MEMU_COWSTATS_COUNTERS(MEMU_COWSTATS_ZERO)
-#undef MEMU_COWSTATS_ZERO
-  });
 }
 
 }  // namespace memu::cowstats

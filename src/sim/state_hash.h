@@ -13,8 +13,8 @@
 // The keys are DETERMINISTIC: derived by splitmix64 from fixed domain
 // seeds, not randomized per run. Equal logical states therefore hash
 // equally across runs and across machines — which is what lets the
-// explorer's dedupe counters, the differential tests, and the committed
-// bench baselines all pin exact values. The collision caveat is identical
+// explorer's dedupe counters, the differential tests, and perfbench's
+// explore workload all pin exact values. The collision caveat is identical
 // to fingerprint dedupe (engine/visited.h): two distinct states collide
 // with probability ~2^-64 per pair.
 #pragma once

@@ -17,6 +17,7 @@
 #include "algo/strip/strip.h"
 #include "common/check.h"
 #include "consistency/checker.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 #include "workload/park.h"
 
@@ -197,6 +198,56 @@ TEST_P(RegistryFamily, ValuePhasePredicateMarksTheParkedWriter) {
   workload::park_active_writes(sys, fam(), 1, 60);
   EXPECT_TRUE(sys.world.is_frozen(writer));
   EXPECT_TRUE(fam().in_value_phase(sys.world, writer));
+}
+
+TEST_P(RegistryFamily, OneWriteShipsItsValueInOneValuePhase) {
+  // Theorem 6.5's hypothesis on one traced write at N=5: value bits go on
+  // the wire only while the writer is in its value phase, the write enters
+  // that phase exactly once, and the bits moved are the family's wire cost.
+  constexpr std::size_t kValueBytes = 120;
+  Deployment sys = fam().build(
+      {.n_servers = 5, .f = 1, .n_writers = 1, .value_size = kValueBytes});
+  sys.world.enable_trace();
+  const NodeId writer = sys.writers[0];
+  const auto in_value_phase = [&] {
+    return fam().in_value_phase != nullptr &&
+           fam().in_value_phase(sys.world, writer);
+  };
+  // Value bits sent so far: delivered plus still in flight.
+  const auto value_bits_sent = [&sys] {
+    return sys.world.trace().bits_moved().value_bits +
+           sys.world.channel_bits().value_bits;
+  };
+  sys.world.invoke(writer,
+                   {OpType::kWrite, unique_value(1, 1, kValueBytes)});
+  Scheduler sched;
+  double sent = 0;
+  std::size_t entries = 0;
+  bool was_in_phase = false;
+  do {
+    const bool now = in_value_phase();
+    if (now && !was_in_phase) ++entries;
+    was_in_phase = now;
+    if (value_bits_sent() > sent && fam().in_value_phase != nullptr) {
+      EXPECT_TRUE(now) << "value bits sent outside the value phase at step "
+                       << sys.world.step_count();
+    }
+    sent = value_bits_sent();
+  } while (sched.step(sys.world));
+  EXPECT_EQ(sys.world.oplog().responses_since(0), 1u);
+  EXPECT_EQ(entries, fam().in_value_phase != nullptr ? 1u : 0u);
+
+  // ABD and STRIP send the full value to all N servers, CAS one coded
+  // element of B/k bits to each (k = N - 2f), LDR the full value to f+1.
+  // Gossip servers forward it to the N - 1 others, after the writer is
+  // done: no writer phase holds its value traffic.
+  const double B = 8.0 * kValueBytes;
+  const double n = 5, f = 1;
+  const double expected = fam().reads_field(kK) ? n * B / (n - 2 * f)
+                          : fam().name == "ldr"    ? (f + 1) * B
+                          : fam().name == "gossip" ? n * n * B
+                                                   : n * B;
+  EXPECT_DOUBLE_EQ(sys.world.trace().bits_moved().value_bits, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -225,13 +225,30 @@ TEST(FrontierSearch, ExactDedupeMatchesFingerprintOnCas) {
   ExploreOptions exact;
   exact.exact_dedupe = true;
   for (const ExploreOptions& opt : {ExploreOptions{}, exact}) {
+    const cowstats::Snapshot before = cowstats::snapshot();
     const auto r = explore_cas(opt);
+    const cowstats::Snapshot cow = cowstats::snapshot() - before;
     EXPECT_TRUE(r.ok && r.complete);
     EXPECT_EQ(r.exact_dedupe, opt.exact_dedupe);
     EXPECT_EQ(r.states_visited, 103147u);
     EXPECT_EQ(r.terminal_states, 24u);
     EXPECT_EQ(r.transitions, 511863u);
     EXPECT_EQ(r.deduped, 408717u);
+    // World forks share every block a step leaves alone: the detaches
+    // copy 151.5 bytes per visited state, a few percent of one state's
+    // encoding.
+    EXPECT_LE(static_cast<double>(cow.bytes_copied) /
+                  static_cast<double>(r.states_visited),
+              200.0);
+    // The frontier holds compressed nodes: 4,560 bytes at its peak.
+    EXPECT_LE(r.frontier_bytes, 8u << 10);
+    // The fingerprint table: 2^18 slots of 8 bytes at <= 75% load. Exact
+    // mode keeps every encoding: 104,139,353 bytes.
+    if (!opt.exact_dedupe) {
+      EXPECT_EQ(r.dedupe_bytes, 2u << 20);
+    } else {
+      EXPECT_LE(r.dedupe_bytes, 128u << 20);
+    }
   }
 }
 

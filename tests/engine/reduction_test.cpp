@@ -21,6 +21,7 @@
 #include "common/hash.h"
 #include "algo/cas/system.h"
 #include "algo/ldr/ldr.h"
+#include "consistency/checker.h"
 #include "engine/frontier.h"
 #include "engine/scheduler.h"
 #include "sim/symmetry.h"
@@ -42,9 +43,9 @@ World abd_world(bool write_back = true) {
   return std::move(sys.world);
 }
 
-World cas_world() {
+World cas_world(std::size_t n_servers = 3) {
   cas::Options opt;
-  opt.n_servers = 3;
+  opt.n_servers = n_servers;
   opt.f = 1;
   opt.k = 1;
   opt.n_writers = 1;
@@ -389,6 +390,55 @@ TEST(Reduction, BudgetedReducedMatchesUnbudgeted) {
   // budgeted run drops it and reports zero.
   EXPECT_GT(u.result.symmetry_merged, 0u);
   EXPECT_EQ(b.result.symmetry_merged, 0u);
+}
+
+// The reductions' payoff at full bounds: on the two spaces they were built
+// for, sleep sets + symmetry visit at least five times fewer states and
+// keep the verdict (atomic and live). Each explores millions of states, so
+// this suite carries the slow label (tests/CMakeLists.txt).
+ExploreResult explore_atomic(const World& w, const ExploreOptions& opt) {
+  const Value v0 = enum_value(0, 12);
+  return engine::frontier_search(
+      w, opt, {}, [&](const World& state) -> std::optional<std::string> {
+        if (state.oplog().responses_since(0) < 2) return "operation stuck";
+        const auto verdict =
+            check_atomic(History::from_oplog(state.oplog()), v0);
+        if (!verdict.ok) return verdict.violation;
+        return std::nullopt;
+      });
+}
+
+void expect_five_fold(const ExploreResult& full, const ExploreResult& redu,
+                      std::size_t full_states, std::size_t reduced_states) {
+  ASSERT_TRUE(full.complete);
+  ASSERT_TRUE(redu.complete);
+  EXPECT_TRUE(full.ok) << full.violation;
+  EXPECT_EQ(full.ok, redu.ok);
+  EXPECT_TRUE(redu.symmetry_applied);
+  EXPECT_EQ(full.states_visited, full_states);
+  EXPECT_EQ(redu.states_visited, reduced_states);
+  EXPECT_GE(full.states_visited, 5 * redu.states_visited);
+}
+
+TEST(ReductionAtFullBounds, CasReorderSpaceShrinksFiveFold) {
+  // CAS N=3 with non-FIFO channels: the space outgrows `memu explore`'s
+  // default 2,000,000-state cap.
+  ExploreOptions full;
+  full.reorder = true;
+  full.max_states = 4'000'000;
+  const World w = cas_world();
+  expect_five_fold(explore_atomic(w, full), explore_atomic(w, reduced(full)),
+                   2'410'234, 411'761);
+}
+
+TEST(ReductionAtFullBounds, CasN4SpaceShrinksFiveFoldUnderMem) {
+  ExploreOptions full;
+  full.max_states = 2'000'000;
+  ExploreOptions budgeted = reduced(full);
+  budgeted.mem = MemBudget::parse("64M");
+  const World w = cas_world(4);
+  expect_five_fold(explore_atomic(w, full), explore_atomic(w, budgeted),
+                   1'638'100, 83'329);
 }
 
 }  // namespace

@@ -114,6 +114,31 @@ TEST(Minimizer, ParallelShrinkMatchesSerial) {
   }
 }
 
+TEST(Minimizer, PinnedCampaignCounterexampleShrinksInTenProbes) {
+  // The campaign's own trace of the pinned walk: 16 injected events, none
+  // needed for the violation. ddmin removes them all in 10 probes at any
+  // width.
+  const FuzzTrace base = violating_base_trace();
+  FuzzPlan plan;
+  plan.seed = base.campaign_seed;
+  plan.walks = base.walk_index + 1;
+  plan.max_steps = base.max_steps;
+  plan.writes_per_writer = base.writes_per_writer;
+  plan.reads_per_reader = base.reads_per_reader;
+  plan.check = base.check;
+  plan.minimize = false;
+  const CampaignSummary s = run_campaign(base.spec, plan);
+  const WalkResult& walk = s.walks[base.walk_index];
+  ASSERT_FALSE(walk.check.ok);
+  EXPECT_EQ(walk.trace.events.size(), 16u);
+  for (const std::size_t threads : {1, 4}) {
+    const MinimizeResult m = minimize(walk.trace, threads);
+    EXPECT_TRUE(m.still_violates);
+    EXPECT_EQ(m.tests_run, 10u) << "threads=" << threads;
+    EXPECT_TRUE(m.trace.events.empty()) << "threads=" << threads;
+  }
+}
+
 TEST(Minimizer, OneMinimalityHoldsAtFourThreads) {
   // Same definition-level check as above, on the concurrently-probed path.
   const MinimizeResult m = minimize(hand_built_counterexample(), 4);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <functional>
+#include <map>
+#include <set>
 
 #include "algo/abd/system.h"
 #include "consistency/checker.h"
@@ -112,8 +115,17 @@ TEST(Explorer, AbdSwmrWriteConcurrentReadIsAtomicEverywhere) {
   sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
 
   const Value v0 = enum_value(0, opt.value_size);
+  const double value_bits = 8.0 * static_cast<double>(opt.value_size);
   const auto res = engine::frontier_search(
-      sys.world, ExploreOptions{}, {},
+      sys.world, ExploreOptions{},
+      [&](const World& w) -> std::optional<std::string> {
+        // Replication storage is exactly one value per server, always.
+        for (const NodeId s : sys.servers) {
+          if (w.process(s).state_size().value_bits != value_bits)
+            return "server stores more than one value";
+        }
+        return std::nullopt;
+      },
       [&](const World& w) -> std::optional<std::string> {
         // Liveness: quiescence implies both operations responded.
         if (w.oplog().responses_since(0) < 2) return "operation stuck";
@@ -123,9 +135,49 @@ TEST(Explorer, AbdSwmrWriteConcurrentReadIsAtomicEverywhere) {
       });
   EXPECT_TRUE(res.complete);
   EXPECT_TRUE(res.ok) << res.violation;
-  EXPECT_GT(res.states_visited, 100u);
-  EXPECT_GT(res.terminal_states, 0u);
+  EXPECT_EQ(res.states_visited, 9300u);
+  EXPECT_EQ(res.terminal_states, 12u);
   EXPECT_GT(res.deduped, res.states_visited / 4);  // merging is load-bearing
+}
+
+// The theorems' |S_i|, measured: the states each live server reaches over
+// all schedules of one write, for each value of a domain of |V| = 4, with
+// the last server crashed (the proofs' failed f-subset). Theorem B.1 needs
+// sum_i log2|S_i| >= log2|V| over the N - f live servers.
+TEST(Explorer, AbdSwmrReachableServerStatesCoverTheValueDomain) {
+  constexpr std::size_t kDomain = 4;
+  abd::Options opt;
+  opt.n_servers = 3;
+  opt.f = 1;
+  opt.single_writer = true;
+  opt.value_size = 12;
+  std::map<std::uint32_t, std::set<Bytes>> reachable;  // server -> states
+  for (std::size_t v = 1; v <= kDomain; ++v) {
+    abd::System sys = abd::make_system(opt);
+    sys.world.crash(sys.servers[2]);
+    sys.world.invoke(sys.writers[0],
+                     {OpType::kWrite, enum_value(v, opt.value_size)});
+    const auto res = engine::frontier_search(
+        sys.world, ExploreOptions{},
+        [&](const World& w) -> std::optional<std::string> {
+          for (const NodeId s : sys.servers) {
+            if (!w.is_crashed(s))
+              reachable[s.value].insert(w.process(s).encode_state());
+          }
+          return std::nullopt;
+        },
+        {});
+    ASSERT_TRUE(res.complete && res.ok);
+  }
+  ASSERT_EQ(reachable.size(), 2u);
+  double sum_log2 = 0;
+  for (const auto& [server, states] : reachable) {
+    // The initial state, plus one per value written.
+    EXPECT_EQ(states.size(), kDomain + 1) << "server " << server;
+    sum_log2 += std::log2(static_cast<double>(states.size()));
+  }
+  EXPECT_NEAR(sum_log2, 2 * std::log2(5.0), 1e-9);  // 4.64
+  EXPECT_GE(sum_log2, std::log2(static_cast<double>(kDomain)));
 }
 
 // The flagship: the explorer automatically DISCOVERS the reachability of a

@@ -14,7 +14,8 @@
 //      reproduce, a shrink input that did not violate, or
 //      `--expect-violations` finding none;
 //   2  no verdict: a usage error, malformed input, an exhausted --mem
-//      budget, or any other exception (one line, "memu <subcommand>: ...").
+//      budget, an exploration stopped at --max-states, or any other
+//      exception (one line, "memu <subcommand>: ...").
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -298,9 +299,10 @@ bool cmd_explore(const Args& a) {
             << "): states=" << res.states_visited
             << " terminals=" << res.terminal_states
             << " complete=" << (res.complete ? "yes" : "NO") << " -> "
-            << (res.ok ? "VERIFIED " + check_kind_name(fam.promises) +
-                             "+live"
-                       : "VIOLATION: " + res.violation)
+            << (!res.ok          ? "VIOLATION: " + res.violation
+                : res.complete ? "VERIFIED " + check_kind_name(fam.promises) +
+                                     "+live"
+                               : std::string("no verdict"))
             << '\n';
   if (opt.reduction.sleep_sets || opt.reduction.symmetry) {
     std::cout << "reduction: sleep_sets="
@@ -313,6 +315,13 @@ bool cmd_explore(const Args& a) {
               << " symmetry_merged=" << res.symmetry_merged
               << " transitions=" << res.transitions << '\n';
   }
+  // A violation found before the cap stands; a clean partial search proves
+  // nothing.
+  if (res.ok && !res.complete)
+    throw ContractError("the search stopped at --max-states " +
+                        std::to_string(opt.max_states) +
+                        " before covering the space; rerun with a larger "
+                        "--max-states");
   return res.ok;
 }
 
